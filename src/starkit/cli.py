@@ -3,7 +3,7 @@
 Every check prints ``PROPERTY <name> <verdict>`` followed by indented witness
 lines.  Exit codes: 0 when everything is PASS or INAPPLICABLE, 1 when any
 check FAILs (witness printed), 2 on validation or usage errors.  Output is
-deterministic for fixed inputs and seed; timings are kept out of stdout.
+deterministic for fixed inputs and seed.
 """
 from __future__ import annotations
 
@@ -30,6 +30,17 @@ CHECKS = ("star-pi0", "theorem-a", "corollary-d", "star-regular", "normal",
 
 class UsageError(StarkitError):
     pass
+
+
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def _load(path: str) -> CorpusFile:
@@ -194,12 +205,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search for a category with a named property")
     p.add_argument("--property", required=True, choices=sorted(PROPERTIES))
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_count, default=None)
 
     p = sub.add_parser("corpus", help="enumerate small categories to stdout")
-    p.add_argument("--enumerate", type=int, required=True, metavar="K")
+    p.add_argument("--enumerate", type=_count, required=True, metavar="K")
     return parser
 
 

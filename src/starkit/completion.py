@@ -10,13 +10,12 @@ check raises ValidationFailed and must never be ignored.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .core import (FinCategory, FullSubcategory, ParallelPair, RawCategory,
                    identity_name, morphism_flags, validate_category)
-from .errors import PreconditionFailed, ValidationFailed
+from .errors import IdealClosureViolation, PreconditionFailed, ValidationFailed
 from .ideals import (CoverWitness, Ideal, MultiPointedCategory, extend_ideal,
                      has_all_kernels, is_ideal, is_projective_cover,
                      pointed_ideal, restrict_ideal)
@@ -41,7 +40,8 @@ class Completion:
             raise ValueError("ideal must live on the base category")
         sub = self.cover.cover.category
         carrier = frozenset(self.embed_morphisms[m] for m in N.carrier)
-        assert is_ideal(sub, carrier)
+        if not is_ideal(sub, carrier):
+            raise IdealClosureViolation(f"transport of {N.label()} to the cover is not closed")
         return Ideal(sub, carrier)
 
 
@@ -161,17 +161,9 @@ def _validate_completion(compl: Completion) -> None:
             if lhs != rhs:
                 raise ValidationFailed(
                     f"embedding does not preserve the composite of {g} and {f}")
-    rc = is_regular_category(total)
+    rc = is_regular_completion(total, compl.cover.cover)
     if not rc.passed:
-        raise ValidationFailed(f"completion is not regular: {rc.witnesses[0]}")
-    pc = is_projective_cover(compl.cover)
-    if not pc.passed:
-        raise ValidationFailed(f"embedded image is not a projective cover: {pc.witnesses[0]}")
-    bound = len(total.objects)
-    for x in total.objects:
-        if not _embeds_into_cover_product(total, compl.cover.cover.objects, x, bound):
-            raise ValidationFailed(
-                f"object {x} has no mono into a product of cover objects")
+        raise ValidationFailed(f"completion fails its characterisation: {rc.witnesses[0]}")
 
 
 def _fold_product(C: FinCategory, factors: tuple[str, ...]) -> str | None:
@@ -203,23 +195,20 @@ def is_regular_completion(C: FinCategory, cover: FullSubcategory) -> Report:
     """Is C a regular completion of the given full subcategory?  Checks
     regularity, the projective-cover property, and a mono from every object
     into some iterated product of at most |objects(C)| cover objects."""
-    t0 = time.perf_counter()
-
-    def report(verdict, witnesses):
-        return Report("regular-completion", verdict, witnesses, time.perf_counter() - t0)
-
     rc = is_regular_category(C)
     if not rc.passed:
-        return report(FAIL, [f"not a regular category: {rc.witnesses[0]}"])
+        return Report("regular-completion", FAIL,
+                      [f"not a regular category: {rc.witnesses[0]}"])
     pc = is_projective_cover(CoverWitness(C, cover))
     if not pc.passed:
-        return report(FAIL, [f"not a projective cover: {pc.witnesses[0]}"])
+        return Report("regular-completion", FAIL,
+                      [f"not a projective cover: {pc.witnesses[0]}"])
     bound = len(C.objects)
     for x in C.objects:
         if not _embeds_into_cover_product(C, cover.objects, x, bound):
-            return report(FAIL, [
+            return Report("regular-completion", FAIL, [
                 f"no mono from {x} into a product of at most {bound} cover objects"])
-    return report(PASS, [])
+    return Report("regular-completion", PASS, [])
 
 
 def check_theorem_c(C: FinCategory, cover: FullSubcategory, N: Ideal) -> Report:
@@ -227,25 +216,21 @@ def check_theorem_c(C: FinCategory, cover: FullSubcategory, N: Ideal) -> Report:
     graphs to satisfy star-pi0; the converse is asserted only when C is a
     regular completion of the cover.  A converse failure on a cover that is
     not a completion is a valid outcome, not an error."""
-    t0 = time.perf_counter()
-
-    def report(verdict, witnesses):
-        return Report("theorem-c", verdict, witnesses, time.perf_counter() - t0)
-
     if N.cat is not C:
         raise ValueError("ideal must live on the ambient category")
     if not is_regular_category(C).passed:
-        return report(INAPPLICABLE, [f"{C.name} is not regular"])
+        return Report("theorem-c", INAPPLICABLE, [f"{C.name} is not regular"])
     M = MultiPointedCategory(C, N)
     if not has_all_kernels(M, STRICT):
-        return report(INAPPLICABLE, ["the ideal does not admit kernels"])
+        return Report("theorem-c", INAPPLICABLE, ["the ideal does not admit kernels"])
     W = CoverWitness(C, cover)
     if not is_projective_cover(W).passed:
-        return report(INAPPLICABLE, [f"{cover.label} is not a projective cover"])
+        return Report("theorem-c", INAPPLICABLE,
+                      [f"{cover.label} is not a projective cover"])
 
     left_report = is_star_regular(M)
     if left_report.verdict == ERROR:
-        return report(ERROR, left_report.witnesses)
+        return Report("theorem-c", ERROR, left_report.witnesses)
     left = left_report.passed
 
     sub = cover.category
@@ -253,75 +238,66 @@ def check_theorem_c(C: FinCategory, cover: FullSubcategory, N: Ideal) -> Report:
     right, right_wit = reflexive_graphs_star_pi0(MP)
 
     if left and not right:
-        return report(FAIL, [
+        return Report("theorem-c", FAIL, [
             "ambient pair is star-regular but a cover graph fails star-pi0",
             right_wit])
     completion = is_regular_completion(C, cover).passed
     if completion and right and not left:
-        return report(FAIL, [
+        return Report("theorem-c", FAIL, [
             "cover graphs satisfy star-pi0 on a regular completion "
             "but the ambient pair is not star-regular"] + left_report.witnesses)
-    return report(PASS, [f"ambient star-regular={left}",
-                         f"cover graphs star-pi0={right}",
-                         f"regular completion={completion}"])
+    return Report("theorem-c", PASS, [f"ambient star-regular={left}",
+                                      f"cover graphs star-pi0={right}",
+                                      f"regular completion={completion}"])
 
 
 def check_corollary_c(P: FinCategory, N: Ideal) -> Report:
     """Build the completion, extend the ideal along the embedded cover, and
     compare star-regularity up there with star-pi0 for reflexive graphs down
     in the base."""
-    t0 = time.perf_counter()
-
-    def report(verdict, witnesses):
-        return Report("corollary-c", verdict, witnesses, time.perf_counter() - t0)
-
     if N.cat is not P:
         raise ValueError("ideal must live on the base category")
     if not has_weak_finite_limits(P):
-        return report(INAPPLICABLE, [f"{P.name} lacks weak finite limits"])
+        return Report("corollary-c", INAPPLICABLE, [f"{P.name} lacks weak finite limits"])
     M = MultiPointedCategory(P, N)
     if not has_all_kernels(M, WEAK):
-        return report(INAPPLICABLE, ["the ideal does not admit weak kernels"])
+        return Report("corollary-c", INAPPLICABLE,
+                      ["the ideal does not admit weak kernels"])
 
     compl = regular_completion(P)
     extended = extend_ideal(compl.cover, compl.transport_ideal(N))
     left_report = is_star_regular(MultiPointedCategory(compl.total, extended))
     if left_report.verdict == ERROR:
-        return report(ERROR, left_report.witnesses)
+        return Report("corollary-c", ERROR, left_report.witnesses)
     left = left_report.passed
     right, right_wit = reflexive_graphs_star_pi0(M)
 
     if left == right:
-        return report(PASS, [f"both sides {left}"])
+        return Report("corollary-c", PASS, [f"both sides {left}"])
     lines = ["sides disagree", f"completion star-regular={left}",
              f"base graphs star-pi0={right}"]
     if right_wit:
         lines.append(right_wit)
     lines.extend(left_report.witnesses)
-    return report(FAIL, lines)
+    return Report("corollary-c", FAIL, lines)
 
 
 def check_corollary_b(P: FinCategory) -> Report:
     """Pointed case: the completion is normal exactly when the base's
     reflexive graphs satisfy star-pi0 at the pointed ideal, and the pointed
     ideal transfers both ways between base and completion."""
-    t0 = time.perf_counter()
-
-    def report(verdict, witnesses):
-        return Report("corollary-b", verdict, witnesses, time.perf_counter() - t0)
-
     N = pointed_ideal(P)
     if N is None:
-        return report(INAPPLICABLE, [f"{P.name} is not pointed"])
+        return Report("corollary-b", INAPPLICABLE, [f"{P.name} is not pointed"])
     if not has_weak_finite_limits(P):
-        return report(INAPPLICABLE, [f"{P.name} lacks weak finite limits"])
+        return Report("corollary-b", INAPPLICABLE, [f"{P.name} lacks weak finite limits"])
 
     compl = regular_completion(P)
     failures: list[str] = []
 
     normal_report = is_normal_category(compl.total)
     if normal_report.verdict == ERROR:
-        return report(ERROR, normal_report.witnesses)
+        return Report("corollary-b", ERROR, normal_report.witnesses)
     right, right_wit = reflexive_graphs_star_pi0(MultiPointedCategory(P, N))
     if normal_report.verdict == INAPPLICABLE:
         failures.append("completion is not pointed")
@@ -343,7 +319,7 @@ def check_corollary_b(P: FinCategory) -> Report:
                             "the base pointed ideal")
 
     if failures:
-        return report(FAIL, failures)
-    return report(PASS, [f"normal={normal_report.passed}",
-                         f"graphs star-pi0={right}",
-                         "pointed ideal transfers both ways"])
+        return Report("corollary-b", FAIL, failures)
+    return Report("corollary-b", PASS, [f"normal={normal_report.passed}",
+                                        f"graphs star-pi0={right}",
+                                        "pointed ideal transfers both ways"])

@@ -304,9 +304,6 @@ class FullSubcategory:
             self._category = FinCategory(self.label, self.objects, morphisms, comp)
         return self._category
 
-    def morphism_names(self) -> tuple[str, ...]:
-        return self.category.morphism_names
-
 
 def full_subcategory(parent: FinCategory, objects: Sequence[str]) -> FullSubcategory:
     return FullSubcategory(parent, objects)

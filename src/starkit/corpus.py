@@ -11,7 +11,9 @@ Grammar (line oriented, UTF-8, ``#`` comments, names ``[A-Za-z][A-Za-z0-9_]*``):
     cover <name> on <cat> = { <obj1>, ... }
 
 An ideal's target may be a category or a previously defined cover, in which
-case the ideal lives on the cover's full subcategory.  The serializer emits
+case the ideal lives on the cover's full subcategory.  Names are unique:
+categories and covers share one namespace (both are ideal targets), ideals
+have their own.  The serializer emits
 canonical order: objects, morphisms, composition rows, members, each sorted
 lexicographically; parse then serialize is the identity on canonical files.
 """
@@ -146,6 +148,12 @@ def parse(text: str) -> CorpusFile:
     blocks: list = []
     known_categories: set[str] = set()
     known_covers: set[str] = set()
+    known_ideals: set[str] = set()
+
+    def fresh(name: str, line_no: int, *taken: set[str]) -> str:
+        if any(name in names for names in taken):
+            raise CorpusSyntaxError(f"name {name!r} is already used", line_no)
+        return name
     current: RawCategory | None = None
     stage = 0  # 0 objects, 1 mor, 2 comp
     in_header = True
@@ -203,7 +211,8 @@ def parse(text: str) -> CorpusFile:
             m = _CATEGORY.match(line)
             if not m or not _NAME.match(m.group(1)):
                 raise CorpusSyntaxError("expected: category <name>", line_no)
-            current = RawCategory(m.group(1), [], [], [])
+            name = fresh(m.group(1), line_no, known_categories, known_covers)
+            current = RawCategory(name, [], [], [])
             stage = 0
         elif word == "ideal":
             m = _IDEAL.match(line)
@@ -213,6 +222,7 @@ def parse(text: str) -> CorpusFile:
             target = m.group(2)
             if target not in known_categories and target not in known_covers:
                 raise CorpusSyntaxError(f"unknown target {target!r}", line_no)
+            known_ideals.add(fresh(m.group(1), line_no, known_ideals))
             blocks.append(IdealBlock(m.group(1), target, _split_members(m.group(3), line_no)))
         elif word == "cover":
             m = _COVER.match(line)
@@ -220,7 +230,7 @@ def parse(text: str) -> CorpusFile:
                 raise CorpusSyntaxError("expected: cover <name> on <cat> = { ... }", line_no)
             if m.group(2) not in known_categories:
                 raise CorpusSyntaxError(f"unknown category {m.group(2)!r}", line_no)
-            known_covers.add(m.group(1))
+            known_covers.add(fresh(m.group(1), line_no, known_categories, known_covers))
             blocks.append(CoverBlock(m.group(1), m.group(2), _split_members(m.group(3), line_no)))
         else:
             raise CorpusSyntaxError(f"unexpected {word!r}", line_no)
@@ -342,7 +352,8 @@ def _canonical_key(k: int, types: tuple, table: dict) -> tuple:
                 continue
             if best_entries is None:
                 best_entries = tuple(entries)
-    assert best_types is not None and best_entries is not None
+    if best_types is None or best_entries is None:
+        raise StarkitError(f"no canonical form for a table on {k} objects")
     return (k, best_types, best_entries)
 
 
@@ -528,7 +539,8 @@ def _build_category(name: str, key: tuple) -> FinCategory:
                 continue
             rows.append((f"f{g}", f"f{f}", mor_name(entries[pos])))
             pos += 1
-    assert pos == len(entries)
+    if pos != len(entries):
+        raise StarkitError(f"key of {name} has {len(entries)} table cells, types need {pos}")
     return validate_category(RawCategory(name, objects, morphisms, rows))
 
 

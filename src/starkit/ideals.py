@@ -7,8 +7,7 @@ category; the ideal plays the role of the null morphisms.
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .core import FinCategory, FullSubcategory
@@ -23,7 +22,12 @@ ENV_MAX_MORPHISMS = "STARKIT_MAX_MORPHISMS"
 
 def _env_bound(default: int) -> int:
     value = os.environ.get(ENV_MAX_MORPHISMS)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{ENV_MAX_MORPHISMS} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -32,7 +36,6 @@ class Ideal:
 
     cat: FinCategory
     carrier: frozenset[str]
-    provenance: str = field(default="", compare=False)
 
     def __contains__(self, name: str) -> bool:
         return name in self.carrier
@@ -92,7 +95,7 @@ def ideal_closure(C: FinCategory, gens) -> Ideal:
     """Smallest ideal containing the generators.
 
     One pass over all composites f∘g∘h with g a generator suffices, because
-    the result is already closed; this is asserted.
+    the result is already closed; this is checked.
     """
     carrier: set[str] = set()
     for g in gens:
@@ -102,7 +105,8 @@ def ideal_closure(C: FinCategory, gens) -> Ideal:
             gh = C.compose(g, h)
             for f in C.morphisms_from(C.cod(g)):
                 carrier.add(C.compose(f, gh))
-    assert is_ideal(C, carrier), "one-pass closure failed to reach a fixpoint"
+    if not is_ideal(C, carrier):
+        raise IdealClosureViolation("one-pass closure failed to reach a fixpoint")
     return Ideal(C, frozenset(carrier))
 
 
@@ -177,8 +181,9 @@ def pointed_ideal(C: FinCategory) -> Ideal | None:
         if not solutions:
             return None
         carrier = solutions[0]
-        assert is_ideal(C, carrier)
-        return Ideal(C, carrier, provenance="pointed")
+        if not is_ideal(C, carrier):
+            raise IdealClosureViolation(f"pointed ideal of {C.name} is not closed")
+        return Ideal(C, carrier)
 
     return C._memo("pointed_ideal", compute)
 
@@ -189,8 +194,10 @@ def restrict_ideal(W: CoverWitness, N: Ideal) -> Ideal:
         raise ValueError("ideal must live on the parent category")
     sub = W.cover.category
     carrier = N.carrier & set(sub.morphism_names)
-    assert is_ideal(sub, carrier)
-    return Ideal(sub, frozenset(carrier), provenance="restriction")
+    if not is_ideal(sub, carrier):
+        raise IdealClosureViolation(
+            f"restriction of {N.label()} to {W.cover.label} is not closed")
+    return Ideal(sub, frozenset(carrier))
 
 
 def extend_ideal(W: CoverWitness, N: Ideal) -> Ideal:
@@ -213,34 +220,17 @@ def extend_ideal(W: CoverWitness, N: Ideal) -> Ideal:
         for x in C.objects:
             cover_epis_to[x] = [e for e in C.morphisms_to(x)
                                 if e in epis and C.dom(e) in cover_objs]
-        carrier = set()
-        for f in C.morphism_names:
-            x, y = C.dom(f), C.cod(f)
-            found = False
-            for e in cover_epis_to[x]:
-                fe = C.compose(f, e)
-                for n in N.carrier:
-                    if C.dom(n) != C.dom(e):
-                        continue
-                    for e2 in cover_epis_to[y]:
-                        if C.dom(e2) != C.cod(n):
-                            continue
-                        if C.compose(e2, n) == fe:
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
-                carrier.add(f)
+        carrier = {f for f in C.morphism_names
+                   if any(C.compose(e2, n) == C.compose(f, e)
+                          for e in cover_epis_to[C.dom(f)]
+                          for n in N.carrier if C.dom(n) == C.dom(e)
+                          for e2 in cover_epis_to[C.cod(f)] if C.dom(e2) == C.cod(n))}
         if not is_ideal(C, carrier):
             raise IdealClosureViolation(
                 f"extension of {N.label()} along {W.cover.label} is not closed")
         return frozenset(carrier)
 
-    carrier = C._memo(("extend", W.key, N.carrier), compute)
-    return Ideal(C, carrier, provenance="extension")
+    return Ideal(C, C._memo(("extend", W.key, N.carrier), compute))
 
 
 def is_saturating(M: MultiPointedCategory, f: str) -> bool:
@@ -250,24 +240,10 @@ def is_saturating(M: MultiPointedCategory, f: str) -> bool:
 
     def compute():
         epis = regular_epis(C)
-        y = C.cod(f)
-        for n in M.ideal.carrier:
-            if C.cod(n) != y:
-                continue
-            ok = False
-            for g in C.morphisms_to(C.dom(n)):
-                if g not in epis:
-                    continue
-                ng = C.compose(n, g)
-                for m in C.hom(C.dom(g), C.dom(f)):
-                    if m in M.ideal and C.compose(f, m) == ng:
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
-                return False
-        return True
+        return all(any(m in M.ideal and C.compose(f, m) == C.compose(n, g)
+                       for g in C.morphisms_to(C.dom(n)) if g in epis
+                       for m in C.hom(C.dom(g), C.dom(f)))
+                   for n in M.ideal.carrier if C.cod(n) == C.cod(f))
 
     return C._memo(("saturating", M.ideal.carrier, f), compute)
 
@@ -282,7 +258,6 @@ def is_projective_cover(W: CoverWitness) -> Report:
     C = W.cat
 
     def compute():
-        t0 = time.perf_counter()
         epis = regular_epis(C)
         for p in W.cover.objects:
             for e in C.morphism_names:
@@ -293,15 +268,13 @@ def is_projective_cover(W: CoverWitness) -> Report:
                     if not any(C.compose(e, h) == g for h in C.hom(p, x)):
                         return Report(
                             "projective-cover", FAIL,
-                            [f"cover object {p} has no lift of {g} along regular epi {e}"],
-                            time.perf_counter() - t0)
+                            [f"cover object {p} has no lift of {g} along regular epi {e}"])
         for x in C.objects:
             if not any(e in epis and C.dom(e) in set(W.cover.objects)
                        for e in C.morphisms_to(x)):
                 return Report("projective-cover", FAIL,
-                              [f"object {x} admits no regular epi from the cover"],
-                              time.perf_counter() - t0)
-        return Report("projective-cover", PASS, [], time.perf_counter() - t0)
+                              [f"object {x} admits no regular epi from the cover"])
+        return Report("projective-cover", PASS, [])
 
     return C._memo(("projective_cover", W.key), compute)
 
@@ -354,6 +327,15 @@ def nc_kernel_via_cover(W: CoverWitness, N: Ideal, f: str) -> str:
     return factored[1]
 
 
+def _principal_ideals(C: FinCategory) -> list[frozenset[str]]:
+    """The distinct principal ideals of C, in order of their first generator."""
+    return list(dict.fromkeys(ideal_closure(C, [g]).carrier for g in C.morphism_names))
+
+
+def _by_size(carriers) -> list[frozenset[str]]:
+    return sorted(carriers, key=lambda c: (len(c), tuple(sorted(c))))
+
+
 def enumerate_ideals(C: FinCategory, bound: int | None = None) -> list[Ideal]:
     """All ideals of C, as unions of principal closures, deduplicated and
     ordered by (size, members)."""
@@ -363,18 +345,12 @@ def enumerate_ideals(C: FinCategory, bound: int | None = None) -> list[Ideal]:
             f"{C.name} has {len(C.morphisms)} morphisms; ideal enumeration bound is {limit}")
 
     def compute():
-        atoms = []
-        seen = set()
-        for g in C.morphism_names:
-            a = ideal_closure(C, [g]).carrier
-            if a not in seen:
-                seen.add(a)
-                atoms.append(a)
+        atoms = _principal_ideals(C)
         carriers = {frozenset()}
         for r in range(1, len(atoms) + 1):
             for combo in combinations(atoms, r):
                 carriers.add(frozenset().union(*combo))
-        return sorted(carriers, key=lambda c: (len(c), tuple(sorted(c))))
+        return _by_size(carriers)
 
     return [Ideal(C, c) for c in C._memo("all_ideals", compute)]
 
@@ -393,7 +369,6 @@ def verify_lemma_a(W: CoverWitness, N_P: Ideal, N_C: Ideal) -> Report:
         regular epi of the parent is N_C-saturating;
     (e) every regular epi of the parent saturates the extension of N_P.
     """
-    t0 = time.perf_counter()
     C = W.cat
     sub = W.cover.category
     if N_P.cat is not sub:
@@ -405,7 +380,7 @@ def verify_lemma_a(W: CoverWitness, N_P: Ideal, N_C: Ideal) -> Report:
     if not is_regular_category(C).passed:
         return Report("lemma-a", INAPPLICABLE,
                       [f"{C.name} is not regular; the transfer laws presuppose "
-                       "a regular parent"], time.perf_counter() - t0)
+                       "a regular parent"])
 
     witnesses: list[str] = []
     failures: list[str] = []
@@ -455,10 +430,9 @@ def verify_lemma_a(W: CoverWitness, N_P: Ideal, N_C: Ideal) -> Report:
                    if not is_saturating(MultiPointedCategory(C, ext_NP), f))
         failures.append(f"(e) regular epi {bad} does not saturate the extension of N_P")
 
-    elapsed = time.perf_counter() - t0
     if failures:
-        return Report("lemma-a", FAIL, failures, elapsed)
-    return Report("lemma-a", PASS, witnesses, elapsed)
+        return Report("lemma-a", FAIL, failures)
+    return Report("lemma-a", PASS, witnesses)
 
 
 def _galois_holds(left: list[Ideal], right: list[Ideal], fwd, bwd) -> bool:
@@ -475,19 +449,14 @@ def sample_ideals(C: FinCategory, cap: int = 64) -> list[Ideal]:
     """A deterministic sample of the ideal lattice for categories too large
     for full enumeration: bottom, top, every principal closure, and pairwise
     unions of principals up to the cap."""
-    carriers = {frozenset(), frozenset(C.morphism_names)}
-    atoms: list[frozenset] = []
-    for g in C.morphism_names:
-        a = ideal_closure(C, [g]).carrier
-        if a not in carriers:
-            carriers.add(a)
-            atoms.append(a)
+    top = frozenset(C.morphism_names)
+    atoms = [a for a in _principal_ideals(C) if a != top]
+    carriers = {frozenset(), top, *atoms}
     for a, b in combinations(atoms, 2):
         if len(carriers) >= cap:
             break
         carriers.add(a | b)
-    ordered = sorted(carriers, key=lambda c: (len(c), tuple(sorted(c))))
-    return [Ideal(C, c) for c in ordered]
+    return [Ideal(C, c) for c in _by_size(carriers)]
 
 
 def verify_galois_and_iso(W: CoverWitness, bound: int | None = None) -> Report:
@@ -501,17 +470,13 @@ def verify_galois_and_iso(W: CoverWitness, bound: int | None = None) -> Report:
     Past the ideal-enumeration bound the checks run on a deterministic sample
     of generator closures instead of the full lattice, noted in the report.
     """
-    t0 = time.perf_counter()
     C = W.cat
     sub = W.cover.category
-
-    def report(verdict, witnesses):
-        return Report("galois", verdict, witnesses, time.perf_counter() - t0)
-
     if not is_regular_category(C).passed:
-        return report(INAPPLICABLE, [f"{C.name} is not regular"])
+        return Report("galois", INAPPLICABLE, [f"{C.name} is not regular"])
     if not is_projective_cover(W).passed:
-        return report(INAPPLICABLE, [f"{W.cover.label} is not a projective cover"])
+        return Report("galois", INAPPLICABLE,
+                      [f"{W.cover.label} is not a projective cover"])
 
     sampled = False
     try:
@@ -600,5 +565,5 @@ def verify_galois_and_iso(W: CoverWitness, bound: int | None = None) -> Report:
             failures.append(f"restrict(extend({m.label()})) differs from it on I_wk")
 
     if failures:
-        return report(FAIL, failures)
-    return report(PASS, witnesses)
+        return Report("galois", FAIL, failures)
+    return Report("galois", PASS, witnesses)

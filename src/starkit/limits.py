@@ -6,7 +6,6 @@ repeated objects (kernel pairs, products X x X) are representable.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .core import FinCategory, ParallelPair, morphism_flags, require_parallel
@@ -158,6 +157,22 @@ def kernel_pairs(C: FinCategory, f: str, mode: str) -> list[ParallelPair]:
             for cone in kernel_pair_cones(C, f, mode)]
 
 
+def _missing_finite_limit(C: FinCategory, mode: str) -> str | None:
+    """The first missing terminal object, binary product or equalizer, as a
+    witness line, or None when C has all three (weak or strict per mode)."""
+    if not terminal_cones(C, mode):
+        return "no terminal object"
+    for i, x in enumerate(C.objects):
+        for y in C.objects[i:]:
+            if not product_cones(C, x, y, mode):
+                return f"no product {x} x {y}"
+    for p in C.parallel_pairs():
+        # equalizers are symmetric in the pair
+        if p.f1 <= p.f2 and not equalizer_cones(C, p, mode):
+            return f"no equalizer of ({p.f1}, {p.f2})"
+    return None
+
+
 def has_weak_finite_limits(C: FinCategory) -> bool:
     """True iff C has a weak terminal, weak binary products and weak equalizers.
 
@@ -165,21 +180,8 @@ def has_weak_finite_limits(C: FinCategory) -> bool:
     binary products, then weakly equalize one edge condition at a time; each
     step only ever adds equations, so earlier ones survive.
     """
-    def compute():
-        if not terminal_cones(C, WEAK):
-            return False
-        for i, x in enumerate(C.objects):
-            for y in C.objects[i:]:
-                if not product_cones(C, x, y, WEAK):
-                    return False
-        for p in C.parallel_pairs():
-            if p.f1 > p.f2:
-                continue  # equalizers are symmetric in the pair
-            if not equalizer_cones(C, p, WEAK):
-                return False
-        return True
-
-    return C._memo("has_weak_finite_limits", compute)
+    return C._memo("has_weak_finite_limits",
+                   lambda: _missing_finite_limit(C, WEAK) is None)
 
 
 def coequalizes(C: FinCategory, g: str, p: ParallelPair) -> bool:
@@ -222,22 +224,11 @@ def regular_epis(C: FinCategory) -> frozenset[str]:
             flags = morphism_flags(C, f)
             if not flags.epi:
                 continue  # a coequalizer is always an epimorphism
-            if flags.split_epi:
-                out.add(f)  # split epi q with section s is a coequalizer of (s q, 1)
-                continue
             x = C.dom(f)
-            found = False
-            for w in C.objects:
-                for u in C.hom(w, x):
-                    for v in C.hom(w, x):
-                        if is_coequalizer(C, f, ParallelPair(u, v)):
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
+            # a split epi q with section s is a coequalizer of (s q, 1)
+            if flags.split_epi or any(
+                    is_coequalizer(C, f, ParallelPair(u, v))
+                    for w in C.objects for u in C.hom(w, x) for v in C.hom(w, x)):
                 out.add(f)
         return frozenset(out)
 
@@ -268,30 +259,17 @@ def image_factorization(C: FinCategory, f: str) -> tuple[str, str] | None:
 def is_regular_category(C: FinCategory) -> Report:
     """Finite limits, coequalizers of kernel pairs, pullback-stable regular epis."""
     def compute():
-        t0 = time.perf_counter()
-
-        def report(verdict, witnesses):
-            return Report("regular-category", verdict, witnesses,
-                          time.perf_counter() - t0)
-
-        if not terminal_cones(C, STRICT):
-            return report(FAIL, ["no terminal object"])
-        for i, x in enumerate(C.objects):
-            for y in C.objects[i:]:
-                if not product_cones(C, x, y, STRICT):
-                    return report(FAIL, [f"no product {x} x {y}"])
-        for p in C.parallel_pairs():
-            if p.f1 > p.f2:
-                continue
-            if not equalizer_cones(C, p, STRICT):
-                return report(FAIL, [f"no equalizer of ({p.f1}, {p.f2})"])
+        missing = _missing_finite_limit(C, STRICT)
+        if missing:
+            return Report("regular-category", FAIL, [missing])
 
         for f in C.morphism_names:
             pairs = kernel_pairs(C, f, STRICT)
             if not pairs:
-                return report(FAIL, [f"no kernel pair of {f}"])
+                return Report("regular-category", FAIL, [f"no kernel pair of {f}"])
             if coequalizer(C, pairs[0]) is None:
-                return report(FAIL, [f"kernel pair of {f} has no coequalizer"])
+                return Report("regular-category", FAIL,
+                              [f"kernel pair of {f} has no coequalizer"])
 
         epis = regular_epis(C)
         for f in C.morphism_names:
@@ -302,12 +280,13 @@ def is_regular_category(C: FinCategory) -> Report:
                     continue
                 cones = pullback_cones(C, f, g, STRICT)
                 if not cones:
-                    return report(FAIL, [f"no pullback of {f} along {g}"])
+                    return Report("regular-category", FAIL,
+                                  [f"no pullback of {f} along {g}"])
                 proj = cones[0].leg("r")
                 if proj not in epis:
-                    return report(FAIL, [
+                    return Report("regular-category", FAIL, [
                         f"pullback of regular epi {f} along {g} has "
                         f"non-regular projection {proj}"])
-        return report(PASS, [])
+        return Report("regular-category", PASS, [])
 
     return C._memo("is_regular_category", compute)

@@ -2,7 +2,8 @@
 
 Every verifier in the library returns a Report rather than a bare bool, so
 that a failing check always names the concrete morphism, graph, or ideal
-that broke it.
+that broke it.  A Report holds the check's name, verdict and witnesses only;
+time spent in a check is measured from outside the library.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ class Report:
     name: str
     verdict: str
     witnesses: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:

@@ -7,14 +7,13 @@ star's legs exactly when it merges the original pair's legs.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .core import (FinCategory, ParallelPair, enumerate_reflexive_graphs,
                    is_jointly_monic, require_parallel)
-from .errors import NoKernel, NoKernelPair
+from .errors import NoKernel, NoKernelPair, StarkitError
 from .ideals import MultiPointedCategory, kernels, pointed_ideal
-from .limits import (STRICT, WEAK, coequalizes, is_coequalizer,
+from .limits import (STRICT, WEAK, coequalizer, coequalizes, is_coequalizer,
                      is_regular_category, kernel_pairs, regular_epis)
 from .report import ERROR, FAIL, INAPPLICABLE, PASS, Report
 
@@ -43,22 +42,19 @@ def satisfies_star_pi0(M: MultiPointedCategory, p: ParallelPair,
     f1 has no weak kernel the condition is not evaluable and the verdict is
     INAPPLICABLE, never a silent pass or fail.
     """
-    t0 = time.perf_counter()
     C = M.cat
     require_parallel(C, p)
     if witness is None:
         stars = star_of(M, p, WEAK)
         if not stars:
-            return Report("star-pi0", INAPPLICABLE,
-                          [f"no weak kernel of {p.f1}"], time.perf_counter() - t0)
+            return Report("star-pi0", INAPPLICABLE, [f"no weak kernel of {p.f1}"])
         witness = stars[0]
     for g in C.morphisms_from(C.cod(p.f1)):
         if coequalizes(C, g, witness.star) and not coequalizes(C, g, p):
             return Report("star-pi0", FAIL,
                           [f"pair=({p.f1}, {p.f2})", f"kernel={witness.k}",
-                           f"violating morphism g={g}"],
-                          time.perf_counter() - t0)
-    return Report("star-pi0", PASS, [], time.perf_counter() - t0)
+                           f"violating morphism g={g}"])
+    return Report("star-pi0", PASS, [])
 
 
 def _pair_passes(M: MultiPointedCategory, p: ParallelPair) -> bool:
@@ -68,14 +64,23 @@ def _pair_passes(M: MultiPointedCategory, p: ParallelPair) -> bool:
     return r.passed
 
 
+def _first_failing(M: MultiPointedCategory, labelled_pairs) -> str:
+    """The label of the first (pair, label) whose pair fails star-pi0, or ""
+    when every pair passes."""
+    for p, label in labelled_pairs:
+        if not _pair_passes(M, p):
+            return label
+    return ""
+
+
 def reflexive_graphs_star_pi0(M: MultiPointedCategory) -> tuple[bool, str]:
     """Whether every reflexive graph satisfies star-pi0, with the first
     failing graph as witness.  Raises NoKernel if some graph is not
     evaluable; callers gate on kernel existence first."""
-    for g in enumerate_reflexive_graphs(M.cat):
-        if not _pair_passes(M, ParallelPair(g.d, g.c)):
-            return False, f"graph ({g.d}, {g.c}, {g.e}) fails star-pi0"
-    return True, ""
+    witness = _first_failing(M, (
+        (ParallelPair(g.d, g.c), f"graph ({g.d}, {g.c}, {g.e}) fails star-pi0")
+        for g in enumerate_reflexive_graphs(M.cat)))
+    return not witness, witness
 
 
 def check_theorem_a(M: MultiPointedCategory) -> Report:
@@ -88,61 +93,34 @@ def check_theorem_a(M: MultiPointedCategory) -> Report:
     (d) every strict kernel pair does.  Disagreement is an implementation
     bug and is reported with the separating datum.
     """
-    t0 = time.perf_counter()
     C = M.cat
-
-    def report(verdict, witnesses):
-        return Report("theorem-a", verdict, witnesses, time.perf_counter() - t0)
-
     for f in C.morphism_names:
         if not kernels(M, f, WEAK):
-            return report(INAPPLICABLE, [f"no weak kernel for {f}"])
+            return Report("theorem-a", INAPPLICABLE, [f"no weak kernel for {f}"])
     for f in C.morphism_names:
         if not kernel_pairs(C, f, WEAK):
-            return report(INAPPLICABLE, [f"no weak kernel pair for {f}"])
+            return Report("theorem-a", INAPPLICABLE, [f"no weak kernel pair for {f}"])
 
     graphs = enumerate_reflexive_graphs(C)
-    val_a, wit_a = True, ""
-    for g in graphs:
-        if not _pair_passes(M, ParallelPair(g.d, g.c)):
-            val_a, wit_a = False, f"graph ({g.d}, {g.c}, {g.e})"
-            break
-
-    val_b, wit_b = True, ""
-    for f in C.morphism_names:
-        for p in kernel_pairs(C, f, WEAK):
-            if not _pair_passes(M, p):
-                val_b, wit_b = False, f"weak kernel pair ({p.f1}, {p.f2}) of {f}"
-                break
-        if not val_b:
-            break
-
-    values = {"(a)": (val_a, wit_a), "(b)": (val_b, wit_b)}
-
+    failing = {
+        "(a)": _first_failing(M, ((ParallelPair(g.d, g.c), f"graph ({g.d}, {g.c}, {g.e})")
+                                  for g in graphs)),
+        "(b)": _first_failing(M, ((p, f"weak kernel pair ({p.f1}, {p.f2}) of {f}")
+                                  for f in C.morphism_names
+                                  for p in kernel_pairs(C, f, WEAK))),
+    }
     if all(kernel_pairs(C, f, STRICT) for f in C.morphism_names):
-        val_c, wit_c = True, ""
-        for g in graphs:
-            if not is_jointly_monic(C, ParallelPair(g.d, g.c)):
-                continue
-            if not _pair_passes(M, ParallelPair(g.d, g.c)):
-                val_c, wit_c = False, f"reflexive relation ({g.d}, {g.c}, {g.e})"
-                break
-        val_d, wit_d = True, ""
-        for f in C.morphism_names:
-            for p in kernel_pairs(C, f, STRICT):
-                if not _pair_passes(M, p):
-                    val_d, wit_d = False, f"kernel pair ({p.f1}, {p.f2}) of {f}"
-                    break
-            if not val_d:
-                break
-        values["(c)"] = (val_c, wit_c)
-        values["(d)"] = (val_d, wit_d)
+        failing["(c)"] = _first_failing(M, (
+            (ParallelPair(g.d, g.c), f"reflexive relation ({g.d}, {g.c}, {g.e})")
+            for g in graphs if is_jointly_monic(C, ParallelPair(g.d, g.c))))
+        failing["(d)"] = _first_failing(M, ((p, f"kernel pair ({p.f1}, {p.f2}) of {f}")
+                                             for f in C.morphism_names
+                                             for p in kernel_pairs(C, f, STRICT)))
 
-    truths = {v for v, _ in values.values()}
-    if len(truths) == 1:
-        return report(PASS, [f"{k}={v}" for k, (v, _) in values.items()])
-    lines = [f"{k}={v}" + (f" via {w}" if w else "") for k, (v, w) in values.items()]
-    return report(FAIL, ["conditions disagree"] + lines)
+    if len({not w for w in failing.values()}) == 1:
+        return Report("theorem-a", PASS, [f"{k}={not w}" for k, w in failing.items()])
+    lines = [f"{k}={not w}" + (f" via {w}" if w else "") for k, w in failing.items()]
+    return Report("theorem-a", FAIL, ["conditions disagree"] + lines)
 
 
 def kernel_star(M: MultiPointedCategory, f: str) -> StarWitness:
@@ -169,23 +147,20 @@ def is_star_regular(M: MultiPointedCategory) -> Report:
     disagreement between the two is reported as ERROR, since it can only be
     an implementation bug.
     """
-    t0 = time.perf_counter()
     C = M.cat
-
-    def report(verdict, witnesses):
-        return Report("star-regular", verdict, witnesses, time.perf_counter() - t0)
-
     rc = is_regular_category(C)
     if not rc.passed:
-        return report(FAIL, [f"ambient category not regular: {rc.witnesses[0]}"])
+        return Report("star-regular", FAIL,
+                      [f"ambient category not regular: {rc.witnesses[0]}"])
     for f in C.morphism_names:
         if not kernels(M, f, STRICT):
-            return report(FAIL, [f"no kernel of {f} for the ideal"])
+            return Report("star-regular", FAIL, [f"no kernel of {f} for the ideal"])
 
     failing: list[str] = []
     for f in sorted(regular_epis(C)):
         sw = kernel_star(M, f)
-        assert coequalizes(C, f, sw.star)
+        if not coequalizes(C, f, sw.star):
+            raise StarkitError(f"regular epi {f} does not coequalize its kernel star")
         if not is_coequalizer(C, f, sw.star):
             failing.append(f"regular epi {f} is not a coequalizer of its kernel star "
                            f"({sw.star.f1}, {sw.star.f2})")
@@ -195,24 +170,22 @@ def is_star_regular(M: MultiPointedCategory) -> Report:
     graphs_ok, _ = reflexive_graphs_star_pi0(M)
 
     if clause_iii != graphs_ok:
-        return report(ERROR, [
+        return Report("star-regular", ERROR, [
             "cross-check disagreement: kernel-star clause is "
             f"{clause_iii} but reflexive-graph criterion is {graphs_ok}"])
     if failing:
-        return report(FAIL, failing)
-    return report(PASS, [])
+        return Report("star-regular", FAIL, failing)
+    return Report("star-regular", PASS, [])
 
 
 def is_normal_category(C: FinCategory) -> Report:
     """Star-regularity at the pointed ideal.  A category without a pointed
     ideal is reported INAPPLICABLE, not failed."""
-    t0 = time.perf_counter()
     N = pointed_ideal(C)
     if N is None:
-        return Report("normal", INAPPLICABLE, [f"{C.name} is not pointed"],
-                      time.perf_counter() - t0)
+        return Report("normal", INAPPLICABLE, [f"{C.name} is not pointed"])
     inner = is_star_regular(MultiPointedCategory(C, N))
-    return Report("normal", inner.verdict, inner.witnesses, time.perf_counter() - t0)
+    return Report("normal", inner.verdict, inner.witnesses)
 
 
 def check_corollary_d(M: MultiPointedCategory) -> Report:
@@ -220,41 +193,29 @@ def check_corollary_d(M: MultiPointedCategory) -> Report:
     weak kernel pairs: every regular epi is a coequalizer of a weak star of
     one of its weak kernel pairs exactly when every reflexive graph satisfies
     star-pi0.  Both sides are evaluated independently and compared."""
-    t0 = time.perf_counter()
     C = M.cat
-
-    def report(verdict, witnesses):
-        return Report("corollary-d", verdict, witnesses, time.perf_counter() - t0)
-
-    from .limits import coequalizer
     for f in C.morphism_names:
         if not kernels(M, f, WEAK):
-            return report(INAPPLICABLE, [f"no weak kernel for {f}"])
+            return Report("corollary-d", INAPPLICABLE, [f"no weak kernel for {f}"])
     for f in C.morphism_names:
         wkps = kernel_pairs(C, f, WEAK)
         if not wkps:
-            return report(INAPPLICABLE, [f"no weak kernel pair for {f}"])
+            return Report("corollary-d", INAPPLICABLE, [f"no weak kernel pair for {f}"])
         if coequalizer(C, wkps[0]) is None:
-            return report(INAPPLICABLE, [f"weak kernel pair of {f} has no coequalizer"])
+            return Report("corollary-d", INAPPLICABLE,
+                          [f"weak kernel pair of {f} has no coequalizer"])
 
-    lhs, lhs_wit = True, ""
-    for f in sorted(regular_epis(C)):
-        found = False
-        for p in kernel_pairs(C, f, WEAK):
-            for k in kernels(M, p.f1, WEAK):
-                star = ParallelPair(C.compose(p.f1, k), C.compose(p.f2, k))
-                if is_coequalizer(C, f, star):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            lhs, lhs_wit = False, f"regular epi {f} coequalizes no weak kernel star"
-            break
-
+    lhs_wit = next((f"regular epi {f} coequalizes no weak kernel star"
+                    for f in sorted(regular_epis(C))
+                    if not any(is_coequalizer(C, f, ParallelPair(C.compose(p.f1, k),
+                                                                 C.compose(p.f2, k)))
+                               for p in kernel_pairs(C, f, WEAK)
+                               for k in kernels(M, p.f1, WEAK))), "")
+    lhs = not lhs_wit
     rhs, rhs_wit = reflexive_graphs_star_pi0(M)
 
     if lhs == rhs:
-        return report(PASS, [f"both sides {lhs}"])
-    return report(FAIL, ["sides disagree", f"coequalizer side={lhs} {lhs_wit}".strip(),
-                         f"graph side={rhs} {rhs_wit}".strip()])
+        return Report("corollary-d", PASS, [f"both sides {lhs}"])
+    return Report("corollary-d", FAIL, [
+        "sides disagree", f"coequalizer side={lhs} {lhs_wit}".strip(),
+        f"graph side={rhs} {rhs_wit}".strip()])

@@ -3,6 +3,8 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import pytest
+
 from starkit.cli import run
 from starkit.corpus import parse
 from tests.conftest import FIXTURES
@@ -30,6 +32,35 @@ def test_validate_broken_exits_2(capsys):
     assert code == 2
     assert "PROPERTY validate ERROR" in out
     assert "MissingComposite" in out
+
+
+def test_validate_duplicate_category_exits_2(capsys, tmp_path):
+    path = tmp_path / "dup.fincat"
+    path.write_text("category A\nobjects X\nend\n\ncategory A\nobjects Y\nend\n")
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert "PROPERTY validate ERROR" in out
+    assert "line 5" in out and "already used" in out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("search", "--property", "regular", "--max", "4", "--budget", "-5"), "--budget"),
+    (("search", "--property", "regular", "--max", "-1"), "--max"),
+    (("corpus", "--enumerate", "-1"), "--enumerate"),
+])
+def test_negative_counts_exit_2(capsys, argv, flag):
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: must not be negative" in captured.err
+
+
+def test_non_integer_env_bound_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("STARKIT_MAX_MORPHISMS", "abc")
+    code, out = run_cli(capsys, "corpus", "--enumerate", "2")
+    assert code == 2
+    assert "STARKIT_MAX_MORPHISMS must be an integer, got 'abc'" in out
 
 
 def test_check_normal_pass(capsys):

@@ -49,6 +49,25 @@ def test_parse_syntax_errors_carry_line():
         parse("category A\nobjects X\n")  # not closed
 
 
+@pytest.mark.parametrize("text, line", [
+    ("category A\nobjects X\nend\ncategory A\nobjects Y\nend\n", 4),
+    ("category A\nobjects X\nend\ncover P on A = { X }\ncover P on A = { X }\n", 5),
+    ("category A\nobjects X\nend\ncover A on A = { X }\n", 4),
+    ("category A\nobjects X\nend\ncover P on A = { X }\ncategory P\nobjects Y\nend\n", 5),
+    ("category A\nobjects X\nend\nideal N on A = { }\nideal N on A = { 1_X }\n", 5),
+])
+def test_parse_rejects_duplicate_names(text, line):
+    with pytest.raises(CorpusSyntaxError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert "already used" in str(err.value)
+
+
+def test_ideal_may_share_a_category_name():
+    cf = parse("category A\nobjects X\nend\nideal A on A = { 1_X }\n")
+    assert cf.ideal("A").members() == ("1_X",)
+
+
 def test_ideal_resolution_errors(ptset2_corpus):
     with pytest.raises(CorpusResolutionError):
         ptset2_corpus.ideal("nope")

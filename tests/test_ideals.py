@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +14,7 @@ from starkit import (BoundExceeded, CoverWitness, Ideal, MultiPointedCategory,
                      regular_epis, restrict_ideal, verify_galois_and_iso,
                      verify_lemma_a)
 from starkit.corpus import enumerate_categories
+from tests.conftest import FIXTURES
 
 
 def cover_all(C) -> CoverWitness:
@@ -74,6 +77,29 @@ def test_pointed_ideals(one, chain3, ptset2):
     assert pointed_ideal(one).members() == ("1_X",)
     assert pointed_ideal(ptset2).members() == ("1_T", "s", "t", "u")
     assert pointed_ideal(chain3) is None  # hom(c2, c0) is empty
+
+
+RESTRICT_NON_IDEAL = """
+import sys
+from pathlib import Path
+from starkit import (CoverWitness, Ideal, IdealClosureViolation,
+                     full_subcategory, parse, restrict_ideal)
+C = parse(Path(sys.argv[1]).read_text()).category("Chain3")
+W = CoverWitness(C, full_subcategory(C, C.objects))
+print(__debug__)
+try:
+    restrict_ideal(W, Ideal(C, frozenset({"f01"})))
+except IdealClosureViolation:
+    print("raised")
+"""
+
+
+def test_restrict_ideal_checks_closure_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", RESTRICT_NON_IDEAL, str(FIXTURES / "chain3.fincat")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\nraised\n"
 
 
 def test_restrict_ideal(ptset2, ptset2_corpus):
