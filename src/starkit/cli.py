@@ -233,7 +233,7 @@ def run(argv: list[str]) -> int:
     except InvalidCategory as e:
         report, extra = Report(args.command, ERROR,
                                [str(v) for v in e.violations]), None
-    except (StarkitError, ValueError) as e:
+    except (StarkitError, ValueError, OSError) as e:
         report, extra = Report(args.command, ERROR, [str(e)]), None
     print(report.render())
     if extra:

@@ -83,17 +83,18 @@ def regular_completion(P: FinCategory) -> Completion:
                 classes[(f, g)] = bucket
 
         names: dict[tuple[str, str, str], str] = {}
+        members_of: dict[str, tuple[str, ...]] = {}
         declared: list[tuple[str, str, str]] = []
-        counter = 0
         for f in P.morphism_names:
             for g in P.morphism_names:
                 for key, members in classes[(f, g)]:
                     if f == g and P.identity[P.dom(f)] in members:
-                        names[(f, g, key)] = identity_name(_object_name(f))
-                        continue
-                    names[(f, g, key)] = f"q{counter}"
-                    declared.append((f"q{counter}", _object_name(f), _object_name(g)))
-                    counter += 1
+                        name = identity_name(_object_name(f))
+                    else:
+                        name = f"q{len(declared)}"
+                        declared.append((name, _object_name(f), _object_name(g)))
+                    names[(f, g, key)] = name
+                    members_of[name] = tuple(members)
 
         rows: list[tuple[str, str, str]] = []
         for f in P.morphism_names:
@@ -126,12 +127,6 @@ def regular_completion(P: FinCategory) -> Completion:
             idd = P.identity[P.dom(m)]
             idc = P.identity[P.cod(m)]
             embed_morphisms[m] = names[(idd, idc, P.compose(idc, m))]
-
-        members_of = {}
-        for f in P.morphism_names:
-            for g in P.morphism_names:
-                for key, members in classes[(f, g)]:
-                    members_of[names[(f, g, key)]] = tuple(members)
 
         cover = CoverWitness(total, FullSubcategory(
             total, [embed_objects[x] for x in P.objects]))

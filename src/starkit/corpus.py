@@ -137,9 +137,11 @@ def _split_members(text: str, line_no: int) -> list[str]:
     if not body:
         return []
     members = [part.strip() for part in body.split(",")]
-    for m in members:
+    for i, m in enumerate(members):
         if not _REF.match(m):
             raise CorpusSyntaxError(f"bad name {m!r}", line_no)
+        if m in members[:i]:
+            raise CorpusSyntaxError(f"member {m!r} is already used", line_no)
     return members
 
 
@@ -572,26 +574,20 @@ def _random_category(rng: random.Random, lo: int, hi: int, name: str) -> FinCate
     """One attempt at a random valid category with morphism count in (lo, hi]."""
     n = rng.randint(lo + 1, hi)
     k = rng.randint(1, n)
-    m = n - k
-    types = tuple(sorted((rng.randrange(k), rng.randrange(k)) for _ in range(m)))
+    types = tuple(sorted((rng.randrange(k), rng.randrange(k)) for _ in range(n - k)))
     dom = list(range(k)) + [t[0] for t in types]
     cod = list(range(k)) + [t[1] for t in types]
-    objects = [f"X{i}" for i in range(k)]
-    morphisms = [(f"f{j}", f"X{t[0]}", f"X{t[1]}") for j, t in enumerate(types)]
-    rows = []
-    for g in range(m):
-        for f in range(m):
-            if cod[k + f] != dom[k + g]:
+    entries = []
+    for gt in types:
+        for ft in types:
+            if ft[1] != gt[0]:
                 continue
-            cands = [h for h in range(k + m)
-                     if dom[h] == dom[k + f] and cod[h] == cod[k + g]]
+            cands = [h for h in range(k + len(types)) if dom[h] == ft[0] and cod[h] == gt[1]]
             if not cands:
                 return None
-            h = rng.choice(cands)
-            hname = identity_name(f"X{h}") if h < k else f"f{h - k}"
-            rows.append((f"f{g}", f"f{f}", hname))
+            entries.append(rng.choice(cands))
     try:
-        return validate_category(RawCategory(name, objects, morphisms, rows))
+        return _build_category(name, (k, types, tuple(entries)))
     except StarkitError:
         return None
 

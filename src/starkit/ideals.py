@@ -12,8 +12,8 @@ from itertools import combinations
 
 from .core import FinCategory, FullSubcategory
 from .errors import BoundExceeded, IdealClosureViolation, PreconditionFailed
-from .limits import (STRICT, WEAK, image_factorization, is_regular_category,
-                     pullback_cones, regular_epis)
+from .limits import (STRICT, WEAK, _universal, image_factorization,
+                     is_regular_category, pullback_cones, regular_epis)
 from .report import FAIL, INAPPLICABLE, PASS, Report
 
 DEFAULT_IDEAL_BOUND = 12
@@ -25,9 +25,12 @@ def _env_bound(default: int) -> int:
     if not value:
         return default
     try:
-        return int(value)
+        bound = int(value)
     except ValueError:
         raise ValueError(f"{ENV_MAX_MORPHISMS} must be an integer, got {value!r}") from None
+    if bound < 0:
+        raise ValueError(f"{ENV_MAX_MORPHISMS} must not be negative, got {bound}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -110,29 +113,20 @@ def ideal_closure(C: FinCategory, gens) -> Ideal:
     return Ideal(C, frozenset(carrier))
 
 
+def _kernel_factorizations(C: FinCategory, src: str, dst: str) -> int:
+    """How many morphisms u make dst∘u = src."""
+    return [C.compose(dst, u) for u in C.hom(C.dom(src), C.dom(dst))].count(src)
+
+
 def kernels(M: MultiPointedCategory, f: str, mode: str) -> list[str]:
     """All (weak) kernels of f for the ideal: morphisms k into dom(f) with
     f∘k in the ideal, through which every such morphism factors (uniquely in
     strict mode).  Empty list means none exist."""
-    if mode not in (WEAK, STRICT):
-        raise ValueError(f"mode must be {WEAK!r} or {STRICT!r}, got {mode!r}")
     C = M.cat
 
     def compute():
-        x = C.dom(f)
-        candidates = [k for k in C.morphisms_to(x) if C.compose(f, k) in M.ideal]
-        out = []
-        for k in candidates:
-            ok = True
-            for other in candidates:
-                n = sum(1 for u in C.hom(C.dom(other), C.dom(k))
-                        if C.compose(k, u) == other)
-                if (mode == WEAK and n < 1) or (mode == STRICT and n != 1):
-                    ok = False
-                    break
-            if ok:
-                out.append(k)
-        return out
+        candidates = [k for k in C.morphisms_to(C.dom(f)) if C.compose(f, k) in M.ideal]
+        return _universal(C, candidates, _kernel_factorizations, mode)
 
     return C._memo(("kernels", M.ideal.carrier, f, mode), compute)
 
@@ -487,9 +481,18 @@ def verify_galois_and_iso(W: CoverWitness, bound: int | None = None) -> Report:
         ideals_C = sample_ideals(C)
         ideals_P = sample_ideals(sub)
 
-    I_s = [n for n in ideals_C if regular_epis_saturating(MultiPointedCategory(C, n))]
-    I_k = [n for n in ideals_C if has_all_kernels(MultiPointedCategory(C, n), STRICT)]
-    I_wk = [m for m in ideals_P if has_all_kernels(MultiPointedCategory(sub, m), WEAK)]
+    def saturates(carrier: frozenset) -> bool:
+        return regular_epis_saturating(MultiPointedCategory(C, Ideal(C, carrier)))
+
+    def admits_kernels(carrier: frozenset) -> bool:
+        return has_all_kernels(MultiPointedCategory(C, Ideal(C, carrier)), STRICT)
+
+    def admits_weak_kernels(carrier: frozenset) -> bool:
+        return has_all_kernels(MultiPointedCategory(sub, Ideal(sub, carrier)), WEAK)
+
+    I_s = [n for n in ideals_C if saturates(n.carrier)]
+    I_k = [n for n in ideals_C if admits_kernels(n.carrier)]
+    I_wk = [m for m in ideals_P if admits_weak_kernels(m.carrier)]
     I_sk = [n for n in I_s if n in I_k]
 
     witnesses = [
@@ -517,15 +520,6 @@ def verify_galois_and_iso(W: CoverWitness, bound: int | None = None) -> Report:
 
     # Maps must land in the stated sublattices (property checked directly,
     # since in sampled mode the image need not be a sampled ideal).
-    def saturates(carrier: frozenset) -> bool:
-        return regular_epis_saturating(MultiPointedCategory(C, Ideal(C, carrier)))
-
-    def admits_kernels(carrier: frozenset) -> bool:
-        return has_all_kernels(MultiPointedCategory(C, Ideal(C, carrier)), STRICT)
-
-    def admits_weak_kernels(carrier: frozenset) -> bool:
-        return has_all_kernels(MultiPointedCategory(sub, Ideal(sub, carrier)), WEAK)
-
     for m in ideals_P:
         if not saturates(ext(m)):
             failures.append(f"extension of {m.label()} leaves I_s")
@@ -537,8 +531,8 @@ def verify_galois_and_iso(W: CoverWitness, bound: int | None = None) -> Report:
             failures.append(f"restriction of kernel ideal {n.label()} leaves I_wk")
 
     # Connection between the full cover lattice and I_s: detect orientation.
-    c1_res_left = _galois_holds(I_s, ideals_P, lambda n: res(n), lambda m: ext(m))
-    c1_ext_left = _galois_holds(ideals_P, I_s, lambda m: ext(m), lambda n: res(n))
+    c1_res_left = _galois_holds(I_s, ideals_P, res, ext)
+    c1_ext_left = _galois_holds(ideals_P, I_s, ext, res)
     if c1_res_left or c1_ext_left:
         direction = ("restriction" if c1_res_left else "") + (
             "|extension" if c1_ext_left else "")
@@ -547,8 +541,8 @@ def verify_galois_and_iso(W: CoverWitness, bound: int | None = None) -> Report:
         failures.append("no Galois orientation holds between I(P) and I_s(C)")
 
     # Connection between I_wk and I_k: detect orientation.
-    c2_ext_left = _galois_holds(I_wk, I_k, lambda m: ext(m), lambda n: res(n))
-    c2_res_left = _galois_holds(I_k, I_wk, lambda n: res(n), lambda m: ext(m))
+    c2_ext_left = _galois_holds(I_wk, I_k, ext, res)
+    c2_res_left = _galois_holds(I_k, I_wk, res, ext)
     if c2_ext_left or c2_res_left:
         direction = ("extension" if c2_ext_left else "") + (
             "|restriction" if c2_res_left else "")

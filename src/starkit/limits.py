@@ -2,7 +2,8 @@
 
 Everything here is decided by exhaustive search over the composition table.
 A cone over a diagram is stored with labelled legs so that diagrams with
-repeated objects (kernel pairs, products X x X) are representable.
+repeated objects (kernel pairs, products X x X) are representable.  A kernel
+pair is the pullback of a morphism along itself.
 """
 from __future__ import annotations
 
@@ -63,27 +64,35 @@ def _all_cones(C: FinCategory, nodes: list[tuple[str, str]],
     return cones
 
 
-def _factorizations(C: FinCategory, src: Cone, dst: Cone) -> list[str]:
-    return [u for u in C.hom(src.apex, dst.apex)
-            if all(C.compose(m_dst, u) == m_src
-                   for (_, m_dst), (_, m_src) in zip(dst.legs, src.legs))]
+def _cone_factorizations(C: FinCategory, src: Cone, dst: Cone) -> int:
+    """How many morphisms u make every leg of src the leg of dst after u."""
+    return len([u for u in C.hom(src.apex, dst.apex)
+                if all(C.compose(m_dst, u) == m_src
+                       for (_, m_dst), (_, m_src) in zip(dst.legs, src.legs))])
+
+
+def _universal(C: FinCategory, candidates: list, count, mode: str) -> list:
+    """The candidates through which every candidate factors: at least once in
+    weak mode, exactly once in strict mode, as count(C, src, dst) counts the
+    factorizations of src through dst."""
+    _check_mode(mode)
+    # Plain loops: all() over a generator measured slower on the many small
+    # candidate lists of the sweep workload.
+    strict = mode == STRICT
+    out = []
+    for cand in candidates:
+        for other in candidates:
+            n = count(C, other, cand)
+            if n == 0 or (strict and n != 1):
+                break
+        else:
+            out.append(cand)
+    return out
 
 
 def _limit_cones(C: FinCategory, nodes: list[tuple[str, str]],
                  edges: list[tuple[str, str, str]], mode: str) -> list[Cone]:
-    _check_mode(mode)
-    cones = _all_cones(C, nodes, edges)
-    out = []
-    for cand in cones:
-        ok = True
-        for other in cones:
-            n = len(_factorizations(C, other, cand))
-            if (mode == WEAK and n < 1) or (mode == STRICT and n != 1):
-                ok = False
-                break
-        if ok:
-            out.append(cand)
-    return out
+    return _universal(C, _all_cones(C, nodes, edges), _cone_factorizations, mode)
 
 
 def limit_cones(C: FinCategory, diagram: Diagram, mode: str) -> list[Cone]:
@@ -143,17 +152,13 @@ def pullback_cones(C: FinCategory, f: str, g: str, mode: str) -> list[Cone]:
 
 
 def kernel_pair_cones(C: FinCategory, f: str, mode: str) -> list[Cone]:
-    """Kernel pair cones of f (the pullback of f against itself), legs p1, p2."""
-    def compute():
-        return _limit_cones(
-            C,
-            [("p1", C.dom(f)), ("m", C.cod(f)), ("p2", C.dom(f))],
-            [("p1", "m", f), ("p2", "m", f)], mode)
-    return C._memo(("kernel_pair", f, mode), compute)
+    """Kernel pair cones of f: the pullback cones of (f, f), with legs l and r
+    to the two copies of dom(f) and m to cod(f)."""
+    return pullback_cones(C, f, f, mode)
 
 
 def kernel_pairs(C: FinCategory, f: str, mode: str) -> list[ParallelPair]:
-    return [ParallelPair(cone.leg("p1"), cone.leg("p2"))
+    return [ParallelPair(cone.leg("l"), cone.leg("r"))
             for cone in kernel_pair_cones(C, f, mode)]
 
 

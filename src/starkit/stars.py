@@ -25,12 +25,16 @@ class StarWitness:
     star: ParallelPair
 
 
+def _star(C: FinCategory, p: ParallelPair, k: str) -> ParallelPair:
+    """The pair (f1∘k, f2∘k)."""
+    return ParallelPair(C.compose(p.f1, k), C.compose(p.f2, k))
+
+
 def star_of(M: MultiPointedCategory, p: ParallelPair, mode: str) -> list[StarWitness]:
     """One witness per (weak) kernel of f1; empty if f1 has no such kernel."""
     C = M.cat
     require_parallel(C, p)
-    return [StarWitness(p, k, ParallelPair(C.compose(p.f1, k), C.compose(p.f2, k)))
-            for k in kernels(M, p.f1, mode)]
+    return [StarWitness(p, k, _star(C, p, k)) for k in kernels(M, p.f1, mode)]
 
 
 def satisfies_star_pi0(M: MultiPointedCategory, p: ParallelPair,
@@ -134,8 +138,7 @@ def kernel_star(M: MultiPointedCategory, f: str) -> StarWitness:
     ks = kernels(M, p.f1, STRICT)
     if not ks:
         raise NoKernel(f"projection {p.f1} has no kernel for {M.ideal.label()}")
-    k = ks[0]
-    return StarWitness(p, k, ParallelPair(C.compose(p.f1, k), C.compose(p.f2, k)))
+    return StarWitness(p, ks[0], _star(C, p, ks[0]))
 
 
 def is_star_regular(M: MultiPointedCategory) -> Report:
@@ -207,8 +210,7 @@ def check_corollary_d(M: MultiPointedCategory) -> Report:
 
     lhs_wit = next((f"regular epi {f} coequalizes no weak kernel star"
                     for f in sorted(regular_epis(C))
-                    if not any(is_coequalizer(C, f, ParallelPair(C.compose(p.f1, k),
-                                                                 C.compose(p.f2, k)))
+                    if not any(is_coequalizer(C, f, _star(C, p, k))
                                for p in kernel_pairs(C, f, WEAK)
                                for k in kernels(M, p.f1, WEAK))), "")
     lhs = not lhs_wit

@@ -56,11 +56,15 @@ def test_negative_counts_exit_2(capsys, argv, flag):
     assert f"argument {flag}: must not be negative" in captured.err
 
 
-def test_non_integer_env_bound_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("STARKIT_MAX_MORPHISMS", "abc")
+@pytest.mark.parametrize("value, message", [
+    ("abc", "STARKIT_MAX_MORPHISMS must be an integer, got 'abc'"),
+    ("-1", "STARKIT_MAX_MORPHISMS must not be negative, got -1"),
+], ids=["abc", "-1"])
+def test_non_integer_env_bound_names_the_variable(capsys, monkeypatch, value, message):
+    monkeypatch.setenv("STARKIT_MAX_MORPHISMS", value)
     code, out = run_cli(capsys, "corpus", "--enumerate", "2")
     assert code == 2
-    assert "STARKIT_MAX_MORPHISMS must be an integer, got 'abc'" in out
+    assert message in out
 
 
 def test_check_normal_pass(capsys):
@@ -174,6 +178,18 @@ def test_missing_file_exits_2(capsys):
     code, out = run_cli(capsys, "validate", "no/such/file.fincat")
     assert code == 2
     assert "no such file" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("complete", "--file", str(FIXTURES / "arrow.fincat"), "--category", "Arrow",
+     "--out", str(FIXTURES / "no_such_dir" / "x.fincat")),
+    ("validate", str(FIXTURES)),
+], ids=["complete-out-in-missing-dir", "validate-a-directory"])
+def test_os_error_exits_2_naming_the_path(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.startswith(f"PROPERTY {argv[0]} ERROR")
+    assert argv[-1] in out
 
 
 def test_usage_error_exits_2(capsys):

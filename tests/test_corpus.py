@@ -55,6 +55,8 @@ def test_parse_syntax_errors_carry_line():
     ("category A\nobjects X\nend\ncover A on A = { X }\n", 4),
     ("category A\nobjects X\nend\ncover P on A = { X }\ncategory P\nobjects Y\nend\n", 5),
     ("category A\nobjects X\nend\nideal N on A = { }\nideal N on A = { 1_X }\n", 5),
+    ("category A\nobjects X\nmor f : X -> X\ncomp f f = f\nend\nideal N on A = { f, f }\n", 6),
+    ("category A\nobjects X\nend\ncover P on A = { X, X }\n", 4),
 ])
 def test_parse_rejects_duplicate_names(text, line):
     with pytest.raises(CorpusSyntaxError) as err:
