@@ -20,6 +20,7 @@ lexicographically; parse then serialize is the identity on canonical files.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from .core import (FinCategory, FullSubcategory, RawCategory, identity_name,
                    morphism_flags, validate_category)
 from .errors import BoundExceeded, CorpusSyntaxError, Exhausted, StarkitError
 from .ideals import (CoverWitness, Ideal, MultiPointedCategory,
-                     _env_bound, enumerate_ideals, has_all_kernels, is_ideal,
+                     enumerate_ideals, has_all_kernels, is_ideal,
                      is_projective_cover, pointed_ideal, restrict_ideal,
                      extend_ideal)
 from .limits import STRICT, is_regular_category
@@ -38,6 +39,7 @@ from .stars import is_normal_category, is_star_regular, reflexive_graphs_star_pi
 
 DEFAULT_ENUM_CAP = 6
 DEFAULT_SEARCH_BUDGET = 1000
+ENV_MAX_MORPHISMS = "STARKIT_MAX_MORPHISMS"
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _REF = re.compile(r"(?:1_)?[A-Za-z][A-Za-z0-9_]*\Z")
@@ -49,6 +51,20 @@ _IDEAL = re.compile(r"ideal\s+(\S+)\s+on\s+(\S+)\s*=\s*\{(.*)\}\s*\Z")
 _COVER = re.compile(r"cover\s+(\S+)\s+on\s+(\S+)\s*=\s*\{(.*)\}\s*\Z")
 
 
+def _env_bound() -> int:
+    """The category-enumeration cap: STARKIT_MAX_MORPHISMS, else DEFAULT_ENUM_CAP."""
+    value = os.environ.get(ENV_MAX_MORPHISMS)
+    if not value:
+        return DEFAULT_ENUM_CAP
+    try:
+        bound = int(value)
+    except ValueError:
+        raise ValueError(f"{ENV_MAX_MORPHISMS} must be an integer, got {value!r}") from None
+    if bound < 0:
+        raise ValueError(f"{ENV_MAX_MORPHISMS} must not be negative, got {bound}")
+    return bound
+
+
 class CorpusResolutionError(StarkitError):
     """A corpus block references a name that does not resolve."""
 
@@ -56,6 +72,10 @@ class CorpusResolutionError(StarkitError):
 @dataclass
 class CategoryBlock:
     raw: RawCategory
+
+    @property
+    def name(self) -> str:
+        return self.raw.name
 
 
 @dataclass
@@ -72,27 +92,38 @@ class CoverBlock:
     objects: list[str]
 
 
+# Categories and covers share one namespace, since both carry ideals.
+_NAMESPACE = {CategoryBlock: "target", CoverBlock: "target", IdealBlock: "ideal"}
+
+
 @dataclass
 class CorpusFile:
     header: list[str] = field(default_factory=list)
     blocks: list = field(default_factory=list)
+    _index: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _cats: dict = field(default_factory=dict, compare=False, repr=False)
     _covers: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def _block(self, cls, name: str):
-        for b in self.blocks:
-            if isinstance(b, cls):
-                label = b.raw.name if cls is CategoryBlock else b.name
-                if label == name:
-                    return b
-        return None
+    def __post_init__(self):
+        blocks, self.blocks = self.blocks, []
+        for b in blocks:
+            self._add(b)
+
+    def _add(self, block) -> None:
+        """Append a block; the first block of a name is the one lookups find."""
+        self.blocks.append(block)
+        self._index.setdefault((_NAMESPACE[type(block)], block.name), block)
+
+    def _named(self, cls, name: str):
+        b = self._index.get((_NAMESPACE[cls], name))
+        return b if type(b) is cls else None
 
     def category_names(self) -> list[str]:
-        return [b.raw.name for b in self.blocks if isinstance(b, CategoryBlock)]
+        return [b.name for b in self.blocks if isinstance(b, CategoryBlock)]
 
     def category(self, name: str) -> FinCategory:
         if name not in self._cats:
-            b = self._block(CategoryBlock, name)
+            b = self._named(CategoryBlock, name)
             if b is None:
                 raise CorpusResolutionError(f"no category named {name}")
             self._cats[name] = validate_category(b.raw)
@@ -100,7 +131,7 @@ class CorpusFile:
 
     def cover(self, name: str) -> CoverWitness:
         if name not in self._covers:
-            b = self._block(CoverBlock, name)
+            b = self._named(CoverBlock, name)
             if b is None:
                 raise CorpusResolutionError(f"no cover named {name}")
             cat = self.category(b.on)
@@ -112,12 +143,12 @@ class CorpusFile:
         return self._covers[name]
 
     def ideal(self, name: str) -> Ideal:
-        b = self._block(IdealBlock, name)
+        b = self._named(IdealBlock, name)
         if b is None:
             raise CorpusResolutionError(f"no ideal named {name}")
-        if self._block(CategoryBlock, b.on) is not None:
+        if self._named(CategoryBlock, b.on) is not None:
             target = self.category(b.on)
-        elif self._block(CoverBlock, b.on) is not None:
+        elif self._named(CoverBlock, b.on) is not None:
             target = self.cover(b.on).cover.category
         else:
             raise CorpusResolutionError(f"ideal {name} is on unknown target {b.on}")
@@ -147,15 +178,13 @@ def _split_members(text: str, line_no: int) -> list[str]:
 
 def parse(text: str) -> CorpusFile:
     header: list[str] = []
-    blocks: list = []
-    known_categories: set[str] = set()
-    known_covers: set[str] = set()
-    known_ideals: set[str] = set()
+    corpus = CorpusFile(header)
 
-    def fresh(name: str, line_no: int, *taken: set[str]) -> str:
-        if any(name in names for names in taken):
+    def unused(cls, name: str, line_no: int) -> str:
+        if (_NAMESPACE[cls], name) in corpus._index:
             raise CorpusSyntaxError(f"name {name!r} is already used", line_no)
         return name
+
     current: RawCategory | None = None
     stage = 0  # 0 objects, 1 mor, 2 comp
     in_header = True
@@ -202,8 +231,7 @@ def parse(text: str) -> CorpusFile:
                 stage = 2
                 current.compositions.append((m.group(1), m.group(2), m.group(3)))
             elif word == "end":
-                known_categories.add(current.name)
-                blocks.append(CategoryBlock(current))
+                corpus._add(CategoryBlock(current))
                 current, stage = None, 0
             else:
                 raise CorpusSyntaxError(f"unexpected {word!r} inside category block", line_no)
@@ -213,7 +241,7 @@ def parse(text: str) -> CorpusFile:
             m = _CATEGORY.match(line)
             if not m or not _NAME.match(m.group(1)):
                 raise CorpusSyntaxError("expected: category <name>", line_no)
-            name = fresh(m.group(1), line_no, known_categories, known_covers)
+            name = unused(CategoryBlock, m.group(1), line_no)
             current = RawCategory(name, [], [], [])
             stage = 0
         elif word == "ideal":
@@ -222,25 +250,26 @@ def parse(text: str) -> CorpusFile:
                 raise CorpusSyntaxError(
                     "expected: ideal <name> on <target> = { ... }", line_no)
             target = m.group(2)
-            if target not in known_categories and target not in known_covers:
+            if corpus._named(CategoryBlock, target) is None and \
+                    corpus._named(CoverBlock, target) is None:
                 raise CorpusSyntaxError(f"unknown target {target!r}", line_no)
-            known_ideals.add(fresh(m.group(1), line_no, known_ideals))
-            blocks.append(IdealBlock(m.group(1), target, _split_members(m.group(3), line_no)))
+            name = unused(IdealBlock, m.group(1), line_no)
+            corpus._add(IdealBlock(name, target, _split_members(m.group(3), line_no)))
         elif word == "cover":
             m = _COVER.match(line)
             if not m or not _NAME.match(m.group(1)):
                 raise CorpusSyntaxError("expected: cover <name> on <cat> = { ... }", line_no)
-            if m.group(2) not in known_categories:
+            if corpus._named(CategoryBlock, m.group(2)) is None:
                 raise CorpusSyntaxError(f"unknown category {m.group(2)!r}", line_no)
-            known_covers.add(fresh(m.group(1), line_no, known_categories, known_covers))
-            blocks.append(CoverBlock(m.group(1), m.group(2), _split_members(m.group(3), line_no)))
+            name = unused(CoverBlock, m.group(1), line_no)
+            corpus._add(CoverBlock(name, m.group(2), _split_members(m.group(3), line_no)))
         else:
             raise CorpusSyntaxError(f"unexpected {word!r}", line_no)
 
     if current is not None:
         raise CorpusSyntaxError(f"category {current.name} not closed with end",
                                 len(text.splitlines()) or 1)
-    return CorpusFile(header, blocks)
+    return corpus
 
 
 def _render_set(items) -> str:
@@ -550,7 +579,7 @@ def enumerate_categories(max_morphisms: int, cap: int | None = None) -> Iterator
     """All categories with at most max_morphisms morphisms (identities
     included), exhaustively, deduplicated up to isomorphism via canonical
     relabelling.  Emission order is deterministic."""
-    limit = cap if cap is not None else _env_bound(DEFAULT_ENUM_CAP)
+    limit = cap if cap is not None else _env_bound()
     if max_morphisms > limit:
         raise BoundExceeded(
             f"requested {max_morphisms} morphisms; enumeration cap is {limit}")
@@ -695,7 +724,7 @@ def search_counterexample(prop: str, max_morphisms: int,
         raise ValueError(f"unknown property {prop!r}; known: {sorted(PROPERTIES)}")
     predicate = PROPERTIES[prop]
     limit = budget if budget is not None else DEFAULT_SEARCH_BUDGET
-    cap = _env_bound(DEFAULT_ENUM_CAP)
+    cap = _env_bound()
     examined = 0
     enumeration_complete = True
 

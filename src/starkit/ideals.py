@@ -6,7 +6,6 @@ category; the ideal plays the role of the null morphisms.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,20 +16,6 @@ from .limits import (STRICT, WEAK, _universal, image_factorization,
 from .report import FAIL, INAPPLICABLE, PASS, Report
 
 DEFAULT_IDEAL_BOUND = 12
-ENV_MAX_MORPHISMS = "STARKIT_MAX_MORPHISMS"
-
-
-def _env_bound(default: int) -> int:
-    value = os.environ.get(ENV_MAX_MORPHISMS)
-    if not value:
-        return default
-    try:
-        bound = int(value)
-    except ValueError:
-        raise ValueError(f"{ENV_MAX_MORPHISMS} must be an integer, got {value!r}") from None
-    if bound < 0:
-        raise ValueError(f"{ENV_MAX_MORPHISMS} must not be negative, got {bound}")
-    return bound
 
 
 @dataclass(frozen=True)
@@ -194,6 +179,20 @@ def restrict_ideal(W: CoverWitness, N: Ideal) -> Ideal:
     return Ideal(sub, frozenset(carrier))
 
 
+def _cover_epis(W: CoverWitness) -> dict[str, tuple[str, ...]]:
+    """The regular epis onto each object out of a cover object, in
+    morphisms_to order."""
+    C = W.cat
+
+    def compute():
+        epis = regular_epis(C)
+        cover_objs = set(W.cover.objects)
+        return {x: tuple(e for e in C.morphisms_to(x) if e in epis and C.dom(e) in cover_objs)
+                for x in C.objects}
+
+    return C._memo(("cover_epis", W.key), compute)
+
+
 def extend_ideal(W: CoverWitness, N: Ideal) -> Ideal:
     """The extension of an ideal of the cover along regular-epi squares.
 
@@ -208,12 +207,7 @@ def extend_ideal(W: CoverWitness, N: Ideal) -> Ideal:
         raise ValueError("ideal must live on the cover subcategory")
 
     def compute():
-        epis = regular_epis(C)
-        cover_objs = set(W.cover.objects)
-        cover_epis_to: dict[str, list[str]] = {}
-        for x in C.objects:
-            cover_epis_to[x] = [e for e in C.morphisms_to(x)
-                                if e in epis and C.dom(e) in cover_objs]
+        cover_epis_to = _cover_epis(W)
         carrier = {f for f in C.morphism_names
                    if any(C.compose(e2, n) == C.compose(f, e)
                           for e in cover_epis_to[C.dom(f)]
@@ -263,9 +257,9 @@ def is_projective_cover(W: CoverWitness) -> Report:
                         return Report(
                             "projective-cover", FAIL,
                             [f"cover object {p} has no lift of {g} along regular epi {e}"])
+        cover_epis_to = _cover_epis(W)
         for x in C.objects:
-            if not any(e in epis and C.dom(e) in set(W.cover.objects)
-                       for e in C.morphisms_to(x)):
+            if not cover_epis_to[x]:
                 return Report("projective-cover", FAIL,
                               [f"object {x} admits no regular epi from the cover"])
         return Report("projective-cover", PASS, [])
@@ -289,26 +283,18 @@ def nc_kernel_via_cover(W: CoverWitness, N: Ideal, f: str) -> str:
     if not is_projective_cover(W).passed:
         raise PreconditionFailed(f"{W.cover.label} is not a projective cover")
 
-    epis = regular_epis(C)
-    cover_objs = set(W.cover.objects)
-
-    def first_cover_epi(target: str) -> str | None:
-        for e in C.morphisms_to(target):
-            if e in epis and C.dom(e) in cover_objs:
-                return e
-        return None
-
-    r = first_cover_epi(C.cod(f))
-    if r is None:
+    cover_epis_to = _cover_epis(W)
+    if not cover_epis_to[C.cod(f)]:
         raise PreconditionFailed(f"no cover epi onto {C.cod(f)}")
+    r = cover_epis_to[C.cod(f)][0]
     cones = pullback_cones(C, f, r, STRICT)
     if not cones:
         raise PreconditionFailed(f"no pullback of {f} along {r}")
     cone = cones[0]
-    p1, p2 = cone.leg("l"), cone.leg("r")
-    q = first_cover_epi(cone.apex)
-    if q is None:
+    p1, p2 = cone.legs
+    if not cover_epis_to[cone.apex]:
         raise PreconditionFailed(f"no cover epi onto the pullback {cone.apex}")
+    q = cover_epis_to[cone.apex][0]
     p2q = C.compose(p2, q)
     ks = kernels(MultiPointedCategory(sub, N), p2q, WEAK)
     if not ks:
@@ -333,7 +319,7 @@ def _by_size(carriers) -> list[frozenset[str]]:
 def enumerate_ideals(C: FinCategory, bound: int | None = None) -> list[Ideal]:
     """All ideals of C, as unions of principal closures, deduplicated and
     ordered by (size, members)."""
-    limit = bound if bound is not None else _env_bound(DEFAULT_IDEAL_BOUND)
+    limit = bound if bound is not None else DEFAULT_IDEAL_BOUND
     if len(C.morphisms) > limit:
         raise BoundExceeded(
             f"{C.name} has {len(C.morphisms)} morphisms; ideal enumeration bound is {limit}")

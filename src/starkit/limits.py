@@ -1,9 +1,11 @@
 """Weak and strict finite limits, coequalizers, regular epis, regularity.
 
 Everything here is decided by exhaustive search over the composition table.
-A cone over a diagram is stored with labelled legs so that diagrams with
-repeated objects (kernel pairs, products X x X) are representable.  A kernel
-pair is the pullback of a morphism along itself.
+A limit shape is a list of objects, one leg each, plus equations (a, i, b, j)
+meaning a∘legs[i] == b∘legs[j]; unlabelled legs let a shape repeat an object
+(kernel pairs, X x X).  A leg the others determine, such as a pullback's leg
+to the shared codomain, is not searched.  A kernel pair is the pullback of a
+morphism along itself.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ STRICT = "strict"
 class Diagram:
     """A diagram carved out of C: a set of its objects and morphisms.
 
-    The shape is the selection itself, one node per chosen object.  Limits of
+    The shape is the selection itself, one leg per chosen object.  Limits of
     shapes that repeat an object are reached through the wrappers below.
     """
 
@@ -31,13 +33,7 @@ class Diagram:
 @dataclass(frozen=True)
 class Cone:
     apex: str
-    legs: tuple[tuple[str, str], ...]  # sorted (node label, morphism) pairs
-
-    def leg(self, label: str) -> str:
-        for lab, m in self.legs:
-            if lab == label:
-                return m
-        raise KeyError(label)
+    legs: tuple[str, ...]  # one per object of the shape, in its order
 
 
 def _check_mode(mode: str) -> None:
@@ -45,22 +41,16 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be {WEAK!r} or {STRICT!r}, got {mode!r}")
 
 
-def _all_cones(C: FinCategory, nodes: list[tuple[str, str]],
-               edges: list[tuple[str, str, str]]) -> list[Cone]:
-    labels = [lab for lab, _ in nodes]
-    objs = {lab: obj for lab, obj in nodes}
+def _all_cones(C: FinCategory, objects: list[str],
+               equations: list[tuple[str, int, str, int]]) -> list[Cone]:
     cones: list[Cone] = []
     for apex in C.objects:
-        choices = [C.hom(apex, objs[lab]) for lab in labels]
-        if any(len(c) == 0 for c in choices):
-            continue
         stack = [()]
-        for options in choices:
-            stack = [partial + (m,) for partial in stack for m in options]
-        for assignment in stack:
-            legs = dict(zip(labels, assignment))
-            if all(C.compose(m, legs[src]) == legs[dst] for src, dst, m in edges):
-                cones.append(Cone(apex, tuple(sorted(legs.items()))))
+        for x in objects:
+            stack = [legs + (m,) for legs in stack for m in C.hom(apex, x)]
+        cones.extend(Cone(apex, legs) for legs in stack
+                     if all(C.compose(a, legs[i]) == C.compose(b, legs[j])
+                            for a, i, b, j in equations))
     return cones
 
 
@@ -68,7 +58,7 @@ def _cone_factorizations(C: FinCategory, src: Cone, dst: Cone) -> int:
     """How many morphisms u make every leg of src the leg of dst after u."""
     return len([u for u in C.hom(src.apex, dst.apex)
                 if all(C.compose(m_dst, u) == m_src
-                       for (_, m_dst), (_, m_src) in zip(dst.legs, src.legs))])
+                       for m_dst, m_src in zip(dst.legs, src.legs))])
 
 
 def _universal(C: FinCategory, candidates: list, count, mode: str) -> list:
@@ -90,9 +80,9 @@ def _universal(C: FinCategory, candidates: list, count, mode: str) -> list:
     return out
 
 
-def _limit_cones(C: FinCategory, nodes: list[tuple[str, str]],
-                 edges: list[tuple[str, str, str]], mode: str) -> list[Cone]:
-    return _universal(C, _all_cones(C, nodes, edges), _cone_factorizations, mode)
+def _limit_cones(C: FinCategory, objects: list[str],
+                 equations: list[tuple[str, int, str, int]], mode: str) -> list[Cone]:
+    return _universal(C, _all_cones(C, objects, equations), _cone_factorizations, mode)
 
 
 def limit_cones(C: FinCategory, diagram: Diagram, mode: str) -> list[Cone]:
@@ -104,14 +94,14 @@ def limit_cones(C: FinCategory, diagram: Diagram, mode: str) -> list[Cone]:
     for x in diagram.objects:
         if x not in C.objects:
             raise ValueError(f"{x} is not an object of {C.name}")
-    chosen = set(diagram.objects)
-    edges = []
+    index = {x: i for i, x in enumerate(diagram.objects)}
+    equations = []
     for m in diagram.morphisms:
-        if C.dom(m) not in chosen or C.cod(m) not in chosen:
+        x, y = C.dom(m), C.cod(m)
+        if x not in index or y not in index:
             raise ValueError(f"diagram morphism {m} has an endpoint outside the selection")
-        edges.append((C.dom(m), C.cod(m), m))
-    nodes = [(x, x) for x in diagram.objects]
-    return _limit_cones(C, nodes, edges, mode)
+        equations.append((m, index[x], C.identity[y], index[y]))
+    return _limit_cones(C, list(diagram.objects), equations, mode)
 
 
 def terminal_cones(C: FinCategory, mode: str) -> list[Cone]:
@@ -121,45 +111,38 @@ def terminal_cones(C: FinCategory, mode: str) -> list[Cone]:
 
 
 def product_cones(C: FinCategory, x: str, y: str, mode: str) -> list[Cone]:
-    """Binary product cones, legs labelled l and r."""
+    """Binary product cones, legs to x and y."""
     def compute():
-        return _limit_cones(C, [("l", x), ("r", y)], [], mode)
+        return _limit_cones(C, [x, y], [], mode)
     return C._memo(("product", x, y, mode), compute)
 
 
 def equalizer_cones(C: FinCategory, p: ParallelPair, mode: str) -> list[Cone]:
-    """Equalizer cones of (f1, f2); the equalizing morphism is leg e."""
+    """Equalizer cones of (f1, f2); the one leg is the equalizing morphism."""
     require_parallel(C, p)
 
     def compute():
-        x, y = C.dom(p.f1), C.cod(p.f1)
-        return _limit_cones(C, [("e", x), ("t", y)],
-                            [("e", "t", p.f1), ("e", "t", p.f2)], mode)
+        return _limit_cones(C, [C.dom(p.f1)], [(p.f1, 0, p.f2, 0)], mode)
     return C._memo(("equalizer", p.f1, p.f2, mode), compute)
 
 
 def pullback_cones(C: FinCategory, f: str, g: str, mode: str) -> list[Cone]:
-    """Pullback cones of the cospan f: X -> Z <- Y :g, legs l (to X) and r (to Y)."""
+    """Pullback cones of the cospan f: X -> Z <- Y :g, legs to X and Y."""
     if C.cod(f) != C.cod(g):
         raise ValueError(f"({f}, {g}) is not a cospan")
 
     def compute():
-        return _limit_cones(
-            C,
-            [("l", C.dom(f)), ("m", C.cod(f)), ("r", C.dom(g))],
-            [("l", "m", f), ("r", "m", g)], mode)
+        return _limit_cones(C, [C.dom(f), C.dom(g)], [(f, 0, g, 1)], mode)
     return C._memo(("pullback", f, g, mode), compute)
 
 
 def kernel_pair_cones(C: FinCategory, f: str, mode: str) -> list[Cone]:
-    """Kernel pair cones of f: the pullback cones of (f, f), with legs l and r
-    to the two copies of dom(f) and m to cod(f)."""
+    """Kernel pair cones of f: the pullback cones of (f, f)."""
     return pullback_cones(C, f, f, mode)
 
 
 def kernel_pairs(C: FinCategory, f: str, mode: str) -> list[ParallelPair]:
-    return [ParallelPair(cone.leg("l"), cone.leg("r"))
-            for cone in kernel_pair_cones(C, f, mode)]
+    return [ParallelPair(*cone.legs) for cone in kernel_pair_cones(C, f, mode)]
 
 
 def _missing_finite_limit(C: FinCategory, mode: str) -> str | None:
@@ -287,7 +270,7 @@ def is_regular_category(C: FinCategory) -> Report:
                 if not cones:
                     return Report("regular-category", FAIL,
                                   [f"no pullback of {f} along {g}"])
-                proj = cones[0].leg("r")
+                proj = cones[0].legs[1]
                 if proj not in epis:
                     return Report("regular-category", FAIL, [
                         f"pullback of regular epi {f} along {g} has "

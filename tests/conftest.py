@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -7,9 +8,17 @@ import pytest
 from starkit.corpus import CorpusFile, parse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIXTURES.parent / "src"
 
 FIXTURE_FILES = ["one.fincat", "chain3.fincat", "ptset2.fincat",
                  "arrow.fincat", "broken.fincat"]
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with the package source first on PYTHONPATH, so that a
+    child Python imports starkit without an installed copy."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), path]))}
 
 
 def load(name: str) -> CorpusFile:

@@ -7,7 +7,7 @@ import pytest
 
 from starkit.cli import run
 from starkit.corpus import parse
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, subprocess_env
 
 ONE = str(FIXTURES / "one.fincat")
 CHAIN3 = str(FIXTURES / "chain3.fincat")
@@ -255,6 +255,6 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "starkit", "check", "normal",
          "--file", ONE, "--category", "One"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0
     assert "PROPERTY normal PASS" in proc.stdout

@@ -1,14 +1,17 @@
 """Each universal construction against the definition it replaces, over every
 category with at most 5 morphisms (and one more for kernel pairs): kernel
-pairs read off pullbacks against the dedicated kernel-pair diagram, and ideal
-kernels read off the shared universality filter against their inline
-definition."""
+pairs, pullbacks and equalizers, whose searches leave out the legs the other
+legs determine, against an inline search of the node-and-edge definition that
+searches every leg, and ideal kernels read off the shared universality filter
+against their inline definition."""
 from __future__ import annotations
 
+import itertools
+
 from starkit import (STRICT, WEAK, MultiPointedCategory, ParallelPair,
-                     enumerate_ideals, kernel_pairs, kernels)
+                     enumerate_ideals, equalizer_cones, kernel_pairs, kernels,
+                     pullback_cones)
 from starkit.corpus import enumerate_categories, parse
-from starkit.limits import _limit_cones
 
 SMALL = 5
 
@@ -60,21 +63,82 @@ end
 """
 
 
+def _inline_limit(C, nodes: list[str], edges: list[tuple[int, str, int]],
+                  mode: str) -> list[tuple[str, tuple[str, ...]]]:
+    """(apex, legs) of every limit cone: one leg per node, each searched on its
+    own, with an edge (s, m, t) meaning m∘legs[s] == legs[t], and a cone kept
+    when every cone factors through it on every leg (exactly once in strict
+    mode)."""
+    cones = [(apex, legs) for apex in C.objects
+             for legs in itertools.product(*(C.hom(apex, x) for x in nodes))
+             if all(C.compose(m, legs[s]) == legs[t] for s, m, t in edges)]
+
+    def through(cand) -> bool:
+        for apex, legs in cones:
+            n = sum(1 for u in C.hom(apex, cand[0])
+                    if all(C.compose(d, u) == leg for d, leg in zip(cand[1], legs)))
+            if n < 1 or (mode == STRICT and n != 1):
+                return False
+        return True
+
+    return [c for c in cones if through(c)]
+
+
+def oracle_pullback(C, f: str, g: str, mode: str) -> list[tuple[str, tuple[str, ...]]]:
+    """Pullback cones of f: X -> Z <- Y :g on the nodes X, Z, Y, legs to X and Y."""
+    cones = _inline_limit(C, [C.dom(f), C.cod(f), C.dom(g)], [(0, f, 1), (2, g, 1)], mode)
+    return [(apex, (l, r)) for apex, (l, _, r) in cones]
+
+
+def oracle_equalizer(C, p: ParallelPair, mode: str) -> list[tuple[str, tuple[str, ...]]]:
+    """Equalizer cones of (f1, f2) on the nodes dom and cod, leg to dom."""
+    cones = _inline_limit(C, [C.dom(p.f1), C.cod(p.f1)], [(0, p.f1, 1), (0, p.f2, 1)], mode)
+    return [(apex, (e,)) for apex, (e, _) in cones]
+
+
+def _pairs(cones) -> list[tuple[str, tuple[str, ...]]]:
+    return [(c.apex, c.legs) for c in cones]
+
+
+def _categories():
+    return [*enumerate_categories(SMALL), parse(KERNEL_PAIR_SQUARE).category("KP")]
+
+
 def test_kernel_pairs_match_the_kernel_pair_diagram():
-    square = parse(KERNEL_PAIR_SQUARE).category("KP")
     compared = 0
-    for C in [*enumerate_categories(SMALL), square]:
+    for C in _categories():
         for f in C.morphism_names:
-            x, y = C.dom(f), C.cod(f)
             for mode in (WEAK, STRICT):
-                cones = _limit_cones(C, [("p1", x), ("m", y), ("p2", x)],
-                                     [("p1", "m", f), ("p2", "m", f)], mode)
-                expected = [ParallelPair(c.leg("p1"), c.leg("p2")) for c in cones]
+                expected = [ParallelPair(*legs) for _, legs in oracle_pullback(C, f, f, mode)]
                 assert kernel_pairs(C, f, mode) == expected, (C.to_raw(), f, mode)
                 compared += 1
-    assert compared == 3810 + 2 * len(square.morphisms)
+    assert compared == 3810 + 2 * 11
+    square = parse(KERNEL_PAIR_SQUARE).category("KP")
     assert kernel_pairs(square, "f", STRICT) == [ParallelPair("p1", "p2"),
                                                  ParallelPair("p2", "p1")]
+
+
+def test_pullbacks_match_the_cospan_diagram():
+    compared = 0
+    for C in _categories():
+        for f in C.morphism_names:
+            for g in C.morphisms_to(C.cod(f)):
+                for mode in (WEAK, STRICT):
+                    assert _pairs(pullback_cones(C, f, g, mode)) == \
+                        oracle_pullback(C, f, g, mode), (C.to_raw(), f, g, mode)
+                    compared += 1
+    assert compared == 15964
+
+
+def test_equalizers_match_the_parallel_pair_diagram():
+    compared = 0
+    for C in _categories():
+        for p in C.parallel_pairs():
+            for mode in (WEAK, STRICT):
+                assert _pairs(equalizer_cones(C, p, mode)) == oracle_equalizer(C, p, mode), \
+                    (C.to_raw(), p, mode)
+                compared += 1
+    assert compared == 15544
 
 
 def _inline_kernels(M: MultiPointedCategory, f: str, mode: str) -> list[str]:

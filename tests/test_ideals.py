@@ -7,14 +7,14 @@ import sys
 import pytest
 
 from starkit import (BoundExceeded, CoverWitness, Ideal, MultiPointedCategory,
-                     PreconditionFailed, STRICT, WEAK, enumerate_ideals,
+                     PASS, PreconditionFailed, STRICT, WEAK, enumerate_ideals,
                      extend_ideal, full_subcategory, ideal_closure, is_ideal,
                      is_projective_cover, is_saturating, kernels,
                      morphism_flags, nc_kernel_via_cover, pointed_ideal,
-                     regular_epis, restrict_ideal, verify_galois_and_iso,
-                     verify_lemma_a)
+                     regular_completion, regular_epis, restrict_ideal,
+                     verify_galois_and_iso, verify_lemma_a)
 from starkit.corpus import enumerate_categories
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, subprocess_env
 
 
 def cover_all(C) -> CoverWitness:
@@ -97,7 +97,7 @@ except IdealClosureViolation:
 def test_restrict_ideal_checks_closure_under_optimize():
     proc = subprocess.run(
         [sys.executable, "-O", "-c", RESTRICT_NON_IDEAL, str(FIXTURES / "chain3.fincat")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\nraised\n"
 
@@ -158,10 +158,13 @@ def test_enumerate_ideals_bound(chain3):
         enumerate_ideals(chain3, bound=3)
 
 
-def test_enumerate_ideals_env_override(chain3, monkeypatch):
-    monkeypatch.setenv("STARKIT_MAX_MORPHISMS", "3")
-    with pytest.raises(BoundExceeded):
-        enumerate_ideals(chain3)
+def test_env_cap_leaves_ideal_enumeration_unsampled(arrow, monkeypatch):
+    # STARKIT_MAX_MORPHISMS caps category enumeration only; the completion of
+    # Arrow has 7 morphisms, within the ideal bound, so every ideal is listed
+    monkeypatch.setenv("STARKIT_MAX_MORPHISMS", "6")
+    report = verify_galois_and_iso(regular_completion(arrow).cover)
+    assert report.verdict == PASS
+    assert report.witnesses[0] == "ideals: parent=5 cover=5"
 
 
 def test_restrict_preserves_union_and_intersection(ptset2):

@@ -128,4 +128,4 @@ def test_regularity_verdicts(one, chain3, ptset2):
 def test_pullback_in_regular_chain3(chain3):
     cones = pullback_cones(chain3, "f02", "f12", STRICT)
     assert [c.apex for c in cones] == ["c0"]
-    assert cones[0].leg("l") == "1_c0" and cones[0].leg("r") == "f01"
+    assert cones[0].legs == ("1_c0", "f01")
