@@ -22,8 +22,9 @@ STRICT = "strict"
 class Diagram:
     """A diagram carved out of C: a set of its objects and morphisms.
 
-    The shape is the selection itself, one leg per chosen object.  Limits of
-    shapes that repeat an object are reached through the wrappers below.
+    The shape is the selection itself, one leg per chosen object, so
+    limit_cones rejects an object chosen twice.  Limits of shapes that repeat
+    an object are reached through the wrappers below.
     """
 
     objects: tuple[str, ...]
@@ -64,16 +65,36 @@ def _cone_factorizations(C: FinCategory, src: Cone, dst: Cone) -> int:
 def _universal(C: FinCategory, candidates: list, count, mode: str) -> list:
     """The candidates through which every candidate factors: at least once in
     weak mode, exactly once in strict mode, as count(C, src, dst) counts the
-    factorizations of src through dst."""
+    factorizations of src through dst.
+
+    "src factors through dst" is a preorder (identities, composition): weak
+    limits are its tops, strict limits its terminal objects.  So
+    (a) when some candidate does not factor through c, the candidates that
+        passed c's scan before it lie below c and are not tops either;
+    (b) once a top u is found, a later k is a top iff u factors through k;
+    (c) once a strict limit u is found, a later k is one iff u factors
+        through k and k factors through itself only by the identity: then
+        the factorizations k -> u -> k and u -> k -> u are identities, k ≅ u.
+    """
     _check_mode(mode)
     # Plain loops: all() over a generator measured slower on the many small
     # candidate lists of the sweep workload.
     strict = mode == STRICT
     out = []
-    for cand in candidates:
-        for other in candidates:
+    below = 0  # candidates before this index are ruled out by (a)
+    for i, cand in enumerate(candidates):
+        if i < below:
+            continue
+        if out:
+            if count(C, out[0], cand) and (not strict or count(C, cand, cand) == 1):
+                out.append(cand)
+            continue
+        for j, other in enumerate(candidates):
             n = count(C, other, cand)
-            if n == 0 or (strict and n != 1):
+            if n == 0:
+                below = j
+                break
+            if strict and n != 1:
                 break
         else:
             out.append(cand)
@@ -91,10 +112,13 @@ def limit_cones(C: FinCategory, diagram: Diagram, mode: str) -> list[Cone]:
     Weak mode keeps every cone through which all cones factor; strict mode
     additionally requires each factorization to be unique.
     """
+    index: dict[str, int] = {}
     for x in diagram.objects:
         if x not in C.objects:
             raise ValueError(f"{x} is not an object of {C.name}")
-    index = {x: i for i, x in enumerate(diagram.objects)}
+        if x in index:
+            raise ValueError(f"diagram repeats the object {x}")
+        index[x] = len(index)
     equations = []
     for m in diagram.morphisms:
         x, y = C.dom(m), C.cod(m)

@@ -211,6 +211,7 @@ def test_criterion_8_oracle_cross_check():
           f"instances agree, {skipped} inapplicable)")
 
 
+@pytest.mark.slow
 def test_criterion_9_negative_direction_witness():
     # budget above the size of the whole space at the cap, so an Exhausted
     # outcome means the full search space was swept

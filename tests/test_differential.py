@@ -1,17 +1,21 @@
 """Each universal construction against the definition it replaces, over every
-category with at most 5 morphisms (and one more for kernel pairs): kernel
-pairs, pullbacks and equalizers, whose searches leave out the legs the other
-legs determine, against an inline search of the node-and-edge definition that
-searches every leg, and ideal kernels read off the shared universality filter
-against their inline definition."""
+category with at most 5 morphisms (plus hand-built ones the sweep lacks):
+terminal objects, products, kernel pairs, pullbacks and equalizers, whose
+searches leave out the legs the other legs determine and skip candidates the
+universality filter has already decided, against an inline search of the
+node-and-edge definition that searches every leg and compares every pair of
+cones, and ideal kernels read off the shared filter against their inline
+definition."""
 from __future__ import annotations
 
 import itertools
 
 from starkit import (STRICT, WEAK, MultiPointedCategory, ParallelPair,
                      enumerate_ideals, equalizer_cones, kernel_pairs, kernels,
-                     pullback_cones)
+                     product_cones, pullback_cones, regular_completion,
+                     terminal_cones)
 from starkit.corpus import enumerate_categories, parse
+from tests.conftest import load
 
 SMALL = 5
 
@@ -62,6 +66,25 @@ comp g d = f
 end
 """
 
+# A retract T of E whose idempotent e = s t is not the identity.  Both objects
+# are weakly terminal; only T is terminal, since E has two endomorphisms.  No
+# category with at most 6 morphisms has a cone search whose first strict
+# limit is followed by a weak one that is not strict, so without this
+# category a filter that skips the endomorphism test would go unseen there.
+RETRACT = """
+category Ret
+objects T E
+mor s : T -> E
+mor t : E -> T
+mor e : E -> E
+comp t s = 1_T
+comp s t = e
+comp e e = e
+comp e s = s
+comp t e = t
+end
+"""
+
 
 def _inline_limit(C, nodes: list[str], edges: list[tuple[int, str, int]],
                   mode: str) -> list[tuple[str, tuple[str, ...]]]:
@@ -84,6 +107,14 @@ def _inline_limit(C, nodes: list[str], edges: list[tuple[int, str, int]],
     return [c for c in cones if through(c)]
 
 
+def oracle_terminal(C, mode: str) -> list[tuple[str, tuple[str, ...]]]:
+    return _inline_limit(C, [], [], mode)
+
+
+def oracle_product(C, x: str, y: str, mode: str) -> list[tuple[str, tuple[str, ...]]]:
+    return _inline_limit(C, [x, y], [], mode)
+
+
 def oracle_pullback(C, f: str, g: str, mode: str) -> list[tuple[str, tuple[str, ...]]]:
     """Pullback cones of f: X -> Z <- Y :g on the nodes X, Z, Y, legs to X and Y."""
     cones = _inline_limit(C, [C.dom(f), C.cod(f), C.dom(g)], [(0, f, 1), (2, g, 1)], mode)
@@ -104,6 +135,43 @@ def _categories():
     return [*enumerate_categories(SMALL), parse(KERNEL_PAIR_SQUARE).category("KP")]
 
 
+# Each _compare_* asserts that the searches of C agree with the oracle, weak
+# and strict, and returns the number of comparisons made.
+
+def _compare_terminals_and_products(C) -> int:
+    compared = 0
+    for mode in (WEAK, STRICT):
+        assert _pairs(terminal_cones(C, mode)) == oracle_terminal(C, mode), (C.to_raw(), mode)
+        compared += 1
+        for x in C.objects:
+            for y in C.objects:
+                assert _pairs(product_cones(C, x, y, mode)) == \
+                    oracle_product(C, x, y, mode), (C.to_raw(), x, y, mode)
+                compared += 1
+    return compared
+
+
+def _compare_pullbacks(C) -> int:
+    compared = 0
+    for f in C.morphism_names:
+        for g in C.morphisms_to(C.cod(f)):
+            for mode in (WEAK, STRICT):
+                assert _pairs(pullback_cones(C, f, g, mode)) == \
+                    oracle_pullback(C, f, g, mode), (C.to_raw(), f, g, mode)
+                compared += 1
+    return compared
+
+
+def _compare_equalizers(C) -> int:
+    compared = 0
+    for p in C.parallel_pairs():
+        for mode in (WEAK, STRICT):
+            assert _pairs(equalizer_cones(C, p, mode)) == oracle_equalizer(C, p, mode), \
+                (C.to_raw(), p, mode)
+            compared += 1
+    return compared
+
+
 def test_kernel_pairs_match_the_kernel_pair_diagram():
     compared = 0
     for C in _categories():
@@ -119,26 +187,30 @@ def test_kernel_pairs_match_the_kernel_pair_diagram():
 
 
 def test_pullbacks_match_the_cospan_diagram():
-    compared = 0
-    for C in _categories():
-        for f in C.morphism_names:
-            for g in C.morphisms_to(C.cod(f)):
-                for mode in (WEAK, STRICT):
-                    assert _pairs(pullback_cones(C, f, g, mode)) == \
-                        oracle_pullback(C, f, g, mode), (C.to_raw(), f, g, mode)
-                    compared += 1
-    assert compared == 15964
+    assert sum(_compare_pullbacks(C) for C in _categories()) == 15964
 
 
 def test_equalizers_match_the_parallel_pair_diagram():
-    compared = 0
-    for C in _categories():
-        for p in C.parallel_pairs():
-            for mode in (WEAK, STRICT):
-                assert _pairs(equalizer_cones(C, p, mode)) == oracle_equalizer(C, p, mode), \
-                    (C.to_raw(), p, mode)
-                compared += 1
-    assert compared == 15544
+    assert sum(_compare_equalizers(C) for C in _categories()) == 15544
+
+
+def test_terminals_and_products_match_their_diagrams():
+    retract = parse(RETRACT).category("Ret")
+    assert sum(_compare_terminals_and_products(C)
+               for C in [*_categories(), retract]) == 2760
+    assert [c.apex for c in terminal_cones(retract, STRICT)] == ["T"]
+    assert [c.apex for c in terminal_cones(retract, WEAK)] == ["T", "E"]
+
+
+def test_limits_of_arrow_completions_match_the_oracle():
+    # the completion of Arrow has 7 morphisms, its own completion 43
+    C = load("arrow.fincat").category("Arrow")
+    compared = []
+    for _ in range(2):
+        C = regular_completion(C).total
+        compared.append((len(C.morphisms), _compare_terminals_and_products(C),
+                         _compare_pullbacks(C), _compare_equalizers(C)))
+    assert compared == [(7, 20, 34, 14), (43, 100, 530, 86)]
 
 
 def _inline_kernels(M: MultiPointedCategory, f: str, mode: str) -> list[str]:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from starkit import (Diagram, ParallelPair, STRICT, WEAK, coequalizer,
                      equalizer_cones, has_weak_finite_limits,
                      image_factorization, is_coequalizer, is_regular_category,
@@ -34,6 +36,15 @@ def test_weak_finite_limits(one, chain3, ptset2):
 def test_limit_cones_on_subset_diagram(chain3):
     cones = limit_cones(chain3, Diagram(("c0", "c2"), ("f02",)), STRICT)
     assert [c.apex for c in cones] == ["c0"]
+
+
+def test_limit_cones_rejects_a_repeated_object(chain3):
+    # a diagram is a set of objects; products of x with itself go through
+    # product_cones
+    with pytest.raises(ValueError, match="repeats the object c0"):
+        limit_cones(chain3, Diagram(("c0", "c0")), STRICT)
+    with pytest.raises(ValueError, match="c9 is not an object"):
+        limit_cones(chain3, Diagram(("c0", "c9")), STRICT)
 
 
 def test_coequalizer_of_equal_pair_is_identity(chain3, ptset2):
