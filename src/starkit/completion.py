@@ -3,7 +3,11 @@
 Objects of the completion are the morphisms of the base category; an arrow
 from (f: X1 -> X0) to (g: Y1 -> Y0) is a class of morphisms h: X1 -> Y1
 satisfying g∘h∘p1 = g∘h∘p2 for a weak kernel pair (p1, p2) of f, with h and
-h' identified when g∘h = g∘h'.  The construction is validated after the fact
+h' identified when g∘h = g∘h' (Carboni and Vitale, "Regular and exact
+completions", JPAA 125, 1998).  A finite base with weak finite limits is thin
+(limits, (F)), so every h satisfies the condition and forms a class of its
+own: the completion is the preorder on the base's morphisms with f <= g iff
+hom(X1, Y1) is non-empty.  The construction is validated after the fact
 against the characterisation it must satisfy (regular ambient, embedded
 projective cover, monos into finite products of cover objects); a failed
 check raises ValidationFailed and must never be ignored.
@@ -13,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .core import (FinCategory, FullSubcategory, ParallelPair, RawCategory,
-                   identity_name, morphism_flags, validate_category)
+from .core import (FinCategory, FullSubcategory, RawCategory, identity_name,
+                   morphism_flags, validate_category)
 from .errors import IdealClosureViolation, PreconditionFailed, ValidationFailed
 from .ideals import (CoverWitness, Ideal, MultiPointedCategory, extend_ideal,
                      has_all_kernels, is_ideal, is_projective_cover,
                      pointed_ideal, restrict_ideal)
 from .limits import (STRICT, WEAK, has_weak_finite_limits, is_regular_category,
-                     kernel_pairs, product_cones)
+                     product_cones)
 from .report import ERROR, FAIL, INAPPLICABLE, PASS, Report
 from .stars import is_normal_category, is_star_regular, reflexive_graphs_star_pi0
 
@@ -55,66 +59,27 @@ def regular_completion(P: FinCategory) -> Completion:
         if not has_weak_finite_limits(P):
             raise PreconditionFailed(f"{P.name} lacks weak finite limits")
 
-        wkp: dict[str, ParallelPair] = {}
-        for f in P.morphism_names:
-            pairs = kernel_pairs(P, f, WEAK)
-            if not pairs:
-                raise ValidationFailed(
-                    f"no weak kernel pair of {f} despite weak finite limits")
-            wkp[f] = pairs[0]
-
-        # classes[(f, g)] is an ordered list of (key, members) where the key
-        # is g∘h for any member h; the first member is the representative.
-        classes: dict[tuple[str, str], list[tuple[str, list[str]]]] = {}
-        for f in P.morphism_names:
-            p = wkp[f]
-            for g in P.morphism_names:
-                bucket: list[tuple[str, list[str]]] = []
-                index: dict[str, int] = {}
-                for h in P.hom(P.dom(f), P.dom(g)):
-                    gh = P.compose(g, h)
-                    if P.compose(gh, p.f1) != P.compose(gh, p.f2):
-                        continue
-                    if gh in index:
-                        bucket[index[gh]][1].append(h)
-                    else:
-                        index[gh] = len(bucket)
-                        bucket.append((gh, [h]))
-                classes[(f, g)] = bucket
-
-        names: dict[tuple[str, str, str], str] = {}
+        # P is thin, so hom(X1, Y1) is empty or one arrow's whole class.
+        names: dict[tuple[str, str], str] = {}
         members_of: dict[str, tuple[str, ...]] = {}
         declared: list[tuple[str, str, str]] = []
         for f in P.morphism_names:
             for g in P.morphism_names:
-                for key, members in classes[(f, g)]:
-                    if f == g and P.identity[P.dom(f)] in members:
-                        name = identity_name(_object_name(f))
-                    else:
-                        name = f"q{len(declared)}"
-                        declared.append((name, _object_name(f), _object_name(g)))
-                    names[(f, g, key)] = name
-                    members_of[name] = tuple(members)
+                members = P.hom(P.dom(f), P.dom(g))
+                if not members:
+                    continue
+                if f == g:
+                    name = identity_name(_object_name(f))
+                else:
+                    name = f"q{len(declared)}"
+                    declared.append((name, _object_name(f), _object_name(g)))
+                names[(f, g)] = name
+                members_of[name] = members
 
-        rows: list[tuple[str, str, str]] = []
-        for f in P.morphism_names:
-            for g in P.morphism_names:
-                for key1, members1 in classes[(f, g)]:
-                    c1 = names[(f, g, key1)]
-                    if c1.startswith("1_"):
-                        continue
-                    h1 = members1[0]
-                    for j in P.morphism_names:
-                        for key2, members2 in classes[(g, j)]:
-                            c2 = names[(g, j, key2)]
-                            if c2.startswith("1_"):
-                                continue
-                            h2 = members2[0]
-                            comp_key = P.compose(j, P.compose(h2, h1))
-                            if (f, j, comp_key) not in names:
-                                raise ValidationFailed(
-                                    f"composite of {c2} and {c1} leaves the arrow classes")
-                            rows.append((c2, c1, names[(f, j, comp_key)]))
+        rows = [(names[(g, j)], names[(f, g)], names[(f, j)])
+                for f in P.morphism_names for g in P.morphism_names
+                if f != g and (f, g) in names
+                for j in P.morphism_names if j != g and (g, j) in names]
 
         raw = RawCategory(f"{P.name}_reg",
                           [_object_name(f) for f in P.morphism_names],
@@ -122,11 +87,8 @@ def regular_completion(P: FinCategory) -> Completion:
         total = validate_category(raw)
 
         embed_objects = {x: _object_name(P.identity[x]) for x in P.objects}
-        embed_morphisms: dict[str, str] = {}
-        for m in P.morphism_names:
-            idd = P.identity[P.dom(m)]
-            idc = P.identity[P.cod(m)]
-            embed_morphisms[m] = names[(idd, idc, P.compose(idc, m))]
+        embed_morphisms = {m: names[(P.identity[P.dom(m)], P.identity[P.cod(m)])]
+                           for m in P.morphism_names}
 
         cover = CoverWitness(total, FullSubcategory(
             total, [embed_objects[x] for x in P.objects]))

@@ -642,13 +642,6 @@ def _prop_regular(C: FinCategory):
     return [category_block(C)]
 
 
-def _prop_regular_thin(C: FinCategory):
-    thin = all(len(C.hom(x, y)) <= 1 for x in C.objects for y in C.objects)
-    if thin and is_regular_category(C).passed:
-        return [category_block(C)]
-    return None
-
-
 def _prop_pointed_regular_not_normal(C: FinCategory):
     if pointed_ideal(C) is None or not is_regular_category(C).passed:
         return None
@@ -708,7 +701,8 @@ def _prop_restrict_extend_not_adjoint(C: FinCategory):
 PROPERTIES = {
     "pointed": _prop_pointed,
     "regular": _prop_regular,
-    "regular-thin": _prop_regular_thin,
+    # every regular finite category is thin: limits, (F)
+    "regular-thin": _prop_regular,
     "pointed-regular-not-normal": _prop_pointed_regular_not_normal,
     "pi0-cover-not-star-regular": _prop_pi0_cover_not_star_regular,
     "restrict-extend-not-adjoint": _prop_restrict_extend_not_adjoint,

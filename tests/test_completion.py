@@ -7,6 +7,7 @@ from starkit import (Ideal, PreconditionFailed, WEAK, check_corollary_b,
                      has_weak_finite_limits, is_projective_cover,
                      is_regular_category, is_regular_completion, kernel_pairs,
                      pointed_ideal, regular_completion)
+from starkit.core import identity_name
 from starkit.corpus import are_equivalent, enumerate_categories
 
 
@@ -89,6 +90,76 @@ def test_hom_class_composition_is_representative_independent(chain3, arrow):
                 for h1 in compl.classes[c1]:
                     for h2 in compl.classes[c2]:
                         assert P.compose(h2, h1) in composite_members
+
+
+def _general_completion(P):
+    """The Carboni-Vitale construction for any weakly lex P: an arrow from
+    (f: X1 -> X0) to (g: Y1 -> Y0) is a class of h: X1 -> Y1 with
+    g∘h∘p1 = g∘h∘p2 for the first weak kernel pair (p1, p2) of f, h and h'
+    in one class when g∘h = g∘h'.  Returns the objects, declared morphisms,
+    set of composition rows, embeddings and classes that regular_completion
+    names in the same way."""
+    def obj(f):
+        return f"A_{f}"
+
+    # classes[(f, g)]: (key g∘h, members) in order of first member
+    classes = {}
+    for f in P.morphism_names:
+        p = kernel_pairs(P, f, WEAK)[0]
+        for g in P.morphism_names:
+            bucket = {}
+            for h in P.hom(P.dom(f), P.dom(g)):
+                gh = P.compose(g, h)
+                if P.compose(gh, p.f1) == P.compose(gh, p.f2):
+                    bucket.setdefault(gh, []).append(h)
+            classes[(f, g)] = list(bucket.items())
+
+    names, members_of, declared = {}, {}, []
+    for (f, g), bucket in classes.items():
+        for key, members in bucket:
+            if f == g and P.identity[P.dom(f)] in members:
+                name = identity_name(obj(f))
+            else:
+                name = f"q{len(declared)}"
+                declared.append((name, obj(f), obj(g)))
+            names[(f, g, key)] = name
+            members_of[name] = tuple(members)
+
+    rows = set()
+    for (f, g), bucket in classes.items():
+        for key1, members1 in bucket:
+            c1 = names[(f, g, key1)]
+            for j in P.morphism_names:
+                for key2, members2 in classes[(g, j)]:
+                    c2 = names[(g, j, key2)]
+                    if c1.startswith("1_") or c2.startswith("1_"):
+                        continue
+                    composite = P.compose(j, P.compose(members2[0], members1[0]))
+                    rows.add((c2, c1, names[(f, j, composite)]))
+
+    embed_objects = {x: obj(P.identity[x]) for x in P.objects}
+    embed_morphisms = {m: names[(P.identity[P.dom(m)], P.identity[P.cod(m)],
+                                 P.compose(P.identity[P.cod(m)], m))]
+                       for m in P.morphism_names}
+    return ([obj(f) for f in P.morphism_names], declared, rows,
+            embed_objects, embed_morphisms, members_of)
+
+
+def test_completion_matches_the_general_construction(arrow, chain3):
+    # every weakly lex category with at most 5 morphisms, then Arrow
+    # 3 -> 7 -> 43 and Chain3 6 -> 25 -> 493
+    bases = [C for C in enumerate_categories(5) if has_weak_finite_limits(C)]
+    sizes = []
+    for P in [*bases, arrow, regular_completion(arrow).total, chain3,
+              regular_completion(chain3).total]:
+        compl = regular_completion(P)
+        raw = compl.total.to_raw()
+        assert (list(raw.objects), list(raw.morphisms), set(raw.compositions),
+                compl.embed_objects, compl.embed_morphisms, compl.classes) == \
+            _general_completion(P), P.to_raw()
+        sizes.append((len(P.morphisms), len(compl.total.morphisms)))
+    assert sizes[len(bases):] == [(3, 7), (7, 43), (6, 25), (25, 493)]
+    assert len(bases) == 3
 
 
 def test_is_regular_completion_negative(ptset2):

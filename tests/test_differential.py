@@ -5,15 +5,19 @@ searches leave out the legs the other legs determine and skip candidates the
 universality filter has already decided, against an inline search of the
 node-and-edge definition that searches every leg and compares every pair of
 cones, and ideal kernels read off the shared filter against their inline
-definition."""
+definition.  Regularity and weak finite limits, decided by a terminal object
+and binary products alone, are compared with their full definitions, and the
+finiteness theorems (F) and (K) that justify this are pinned over the sweep."""
 from __future__ import annotations
 
 import itertools
 
-from starkit import (STRICT, WEAK, MultiPointedCategory, ParallelPair,
-                     enumerate_ideals, equalizer_cones, kernel_pairs, kernels,
-                     product_cones, pullback_cones, regular_completion,
-                     terminal_cones)
+from starkit import (FAIL, PASS, STRICT, WEAK, MultiPointedCategory,
+                     ParallelPair, coequalizer, enumerate_ideals,
+                     equalizer_cones, has_weak_finite_limits,
+                     is_regular_category, kernel_pairs, kernels,
+                     morphism_flags, product_cones, pullback_cones,
+                     regular_completion, regular_epis, terminal_cones)
 from starkit.corpus import enumerate_categories, parse
 from tests.conftest import load
 
@@ -202,14 +206,20 @@ def test_terminals_and_products_match_their_diagrams():
     assert [c.apex for c in terminal_cones(retract, WEAK)] == ["T", "E"]
 
 
+def _completions(name: str, times: int) -> list:
+    C = load(f"{name.lower()}.fincat").category(name)
+    out = []
+    for _ in range(times):
+        C = regular_completion(C).total
+        out.append(C)
+    return out
+
+
 def test_limits_of_arrow_completions_match_the_oracle():
     # the completion of Arrow has 7 morphisms, its own completion 43
-    C = load("arrow.fincat").category("Arrow")
-    compared = []
-    for _ in range(2):
-        C = regular_completion(C).total
-        compared.append((len(C.morphisms), _compare_terminals_and_products(C),
-                         _compare_pullbacks(C), _compare_equalizers(C)))
+    compared = [(len(C.morphisms), _compare_terminals_and_products(C),
+                 _compare_pullbacks(C), _compare_equalizers(C))
+                for C in _completions("Arrow", 2)]
     assert compared == [(7, 20, 34, 14), (43, 100, 530, 86)]
 
 
@@ -238,3 +248,97 @@ def test_kernels_match_their_inline_definition():
                         (C.to_raw(), N.members(), f, mode)
                     compared += 1
     assert compared == 23850
+
+
+def oracle_missing_finite_limit(C, mode: str) -> str | None:
+    """The first missing terminal object, binary product or equalizer, weak
+    or strict per mode, as a witness line."""
+    if not oracle_terminal(C, mode):
+        return "no terminal object"
+    for i, x in enumerate(C.objects):
+        for y in C.objects[i:]:
+            if not oracle_product(C, x, y, mode):
+                return f"no product {x} x {y}"
+    for p in C.parallel_pairs():
+        if p.f1 <= p.f2 and not oracle_equalizer(C, p, mode):
+            return f"no equalizer of ({p.f1}, {p.f2})"
+    return None
+
+
+def oracle_regular(C) -> tuple[str, list[str]]:
+    """Verdict and witnesses of the full definition of a regular category:
+    strict finite limits, a coequalizer of a kernel pair of every morphism,
+    and a regular epi projection in every pullback of a regular epi."""
+    missing = oracle_missing_finite_limit(C, STRICT)
+    if missing:
+        return FAIL, [missing]
+    for f in C.morphism_names:
+        pairs = oracle_pullback(C, f, f, STRICT)
+        if not pairs:
+            return FAIL, [f"no kernel pair of {f}"]
+        if coequalizer(C, ParallelPair(*pairs[0][1])) is None:
+            return FAIL, [f"kernel pair of {f} has no coequalizer"]
+    epis = regular_epis(C)
+    for f in C.morphism_names:
+        if f not in epis:
+            continue
+        for g in C.morphism_names:
+            if C.cod(g) != C.cod(f):
+                continue
+            cones = oracle_pullback(C, f, g, STRICT)
+            if not cones:
+                return FAIL, [f"no pullback of {f} along {g}"]
+            proj = cones[0][1][1]
+            if proj not in epis:
+                return FAIL, [f"pullback of regular epi {f} along {g} has "
+                              f"non-regular projection {proj}"]
+    return PASS, []
+
+
+def test_regularity_and_weak_limits_match_their_definitions():
+    retract = parse(RETRACT).category("Ret")
+    compared = verdicts = 0
+    for C in [*_categories(), retract, *_completions("Arrow", 2),
+              *_completions("Chain3", 1)]:
+        report = is_regular_category(C)
+        assert (report.verdict, report.witnesses) == oracle_regular(C), C.to_raw()
+        assert has_weak_finite_limits(C) == \
+            (oracle_missing_finite_limit(C, WEAK) is None), C.to_raw()
+        compared += 1
+        verdicts += report.passed
+    assert (compared, verdicts) == (404, 6)
+
+
+def _thin(C) -> bool:
+    return all(len(C.hom(x, y)) <= 1 for x in C.objects for y in C.objects)
+
+
+def _has_weak_products(C) -> bool:
+    return all(product_cones(C, x, y, WEAK) for x in C.objects for y in C.objects)
+
+
+def _has_weak_kernel_pairs(C) -> bool:
+    return all(kernel_pairs(C, f, WEAK) for f in C.morphism_names)
+
+
+def _all_mono(C) -> bool:
+    return all(morphism_flags(C, f).mono for f in C.morphism_names)
+
+
+def test_finite_weak_products_force_a_preorder_and_weak_kernel_pairs_monos():
+    # (F) weak binary products make a finite category thin (Freyd), and
+    # (K) weak kernel pairs of every morphism make every morphism mono:
+    # a morphism that merges a != b at Z gives its weak kernel pair at least
+    # |hom(Z, X)| + 2 morphisms from Z, and the pair's first leg merges two
+    # of them again, without end.
+    cats = [*_categories(), parse(RETRACT).category("Ret")]
+    thin = [C for C in cats if _thin(C)]
+    products = [C for C in cats if _has_weak_products(C)]
+    lex = [C for C in cats if oracle_missing_finite_limit(C, WEAK) is None]
+    regular = [C for C in cats if oracle_regular(C)[0] == PASS]
+    kernel_pairs_everywhere = [C for C in cats if _has_weak_kernel_pairs(C)]
+    assert (len(cats), len(thin), len(products), len(lex),
+            len(kernel_pairs_everywhere)) == (399 + 2, 12, 4, 3, 37)
+    assert all(map(_thin, products))
+    assert lex == regular
+    assert all(map(_all_mono, kernel_pairs_everywhere))

@@ -4,7 +4,8 @@ counterexample search uses past the enumeration cap:
 the corpus format round-trips, the canonical form ignores names and order,
 the pullback and equalizer searches and ideal kernels agree with the oracles
 of ``test_differential``, validation rejects exactly the single-cell changes
-that break associativity, and ``ideal_closure`` gives the least ideal."""
+that break associativity, ``ideal_closure`` gives the least ideal, and the
+finiteness theorems (F) and (K) pinned there hold."""
 from __future__ import annotations
 
 import itertools
@@ -21,8 +22,9 @@ from starkit import (STRICT, WEAK, InvalidCategory, MultiPointedCategory,  # noq
 from starkit.core import RawCategory, identity_name, validate_category  # noqa: E402
 from starkit.corpus import (CorpusFile, _random_category, canonical_key,  # noqa: E402
                             category_block, parse, serialize)
-from tests.test_differential import (_inline_kernels, oracle_equalizer,  # noqa: E402
-                                     oracle_pullback)
+from tests.test_differential import (_all_mono, _has_weak_kernel_pairs,  # noqa: E402
+                                     _has_weak_products, _inline_kernels, _thin,
+                                     oracle_equalizer, oracle_pullback)
 
 SWEPT, MAX_MORPHISMS = 5, 8
 
@@ -138,3 +140,18 @@ def test_ideal_closure_is_the_least_ideal(seed, rng):
         for extra in itertools.combinations(rest, r):
             if is_ideal(C, gens.union(extra)):
                 assert closure <= gens.union(extra)
+
+
+# Few draws have all weak binary products: 30 draws give 1, 200 give 5.
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seeds)
+def test_weak_products_force_a_preorder(seed):
+    C = _draw(seed)
+    assert not _has_weak_products(C) or _thin(C)
+
+
+@examples
+@given(seeds)
+def test_weak_kernel_pairs_force_monos(seed):
+    C = _draw(seed)
+    assert not _has_weak_kernel_pairs(C) or _all_mono(C)
