@@ -21,7 +21,7 @@ from .ideals import (CoverWitness, Ideal, MultiPointedCategory,
                      is_saturating, kernels, nc_kernel_via_cover,
                      pointed_ideal, restrict_ideal, verify_galois_and_iso,
                      verify_lemma_a)
-from .limits import (STRICT, WEAK, Cone, Diagram, coequalizer,
+from .limits import (STRICT, WEAK, Cone, Diagram, coequalizer, coequalizers,
                      equalizer_cones, has_weak_finite_limits,
                      image_factorization, is_coequalizer, is_regular_category,
                      is_regular_epi, kernel_pair_cones, kernel_pairs,

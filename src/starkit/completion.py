@@ -9,22 +9,21 @@ completions", JPAA 125, 1998).  A finite base with weak finite limits is thin
 own: the completion is the preorder on the base's morphisms with f <= g iff
 hom(X1, Y1) is non-empty.  The construction is validated after the fact
 against the characterisation it must satisfy (regular ambient, embedded
-projective cover, monos into finite products of cover objects); a failed
-check raises ValidationFailed and must never be ignored.
+projective cover, from which the monos into finite products of cover
+objects follow); a failed check raises ValidationFailed and must never be
+ignored.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .core import (FinCategory, FullSubcategory, RawCategory, identity_name,
-                   morphism_flags, validate_category)
+                   validate_category)
 from .errors import IdealClosureViolation, PreconditionFailed, ValidationFailed
 from .ideals import (CoverWitness, Ideal, MultiPointedCategory, extend_ideal,
                      has_all_kernels, is_ideal, is_projective_cover,
                      pointed_ideal, restrict_ideal)
-from .limits import (STRICT, WEAK, has_weak_finite_limits, is_regular_category,
-                     product_cones)
+from .limits import STRICT, WEAK, has_weak_finite_limits, is_regular_category
 from .report import ERROR, FAIL, INAPPLICABLE, PASS, Report
 from .stars import is_normal_category, is_star_regular, reflexive_graphs_star_pi0
 
@@ -123,35 +122,16 @@ def _validate_completion(compl: Completion) -> None:
         raise ValidationFailed(f"completion fails its characterisation: {rc.witnesses[0]}")
 
 
-def _fold_product(C: FinCategory, factors: tuple[str, ...]) -> str | None:
-    """Apex of the iterated strict binary product, first cone each step."""
-    apex = factors[0]
-    for y in factors[1:]:
-        cones = product_cones(C, apex, y, STRICT)
-        if not cones:
-            return None
-        apex = cones[0].apex
-    return apex
-
-
-def _embeds_into_cover_product(C: FinCategory, cover_objs: tuple[str, ...],
-                               x: str, max_factors: int) -> bool:
-    seen: set[str] = set()
-    for size in range(1, max_factors + 1):
-        for factors in combinations_with_replacement(sorted(cover_objs), size):
-            apex = _fold_product(C, factors)
-            if apex is None or apex in seen:
-                continue
-            seen.add(apex)
-            if any(morphism_flags(C, m).mono for m in C.hom(x, apex)):
-                return True
-    return False
-
-
 def is_regular_completion(C: FinCategory, cover: FullSubcategory) -> Report:
-    """Is C a regular completion of the given full subcategory?  Checks
-    regularity, the projective-cover property, and a mono from every object
-    into some iterated product of at most |objects(C)| cover objects."""
+    """Is C a regular completion of the given full subcategory: regular, with
+    the subcategory a projective cover, and every object embedded by a mono
+    into a finite product of cover objects?
+
+    The last clause follows from the first two.  A regular C is thin by (F)
+    (limits), so its regular epis are isos, and the cover gives each object x
+    an iso p -> x from a cover object p.  Its inverse x -> p is a mono into
+    the one-factor product p.
+    """
     rc = is_regular_category(C)
     if not rc.passed:
         return Report("regular-completion", FAIL,
@@ -160,11 +140,6 @@ def is_regular_completion(C: FinCategory, cover: FullSubcategory) -> Report:
     if not pc.passed:
         return Report("regular-completion", FAIL,
                       [f"not a projective cover: {pc.witnesses[0]}"])
-    bound = len(C.objects)
-    for x in C.objects:
-        if not _embeds_into_cover_product(C, cover.objects, x, bound):
-            return Report("regular-completion", FAIL, [
-                f"no mono from {x} into a product of at most {bound} cover objects"])
     return Report("regular-completion", PASS, [])
 
 

@@ -575,11 +575,11 @@ def _build_category(name: str, key: tuple) -> FinCategory:
     return validate_category(RawCategory(name, objects, morphisms, rows))
 
 
-def enumerate_categories(max_morphisms: int, cap: int | None = None) -> Iterator[FinCategory]:
+def enumerate_categories(max_morphisms: int) -> Iterator[FinCategory]:
     """All categories with at most max_morphisms morphisms (identities
     included), exhaustively, deduplicated up to isomorphism via canonical
     relabelling.  Emission order is deterministic."""
-    limit = cap if cap is not None else _env_bound()
+    limit = _env_bound()
     if max_morphisms > limit:
         raise BoundExceeded(
             f"requested {max_morphisms} morphisms; enumeration cap is {limit}")

@@ -1,6 +1,10 @@
 """Weak and strict finite limits, coequalizers, regular epis, regularity.
 
-Everything here is decided by exhaustive search over the composition table.
+Everything here is decided by exhaustive search over the composition table,
+and every universal property by the one filter _universal: the limit cones
+are the cones through which every cone factors, the coequalizers the
+coequalizing morphisms through which every coequalizing morphism factors.
+
 A limit shape is a list of objects, one leg each, plus equations (a, i, b, j)
 meaning a∘legs[i] == b∘legs[j]; unlabelled legs let a shape repeat an object
 (kernel pairs, X x X).  A leg the others determine, such as a pullback's leg
@@ -206,51 +210,36 @@ def coequalizes(C: FinCategory, g: str, p: ParallelPair) -> bool:
     return C.compose(g, p.f1) == C.compose(g, p.f2)
 
 
-def is_coequalizer(C: FinCategory, q: str, p: ParallelPair) -> bool:
-    """Direct universal-property check: q coequalizes p and every
-    coequalizing morphism factors through q exactly once."""
+def _coequalizer_factorizations(C: FinCategory, src: str, dst: str) -> int:
+    """How many morphisms u make u∘dst = src."""
+    return [C.compose(u, dst) for u in C.hom(C.cod(dst), C.cod(src))].count(src)
+
+
+def coequalizers(C: FinCategory, p: ParallelPair) -> list[str]:
+    """All coequalizers of p, in input order: the morphisms q out of cod p
+    with q∘f1 = q∘f2 through which every such morphism factors exactly once."""
     require_parallel(C, p)
-    if C.dom(q) != C.cod(p.f1) or not coequalizes(C, q, p):
-        return False
-    for g in C.morphisms_from(C.cod(p.f1)):
-        if not coequalizes(C, g, p):
-            continue
-        n = sum(1 for u in C.hom(C.cod(q), C.cod(g)) if C.compose(u, q) == g)
-        if n != 1:
-            return False
-    return True
+
+    def compute():
+        candidates = [q for q in C.morphisms_from(C.cod(p.f1)) if coequalizes(C, q, p)]
+        return _universal(C, candidates, _coequalizer_factorizations, STRICT)
+
+    return C._memo(("coequalizers", p.f1, p.f2), compute)
+
+
+def is_coequalizer(C: FinCategory, q: str, p: ParallelPair) -> bool:
+    return q in coequalizers(C, p)
 
 
 def coequalizer(C: FinCategory, p: ParallelPair) -> str | None:
     """The first morphism (in input order) that is a coequalizer of p."""
-    require_parallel(C, p)
-
-    def compute():
-        for q in C.morphisms_from(C.cod(p.f1)):
-            if is_coequalizer(C, q, p):
-                return q
-        return None
-
-    return C._memo(("coequalizer", p.f1, p.f2), compute)
+    return next(iter(coequalizers(C, p)), None)
 
 
 def regular_epis(C: FinCategory) -> frozenset[str]:
-    """All morphisms that are a coequalizer of some parallel pair."""
-    def compute():
-        out = set()
-        for f in C.morphism_names:
-            flags = morphism_flags(C, f)
-            if not flags.epi:
-                continue  # a coequalizer is always an epimorphism
-            x = C.dom(f)
-            # a split epi q with section s is a coequalizer of (s q, 1)
-            if flags.split_epi or any(
-                    is_coequalizer(C, f, ParallelPair(u, v))
-                    for w in C.objects for u in C.hom(w, x) for v in C.hom(w, x)):
-                out.add(f)
-        return frozenset(out)
-
-    return C._memo("regular_epis", compute)
+    """The union of coequalizers(C, p) over C.parallel_pairs()."""
+    return C._memo("regular_epis", lambda: frozenset(
+        q for p in C.parallel_pairs() for q in coequalizers(C, p)))
 
 
 def is_regular_epi(C: FinCategory, f: str) -> bool:

@@ -92,10 +92,19 @@ def check_theorem_a(M: MultiPointedCategory) -> Report:
 
     Under the hypotheses (weak kernels and weak kernel pairs for every
     morphism) the following must have one common truth value: (a) every
-    reflexive graph satisfies star-pi0, (b) every weak kernel pair does, and,
-    when strict kernel pairs exist, (c) every reflexive relation does and
-    (d) every strict kernel pair does.  Disagreement is an implementation
-    bug and is reported with the separating datum.
+    reflexive graph satisfies star-pi0, (b) every weak kernel pair does,
+    (c) every reflexive relation does and (d) every strict kernel pair does.
+    Disagreement is an implementation bug and is reported with the
+    separating datum.
+
+    Strict kernel pairs, which (c) and (d) presuppose, exist under these
+    hypotheses.  (K) weak kernel pairs of every morphism make every morphism
+    mono: were f∘a = f∘b with a != b in hom(Z, X), a weak kernel pair
+    (W, p1, p2) of f would have a morphism from Z over each (c, c), (a, b)
+    and (b, a), at least |hom(Z, X)| + 2, so p1 would merge two of them, and
+    the same step on p1 gives hom-sets from Z without bound.  The kernel
+    pair of a mono f: X -> Y is (1_X, 1_X): a cone (a, b) over (f, f) has
+    a = b and factors through it by a alone.
     """
     C = M.cat
     for f in C.morphism_names:
@@ -112,14 +121,13 @@ def check_theorem_a(M: MultiPointedCategory) -> Report:
         "(b)": _first_failing(M, ((p, f"weak kernel pair ({p.f1}, {p.f2}) of {f}")
                                   for f in C.morphism_names
                                   for p in kernel_pairs(C, f, WEAK))),
-    }
-    if all(kernel_pairs(C, f, STRICT) for f in C.morphism_names):
-        failing["(c)"] = _first_failing(M, (
+        "(c)": _first_failing(M, (
             (ParallelPair(g.d, g.c), f"reflexive relation ({g.d}, {g.c}, {g.e})")
-            for g in graphs if is_jointly_monic(C, ParallelPair(g.d, g.c))))
-        failing["(d)"] = _first_failing(M, ((p, f"kernel pair ({p.f1}, {p.f2}) of {f}")
-                                             for f in C.morphism_names
-                                             for p in kernel_pairs(C, f, STRICT)))
+            for g in graphs if is_jointly_monic(C, ParallelPair(g.d, g.c)))),
+        "(d)": _first_failing(M, ((p, f"kernel pair ({p.f1}, {p.f2}) of {f}")
+                                  for f in C.morphism_names
+                                  for p in kernel_pairs(C, f, STRICT))),
+    }
 
     if len({not w for w in failing.values()}) == 1:
         return Report("theorem-a", PASS, [f"{k}={not w}" for k, w in failing.items()])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from starkit.cli import run
 from starkit.corpus import parse
 from tests.conftest import FIXTURES, subprocess_env
+from tests.test_cli_golden import GOLDEN, ROOT
 
 ONE = str(FIXTURES / "one.fincat")
 CHAIN3 = str(FIXTURES / "chain3.fincat")
@@ -258,3 +260,25 @@ def test_module_entry_point():
         capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0
     assert "PROPERTY normal PASS" in proc.stdout
+
+
+GOLDEN_UNDER_OPTIMIZE = """
+import json, sys
+from tests.test_cli_golden import results
+json.dump({"debug": __debug__, "results": results()}, sys.stdout)
+"""
+
+
+def test_golden_invocations_under_optimize():
+    # Every invocation of the golden file, replayed where asserts are stripped.
+    env = subprocess_env()
+    env.pop("STARKIT_MAX_MORPHISMS", None)
+    proc = subprocess.run([sys.executable, "-O", "-c", GOLDEN_UNDER_OPTIMIZE],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert got["debug"] is False
+    assert [g["argv"] for g in got["results"]] == [g["argv"] for g in golden]
+    differing = [g["argv"] for g, want in zip(got["results"], golden) if g != want]
+    assert not differing, f"{len(differing)} invocations differ, first {differing[:3]}"

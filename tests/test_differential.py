@@ -7,17 +7,25 @@ node-and-edge definition that searches every leg and compares every pair of
 cones, and ideal kernels read off the shared filter against their inline
 definition.  Regularity and weak finite limits, decided by a terminal object
 and binary products alone, are compared with their full definitions, and the
-finiteness theorems (F) and (K) that justify this are pinned over the sweep."""
+finiteness theorems (F) and (K) that justify this are pinned over the sweep.
+Coequalizers and regular epis, read off the same filter, the pointed ideal,
+read off the zero of one endomorphism monoid, and regular completions, whose
+product clause (F) makes redundant, are compared with the searches they
+replace."""
 from __future__ import annotations
 
 import itertools
 
-from starkit import (FAIL, PASS, STRICT, WEAK, MultiPointedCategory,
-                     ParallelPair, coequalizer, enumerate_ideals,
-                     equalizer_cones, has_weak_finite_limits,
-                     is_regular_category, kernel_pairs, kernels,
-                     morphism_flags, product_cones, pullback_cones,
-                     regular_completion, regular_epis, terminal_cones)
+from starkit import (FAIL, PASS, STRICT, WEAK, CoverWitness,
+                     MultiPointedCategory, ParallelPair, are_equivalent,
+                     coequalizer, coequalizers, enumerate_ideals,
+                     equalizer_cones, full_subcategory,
+                     has_weak_finite_limits, is_coequalizer,
+                     is_projective_cover, is_regular_category,
+                     is_regular_completion, kernel_pairs, kernels,
+                     morphism_flags, pointed_ideal, product_cones,
+                     pullback_cones, regular_completion, regular_epis,
+                     terminal_cones)
 from starkit.corpus import enumerate_categories, parse
 from tests.conftest import load
 
@@ -86,6 +94,40 @@ comp s t = e
 comp e e = e
 comp e s = s
 comp t e = t
+end
+"""
+
+# The zero z of End(X) has a closure that meets every hom-set, but hom(Y, X)
+# twice (z b1 = b1, z b2 = b2), so ZT is not pointed.  No category with at
+# most 5 morphisms has such a zero, so without ZT a pointed-ideal search that
+# only asks whether the closure meets every hom-set would go unseen there.
+ZERO_TWICE = """
+category ZT
+objects X Y
+mor z : X -> X
+mor d : X -> Y
+mor b1 : Y -> X
+mor b2 : Y -> X
+mor e1 : Y -> Y
+mor e2 : Y -> Y
+comp z z = z
+comp z b1 = b1
+comp z b2 = b2
+comp d z = d
+comp d b1 = e1
+comp d b2 = e2
+comp b1 d = z
+comp b2 d = z
+comp b1 e1 = b1
+comp b1 e2 = b2
+comp b2 e1 = b1
+comp b2 e2 = b2
+comp e1 d = d
+comp e2 d = d
+comp e1 e1 = e1
+comp e1 e2 = e2
+comp e2 e1 = e1
+comp e2 e2 = e2
 end
 """
 
@@ -342,3 +384,172 @@ def test_finite_weak_products_force_a_preorder_and_weak_kernel_pairs_monos():
     assert all(map(_thin, products))
     assert lex == regular
     assert all(map(_all_mono, kernel_pairs_everywhere))
+
+
+def oracle_is_coequalizer(C, q: str, p: ParallelPair) -> bool:
+    """q coequalizes p and every coequalizing morphism factors through q
+    exactly once, checked morphism by morphism."""
+    if C.dom(q) != C.cod(p.f1) or C.compose(q, p.f1) != C.compose(q, p.f2):
+        return False
+    for g in C.morphisms_from(C.cod(p.f1)):
+        if C.compose(g, p.f1) != C.compose(g, p.f2):
+            continue
+        n = sum(1 for u in C.hom(C.cod(q), C.cod(g)) if C.compose(u, q) == g)
+        if n != 1:
+            return False
+    return True
+
+
+def oracle_coequalizers(C, p: ParallelPair) -> list[str]:
+    return [q for q in C.morphisms_from(C.cod(p.f1)) if oracle_is_coequalizer(C, q, p)]
+
+
+def oracle_regular_epis(C) -> frozenset[str]:
+    """The epis that split or coequalize some pair into their domain."""
+    out = set()
+    for f in C.morphism_names:
+        flags = morphism_flags(C, f)
+        if not flags.epi:
+            continue
+        x = C.dom(f)
+        if flags.split_epi or any(
+                oracle_is_coequalizer(C, f, ParallelPair(u, v))
+                for w in C.objects for u in C.hom(w, x) for v in C.hom(w, x)):
+            out.add(f)
+    return frozenset(out)
+
+
+def oracle_pointed_ideal(C) -> frozenset[str] | None:
+    """The first choice of one member per hom-set, hom-sets in (dom, cod)
+    order, consistent with every composite, by backtracking."""
+    pairs = [(x, y) for x in C.objects for y in C.objects]
+    if any(not C.hom(x, y) for x, y in pairs):
+        return None
+    chosen: dict[tuple[str, str], str] = {}
+
+    def consistent(n: str) -> bool:
+        x, y = C.dom(n), C.cod(n)
+        for g in C.morphism_names:
+            if C.dom(g) == y:
+                t = chosen.get((x, C.cod(g)))
+                if t is not None and C.compose(g, n) != t:
+                    return False
+            if C.cod(g) == x:
+                t = chosen.get((C.dom(g), y))
+                if t is not None and C.compose(n, g) != t:
+                    return False
+        return True
+
+    def search(i: int) -> frozenset[str] | None:
+        if i == len(pairs):
+            return frozenset(chosen.values())
+        for n in C.hom(*pairs[i]):
+            chosen[pairs[i]] = n
+            found = consistent(n) and search(i + 1)
+            del chosen[pairs[i]]
+            if found:
+                return found
+        return None
+
+    return search(0)
+
+
+def _embeds_into_cover_product(C, cover_objs, x: str, max_factors: int) -> bool:
+    """A mono from x into an iterated product of at most max_factors cover
+    objects, the first product cone taken at each step."""
+    seen: set[str] = set()
+    for size in range(1, max_factors + 1):
+        for factors in itertools.combinations_with_replacement(sorted(cover_objs), size):
+            apex = factors[0]
+            for y in factors[1:]:
+                cones = oracle_product(C, apex, y, STRICT)
+                if not cones:
+                    break
+                apex = cones[0][0]
+            else:
+                if apex not in seen:
+                    seen.add(apex)
+                    if any(morphism_flags(C, m).mono for m in C.hom(x, apex)):
+                        return True
+    return False
+
+
+def oracle_regular_completion(C, cover) -> tuple[str, list[str]]:
+    """Verdict and witnesses of the full characterisation: regular, the
+    subcategory a projective cover, and a mono from every object into a
+    product of at most |objects(C)| cover objects."""
+    rc = is_regular_category(C)
+    if not rc.passed:
+        return FAIL, [f"not a regular category: {rc.witnesses[0]}"]
+    pc = is_projective_cover(CoverWitness(C, cover))
+    if not pc.passed:
+        return FAIL, [f"not a projective cover: {pc.witnesses[0]}"]
+    bound = len(C.objects)
+    for x in C.objects:
+        if not _embeds_into_cover_product(C, cover.objects, x, bound):
+            return FAIL, [f"no mono from {x} into a product of at most {bound} cover objects"]
+    return PASS, []
+
+
+def _covers(C) -> list:
+    return [full_subcategory(C, objs) for r in range(1, len(C.objects) + 1)
+            for objs in itertools.combinations(C.objects, r)]
+
+
+def compare_coequalizers_and_pointed_ideal(C) -> tuple[int, int, int]:
+    """Assert that coequalizers, regular epis, the pointed ideal and, on a
+    regular C, is_regular_completion on every cover agree with the oracles;
+    return the number of parallel pairs, pointed ideals and covers compared."""
+    pairs = 0
+    for p in C.parallel_pairs():
+        expected = oracle_coequalizers(C, p)
+        assert coequalizers(C, p) == expected, (C.to_raw(), p)
+        assert coequalizer(C, p) == (expected[0] if expected else None), (C.to_raw(), p)
+        assert [q for q in C.morphism_names if is_coequalizer(C, q, p)] == expected, \
+            (C.to_raw(), p)
+        pairs += 1
+    assert regular_epis(C) == oracle_regular_epis(C), C.to_raw()
+    N = pointed_ideal(C)
+    assert (N and N.carrier) == oracle_pointed_ideal(C), C.to_raw()
+    covers = 0
+    if is_regular_category(C).passed:
+        for cover in _covers(C):
+            report = is_regular_completion(C, cover)
+            assert (report.verdict, report.witnesses) == \
+                oracle_regular_completion(C, cover), (C.to_raw(), cover)
+            covers += 1
+    return pairs, int(N is not None), covers
+
+
+def test_coequalizers_and_the_pointed_ideal_match_the_searches_they_replace():
+    cats = [*_categories(), parse(RETRACT).category("Ret"), parse(ZERO_TWICE).category("ZT"),
+            *_completions("Arrow", 2), *_completions("Chain3", 1)]
+    totals = [sum(t) for t in zip(*map(compare_coequalizers_and_pointed_ideal, cats))]
+    assert [len(cats), *totals] == [405, 7854 + 18, 135, 204]
+    assert pointed_ideal(parse(ZERO_TWICE).category("ZT")) is None
+
+
+def test_regular_epis_are_isos_and_pointed_ideals_zeros():
+    one = load("one.fincat").category("One")
+    regular = pointed = pointed_regular = 0
+    for C in [*_categories(), parse(RETRACT).category("Ret")]:
+        is_regular = is_regular_category(C).passed
+        if is_regular:
+            regular += 1
+            assert regular_epis(C) == {f for f in C.morphism_names
+                                       if morphism_flags(C, f).iso}, \
+                f"(F): {C.name} is regular, hence thin, so its regular epis are its isos"
+        N = pointed_ideal(C)
+        if N is None:
+            continue
+        pointed += 1
+        ends = C.hom(C.objects[0], C.objects[0])
+        [n] = [e for e in ends if e in N]
+        assert all(C.compose(e, n) == n == C.compose(n, e) for e in ends), \
+            f"zero argument: the pointed member of End({C.objects[0]}) in {C.name} is its zero"
+        if is_regular:
+            pointed_regular += 1
+            assert are_equivalent(C, one), \
+                f"(F): {C.name} is pointed and regular, hence thin with every hom-set " \
+                "non-empty, so all its objects are isomorphic"
+    assert (regular, pointed, pointed_regular) == (3, 135, 2)

@@ -2,8 +2,9 @@
 exhaustive sweeps of at most 5, drawn by the seeded generator that the
 counterexample search uses past the enumeration cap:
 the corpus format round-trips, the canonical form ignores names and order,
-the pullback and equalizer searches and ideal kernels agree with the oracles
-of ``test_differential``, validation rejects exactly the single-cell changes
+the pullback, equalizer and coequalizer searches, ideal kernels, regular
+epis, the pointed ideal and regular completions agree with the oracles of
+``test_differential``, validation rejects exactly the single-cell changes
 that break associativity, ``ideal_closure`` gives the least ideal, and the
 finiteness theorems (F) and (K) pinned there hold."""
 from __future__ import annotations
@@ -24,6 +25,7 @@ from starkit.corpus import (CorpusFile, _random_category, canonical_key,  # noqa
                             category_block, parse, serialize)
 from tests.test_differential import (_all_mono, _has_weak_kernel_pairs,  # noqa: E402
                                      _has_weak_products, _inline_kernels, _thin,
+                                     compare_coequalizers_and_pointed_ideal,
                                      oracle_equalizer, oracle_pullback)
 
 SWEPT, MAX_MORPHISMS = 5, 8
@@ -92,6 +94,14 @@ def test_kernels_match_their_inline_definition(seed):
         for f in C.morphism_names:
             for mode in (WEAK, STRICT):
                 assert kernels(M, f, mode) == _inline_kernels(M, f, mode)
+
+
+# Few draws are regular: 30 draws give none, 200 give covers of regular ones
+# (7 covers); none of these 200 is pointed.
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seeds)
+def test_coequalizers_and_the_pointed_ideal_match_the_searches_they_replace(seed):
+    compare_coequalizers_and_pointed_ideal(_draw(seed))
 
 
 def _associative(raw: RawCategory) -> bool:
