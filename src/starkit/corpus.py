@@ -459,7 +459,24 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
 
     Backtracking with unit propagation: whenever a triple's equation has one
     unknown cell left, that cell is forced, so contradictions surface at the
-    earliest possible node."""
+    earliest possible node.
+
+    Lex-leader symmetry breaking (Distler, Jefferson, Kelsey and Kotthoff,
+    "The semigroups of order 10", CP 2012).  A relabelling sigma permutes the
+    non-identity morphisms within runs of equal type (``types`` is sorted),
+    and sigma(T)[g, f] = sigma(T[sigma^-1 g, sigma^-1 f]).  A node is pruned
+    when, walking the pair positions in order, some sigma(T) first differs
+    from T on a decided cell by being smaller; an undecided cell ends the
+    walk.  Only tables that are least in their orbit are yielded, in the
+    same order as without pruning:
+    - the search yields tables in lexicographic order of the pair vector,
+      since ``pos`` is the first undecided cell, propagation only fills
+      later cells, and candidates are tried in ascending order;
+    - so a pruned T has sigma(T) < T, an isomorphic table of the same types
+      that was yielded earlier, and T is never the first table of its
+      isomorphism class;
+    - ``enumerate_categories`` builds each category from its canonical key,
+      never from the table, so it emits the same keys in the same order."""
     m = len(types)
     if m == 0:
         yield {}
@@ -481,19 +498,16 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
         yield {}
         return
 
-    # Root symmetry pruning: before anything is assigned, non-identity
-    # morphisms of equal type are interchangeable, so for the first cell we
-    # keep one candidate per orbit under permutations fixing its operands.
-    g0, f0 = pairs[0]
-    seen_type: set[tuple[int, int]] = set()
-    pruned = []
-    for h in candidates[0]:
-        if h < k or h in (g0, f0):
-            pruned.append(h)
-        elif (dom[h], cod[h]) not in seen_type:
-            seen_type.add((dom[h], cod[h]))
-            pruned.append(h)
-    candidates[0] = pruned
+    # Each relabelling but the identity, with the position of its preimage
+    # pair (sigma^-1 g, sigma^-1 f) for every pair position (g, f).
+    runs = [list(run) for _, run in itertools.groupby(nonids, lambda j: types[j - k])]
+    identity = list(range(k + m))
+    relabellings = []
+    for parts in itertools.product(*(itertools.permutations(run) for run in runs)):
+        sigma = identity[:k] + [j for part in parts for j in part]
+        if sigma != identity:
+            inverse = sorted(identity, key=sigma.__getitem__)
+            relabellings.append((sigma, [pidx[(inverse[g], inverse[f])] for g, f in pairs]))
 
     triples = [(a, b, c) for a in nonids for b in nonids if cod[b] == dom[a]
                for c in nonids if cod[c] == dom[b]]
@@ -537,6 +551,16 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
                     queue.append(li)
         return True
 
+    def smaller_relabelling() -> bool:
+        for sigma, source in relabellings:
+            for i in range(total):
+                here, there = table[i], table[source[i]]
+                if here is None or there is None or sigma[there] > here:
+                    break
+                if sigma[there] < here:
+                    return True
+        return False
+
     def extend(pos: int) -> Iterator[dict]:
         while pos < total and table[pos] is not None:
             pos += 1
@@ -546,7 +570,7 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
         for h in candidates[pos]:
             trail = [pos]
             table[pos] = h
-            if propagate(pos, trail):
+            if propagate(pos, trail) and not smaller_relabelling():
                 yield from extend(pos + 1)
             for i in trail:
                 table[i] = None

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from starkit.corpus import CorpusFile, parse
+from starkit.corpus import CorpusFile, enumerate_categories, parse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = FIXTURES.parent / "src"
@@ -58,3 +58,9 @@ def ptset2(ptset2_corpus):
 @pytest.fixture(scope="session")
 def arrow():
     return load("arrow.fincat").category("Arrow")
+
+
+@pytest.fixture(scope="session")
+def enumerated6() -> list:
+    """Every category with at most 6 morphisms, in emission order."""
+    return list(enumerate_categories(6))

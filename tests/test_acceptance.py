@@ -221,7 +221,8 @@ def test_criterion_9_negative_direction_witness():
                                         budget=budget, seed=0)
     except Exhausted as e:
         message = str(e)
-        assert "examined=" in message and "max_morphisms=6" in message
+        assert "examined=3257 (search space exhausted)" in message
+        assert "max_morphisms=6" in message
         print(f"\nACCEPTANCE 9 negative-direction: PASS (explicit report: {message})")
         return
     # a found witness must actually exhibit the separation

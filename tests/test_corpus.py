@@ -12,6 +12,7 @@ from starkit.corpus import (CategoryBlock, CorpusResolutionError, IdealBlock,
 from tests.conftest import FIXTURES, FIXTURE_FILES
 
 import random
+from collections import Counter
 
 
 @pytest.mark.parametrize("name", FIXTURE_FILES)
@@ -88,14 +89,19 @@ def test_ideal_on_cover_resolves_to_subcategory(ptset2_corpus):
     assert ideal.members() == ("u",)
 
 
-def test_enumeration_counts():
-    # cumulative counts derived by hand: 1; +3 (two monoids and the discrete
-    # pair); +11 (seven 3-element monoids, arrow, two endo-plus-bystander,
-    # discrete); +55
+def test_enumeration_counts(enumerated6):
+    # per-size counts: 1; 3 (two monoids and the discrete pair); 11 (seven
+    # 3-element monoids, arrow, two endo-plus-bystander, discrete), derived
+    # by hand; then 55, 329, 2858.  The one-object column counts monoids up
+    # to isomorphism, OEIS A058129.
     assert sum(1 for _ in enumerate_categories(1)) == 1
     assert sum(1 for _ in enumerate_categories(2)) == 4
     assert sum(1 for _ in enumerate_categories(3)) == 15
     assert sum(1 for _ in enumerate_categories(4)) == 70
+    sizes = Counter(len(C.morphisms) for C in enumerated6)
+    monoids = Counter(len(C.morphisms) for C in enumerated6 if len(C.objects) == 1)
+    assert [sizes[n] for n in range(1, 7)] == [1, 3, 11, 55, 329, 2858]
+    assert [monoids[n] for n in range(1, 7)] == [1, 2, 7, 35, 228, 2237]
 
 
 def test_one_object_slice_against_independent_oracle():
