@@ -26,8 +26,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import (FinCategory, FullSubcategory, RawCategory, identity_name,
-                   morphism_flags, validate_category)
+from .core import (FinCategory, FullSubcategory, Morphism, RawCategory,
+                   identity_name, morphism_flags, validate_category)
 from .errors import BoundExceeded, CorpusSyntaxError, Exhausted, StarkitError
 from .ideals import (CoverWitness, Ideal, MultiPointedCategory,
                      enumerate_ideals, has_all_kernels, is_ideal,
@@ -453,30 +453,48 @@ def are_equivalent(C: FinCategory, D: FinCategory) -> bool:
 # -- enumeration of small categories -----------------------------------------
 
 def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
-    """All associative composition tables for k identities plus non-identity
-    morphisms with the given (dom, cod) types.  Morphism index i < k is the
-    identity of object i; index k + j is the j-th non-identity morphism.
+    """The canonical composition tables of one shape: every associative
+    table for k identities plus non-identity morphisms with the given
+    (dom, cod) types that is the least of its isomorphism class, as a dict
+    from composable pair to composite, in lexicographic order of the pair
+    vector.  Morphism index i < k is the identity of object i; index k + j
+    is the j-th non-identity morphism.  A shape whose type vector is not the
+    least of its class yields nothing.
 
     Backtracking with unit propagation: whenever a triple's equation has one
     unknown cell left, that cell is forced, so contradictions surface at the
     earliest possible node.
 
     Lex-leader symmetry breaking (Distler, Jefferson, Kelsey and Kotthoff,
-    "The semigroups of order 10", CP 2012).  A relabelling sigma permutes the
-    non-identity morphisms within runs of equal type (``types`` is sorted),
-    and sigma(T)[g, f] = sigma(T[sigma^-1 g, sigma^-1 f]).  A node is pruned
+    "The semigroups of order 10", CP 2012) over the full relabelling group
+    of the shape.  A relabelling sigma is an object permutation with
+    ``sorted(sigma(types)) == types``, combined with a bijection from each
+    run of equal-typed morphisms (``types`` is sorted) onto the run of its
+    image type; identities map by the object permutation.  It acts by
+    sigma(T)[g, f] = sigma(T[sigma^-1 g, sigma^-1 f]).  A node is pruned
     when, walking the pair positions in order, some sigma(T) first differs
     from T on a decided cell by being smaller; an undecided cell ends the
-    walk.  Only tables that are least in their orbit are yielded, in the
-    same order as without pruning:
+    walk.  This is exact:
     - the search yields tables in lexicographic order of the pair vector,
       since ``pos`` is the first undecided cell, propagation only fills
       later cells, and candidates are tried in ascending order;
-    - so a pruned T has sigma(T) < T, an isomorphic table of the same types
-      that was yielded earlier, and T is never the first table of its
-      isomorphism class;
-    - ``enumerate_categories`` builds each category from its canonical key,
-      never from the table, so it emits the same keys in the same order."""
+    - a pruned node has a decided prefix on which sigma(T) < T, so no
+      completion of it is least in its class; at a complete table the walk
+      decides every cell, so a table that survives is least;
+    - any isomorphism between two tables of the same type vector maps
+      identities to identities and each morphism to one of the image type,
+      so it is one of these relabellings, and each class with this type
+      vector has exactly one least table.
+    That table is ``_canonical_key(k, types, T)`` read as a pair vector
+    (the key minimises over the same relabellings once the type vector is
+    least)."""
+    symmetries = []
+    for perm in itertools.permutations(range(k)):
+        image = tuple(sorted((perm[a], perm[b]) for a, b in types))
+        if image < types:
+            return
+        if image == types:
+            symmetries.append(perm)
     m = len(types)
     if m == 0:
         yield {}
@@ -500,14 +518,20 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
 
     # Each relabelling but the identity, with the position of its preimage
     # pair (sigma^-1 g, sigma^-1 f) for every pair position (g, f).
-    runs = [list(run) for _, run in itertools.groupby(nonids, lambda j: types[j - k])]
+    runs = {t: list(run) for t, run in itertools.groupby(nonids, lambda j: types[j - k])}
+    sources = list(runs.values())
     identity = list(range(k + m))
     relabellings = []
-    for parts in itertools.product(*(itertools.permutations(run) for run in runs)):
-        sigma = identity[:k] + [j for part in parts for j in part]
-        if sigma != identity:
-            inverse = sorted(identity, key=sigma.__getitem__)
-            relabellings.append((sigma, [pidx[(inverse[g], inverse[f])] for g, f in pairs]))
+    for perm in symmetries:
+        targets = [runs[(perm[a], perm[b])] for a, b in runs]
+        for parts in itertools.product(*(itertools.permutations(run) for run in targets)):
+            sigma = list(perm) + [0] * m
+            for run, part in zip(sources, parts):
+                for j, image in zip(run, part):
+                    sigma[j] = image
+            if sigma != identity:
+                inverse = sorted(identity, key=sigma.__getitem__)
+                relabellings.append((sigma, [pidx[(inverse[g], inverse[f])] for g, f in pairs]))
 
     triples = [(a, b, c) for a in nonids for b in nonids if cod[b] == dom[a]
                for c in nonids if cod[c] == dom[b]]
@@ -578,49 +602,50 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
     yield from extend(0)
 
 
-def _build_category(name: str, key: tuple) -> FinCategory:
-    k, types, entries = key
+def _table_category(name: str, k: int, types: tuple, table: dict) -> FinCategory:
+    """The category of a composition table in ``_fill_tables`` form, built
+    without ``validate_category``: objects ``X<i>``, identities ``1_X<i>``,
+    non-identity morphisms ``f<j>``, and the composition map that
+    ``validate_category`` would build from the table's rows.  The table
+    must be associative; ``_fill_tables`` makes it so by construction."""
     objects = [f"X{i}" for i in range(k)]
-    morphisms = [(f"f{j}", f"X{t[0]}", f"X{t[1]}") for j, t in enumerate(types)]
-
-    def mor_name(index: int) -> str:
-        return identity_name(f"X{index}") if index < k else f"f{index - k}"
-
-    rows = []
-    pos = 0
-    for g, gt in enumerate(types):
-        for f, ft in enumerate(types):
-            if ft[1] != gt[0]:
-                continue
-            rows.append((f"f{g}", f"f{f}", mor_name(entries[pos])))
-            pos += 1
-    if pos != len(entries):
-        raise StarkitError(f"key of {name} has {len(entries)} table cells, types need {pos}")
-    return validate_category(RawCategory(name, objects, morphisms, rows))
+    morphisms = [Morphism(identity_name(x), x, x) for x in objects]
+    morphisms += [Morphism(f"f{j}", objects[a], objects[b]) for j, (a, b) in enumerate(types)]
+    names = [m.name for m in morphisms]
+    comp = {(names[g], names[f]): names[h] for (g, f), h in table.items()}
+    for m in morphisms:
+        comp[(m.name, identity_name(m.dom))] = m.name
+        comp[(identity_name(m.cod), m.name)] = m.name
+    return FinCategory(name, objects, morphisms, comp)
 
 
 def enumerate_categories(max_morphisms: int) -> Iterator[FinCategory]:
     """All categories with at most max_morphisms morphisms (identities
-    included), exhaustively, deduplicated up to isomorphism via canonical
-    relabelling.  Emission order is deterministic."""
+    included), one per isomorphism class, each built from the least table
+    of its class.  Emission order is deterministic: by morphism count, then
+    object count, then type vector (in ``combinations_with_replacement``
+    order, which is lexicographic), then table.
+
+    No canonical key and no re-validation is needed.  ``_fill_tables``
+    yields nothing for a type vector that some object permutation sorts to
+    a smaller one, so every class is met only at its least type vector,
+    the first of its vectors this loop reaches; there it yields exactly the
+    least table of each class (see ``_fill_tables``), which is associative
+    by construction.  So each class is emitted once, by the table
+    ``_canonical_key`` returns for it, at the position where the first
+    table of the class appears in the loop."""
     limit = _env_bound()
     if max_morphisms > limit:
         raise BoundExceeded(
             f"requested {max_morphisms} morphisms; enumeration cap is {limit}")
     count = 0
     for n in range(1, max_morphisms + 1):
-        seen: set[tuple] = set()
         for k in range(1, n + 1):
-            m = n - k
             type_space = list(itertools.product(range(k), repeat=2))
-            for types in itertools.combinations_with_replacement(type_space, m):
+            for types in itertools.combinations_with_replacement(type_space, n - k):
                 for table in _fill_tables(k, types):
-                    key = _canonical_key(k, types, table)
-                    if key in seen:
-                        continue
-                    seen.add(key)
                     count += 1
-                    yield _build_category(f"C{count}", key)
+                    yield _table_category(f"C{count}", k, types, table)
 
 
 def _random_category(rng: random.Random, lo: int, hi: int, name: str) -> FinCategory | None:
@@ -630,17 +655,18 @@ def _random_category(rng: random.Random, lo: int, hi: int, name: str) -> FinCate
     types = tuple(sorted((rng.randrange(k), rng.randrange(k)) for _ in range(n - k)))
     dom = list(range(k)) + [t[0] for t in types]
     cod = list(range(k)) + [t[1] for t in types]
-    entries = []
-    for gt in types:
-        for ft in types:
+    table = {}
+    for g, gt in enumerate(types, k):
+        for f, ft in enumerate(types, k):
             if ft[1] != gt[0]:
                 continue
             cands = [h for h in range(k + len(types)) if dom[h] == ft[0] and cod[h] == gt[1]]
             if not cands:
                 return None
-            entries.append(rng.choice(cands))
+            table[(g, f)] = rng.choice(cands)
+    # a random table is rarely associative, so it goes through the full check
     try:
-        return _build_category(name, (k, types, tuple(entries)))
+        return validate_category(_table_category(name, k, types, table).to_raw())
     except StarkitError:
         return None
 

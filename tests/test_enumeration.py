@@ -1,22 +1,24 @@
 """The lex-leader table filler against the filler it replaced, and the
-enumeration it drives pinned to its table count and to the benchmark's
-corpus file.
+enumeration it drives pinned to its table count, to independent figures and
+to the benchmark's corpus file.
 
 ``oracle_fill_tables`` is the unit-propagating backtracker without lex-leader
 pruning: it yields every associative table, except that at the first cell it
 keeps one candidate per orbit of interchangeable morphisms (a transposition
 that fixes the cell's operands maps each dropped table to a smaller one).
-Filtered by a brute-force lex-leader test over every type-preserving
-relabelling, it must give exactly the tables ``_fill_tables`` yields, in the
-same order."""
+Filtered by ``_canonical_key``, the brute-force minimum over every object
+and morphism relabelling, to the tables that are their own canonical form,
+it must give exactly the tables ``_fill_tables`` yields, in the same order."""
 from __future__ import annotations
 
 import gzip
 import itertools
+from collections import Counter
 from typing import Iterator
 
-from starkit.corpus import (CorpusFile, _fill_tables, category_block,
-                            serialize)
+from starkit.core import validate_category
+from starkit.corpus import (CorpusFile, _canonical_key, _fill_tables,
+                            category_block, serialize)
 from tests.conftest import FIXTURES
 
 ORACLE_SIZE = 5
@@ -115,19 +117,9 @@ def oracle_fill_tables(k: int, types: tuple) -> Iterator[dict]:
     yield from extend(0)
 
 
-def is_lex_leader(k: int, types: tuple, table: dict) -> bool:
-    """No relabelling of the non-identity morphisms that keeps every type
-    turns the table's pair vector into a smaller one."""
-    morphisms = range(k, k + len(types))
-    vector = [table[p] for p in sorted(table)]
-    for image in itertools.permutations(morphisms):
-        if any(types[a - k] != types[b - k] for a, b in zip(morphisms, image)):
-            continue
-        sigma = {**{i: i for i in range(k)}, **dict(zip(morphisms, image))}
-        relabelled = {(sigma[g], sigma[f]): sigma[h] for (g, f), h in table.items()}
-        if [relabelled[p] for p in sorted(relabelled)] < vector:
-            return False
-    return True
+def is_canonical(k: int, types: tuple, table: dict) -> bool:
+    """The table, read as its pair vector, is its own canonical key."""
+    return _canonical_key(k, types, table) == (k, types, tuple(table[p] for p in sorted(table)))
 
 
 def _shapes(max_morphisms: int):
@@ -143,17 +135,35 @@ def _shapes(max_morphisms: int):
 def test_fill_tables_yields_exactly_the_oracle_lex_leaders_in_order():
     shapes = tables = 0
     for k, types in _shapes(ORACLE_SIZE):
-        leaders = [t for t in oracle_fill_tables(k, types) if is_lex_leader(k, types, t)]
-        assert list(_fill_tables(k, types)) == leaders, (k, types)
+        canonical = [t for t in oracle_fill_tables(k, types) if is_canonical(k, types, t)]
+        assert list(_fill_tables(k, types)) == canonical, (k, types)
         shapes += 1
-        tables += len(leaders)
-    assert (shapes, tables) == (113, 582)
+        tables += len(canonical)
+    # one table per isomorphism class: 1 + 3 + 11 + 55 + 329
+    assert (shapes, tables) == (113, 399)
 
 
 def test_tables_filled_up_to_six_morphisms():
-    # 4,541 lex-leader tables for the 3,257 isomorphism classes; the filler
-    # without lex-leader pruning yields 165,293
-    assert sum(1 for k, types in _shapes(6) for _ in _fill_tables(k, types)) == 4541
+    # one table per isomorphism class, 3,257; pruning by morphism
+    # permutations alone yields 4,541, and no pruning 165,293
+    assert sum(1 for k, types in _shapes(6) for _ in _fill_tables(k, types)) == 3257
+
+
+def test_many_object_tables_of_seven_morphisms():
+    # 36,440 categories with 7 morphisms (OEIS A125696) minus 31,559 monoids
+    # of order 7 (OEIS A058129); the one-object column is left out for time
+    objects = Counter(k for k, types in _shapes(7) if k > 1 and k + len(types) == 7
+                      for _ in _fill_tables(k, types))
+    assert [objects[k] for k in range(2, 8)] == [4013, 716, 127, 21, 3, 1]
+    assert objects.total() == 36440 - 31559
+
+
+def test_enumerated_categories_equal_their_validated_tables(enumerated6):
+    # enumeration builds each category without validate_category
+    for C in enumerated6:
+        D = validate_category(C.to_raw())
+        assert (C.name, C.objects, C.morphisms) == (D.name, D.objects, D.morphisms)
+        assert C._comp == D._comp, C.name
 
 
 def test_enumeration_matches_the_pinned_corpus_byte_for_byte(enumerated6):
