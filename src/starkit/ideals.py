@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import FinCategory, FullSubcategory
+from .core import FinCategory, FullSubcategory, _sieve_sizes
 from .errors import BoundExceeded, IdealClosureViolation, PreconditionFailed
-from .limits import (STRICT, WEAK, _universal, image_factorization,
+from .limits import (STRICT, WEAK, _check_mode, image_factorization,
                      is_regular_category, pullback_cones, regular_epis)
 from .report import FAIL, INAPPLICABLE, PASS, Report
 
@@ -98,20 +98,29 @@ def ideal_closure(C: FinCategory, gens) -> Ideal:
     return Ideal(C, frozenset(carrier))
 
 
-def _kernel_factorizations(C: FinCategory, src: str, dst: str) -> int:
-    """How many morphisms u make dst∘u = src."""
-    return [C.compose(dst, u) for u in C.hom(C.dom(src), C.dom(dst))].count(src)
-
-
 def kernels(M: MultiPointedCategory, f: str, mode: str) -> list[str]:
     """All (weak) kernels of f for the ideal: morphisms k into dom(f) with
     f∘k in the ideal, through which every such morphism factors (uniquely in
-    strict mode).  Empty list means none exist."""
+    strict mode).  Empty list means none exist.
+
+    Decided by counting.  The candidates S = {k -> dom f : f∘k in N} are
+    closed under precomposition, since N is an ideal: f∘(k∘u) = (f∘k)∘u is in
+    N.  So for k in S the sieve {k∘u : u into dom k} is a subset of S, and
+    k is a weak kernel, every member of S being some k∘u, iff the sieve is
+    all of S, i.e. iff it has |S| members.  k is a strict kernel iff, in
+    addition, u -> k∘u is injective, i.e. iff exactly |S| morphisms u go
+    into dom k.  The sieve size depends on k alone, so one table per
+    category serves every ideal, morphism and mode.
+    """
     C = M.cat
 
     def compute():
+        _check_mode(mode)
         candidates = [k for k in C.morphisms_to(C.dom(f)) if C.compose(f, k) in M.ideal]
-        return _universal(C, candidates, _kernel_factorizations, mode)
+        size = len(candidates)
+        sieve = _sieve_sizes(C)
+        return [k for k in candidates if sieve[k] == size
+                and (mode == WEAK or len(C.morphisms_to(C.dom(k))) == size)]
 
     return C._memo(("kernels", M.ideal.carrier, f, mode), compute)
 

@@ -1,9 +1,11 @@
 """Weak and strict finite limits, coequalizers, regular epis, regularity.
 
 Everything here is decided by exhaustive search over the composition table,
-and every universal property by the one filter _universal: the limit cones
-are the cones through which every cone factors, the coequalizers the
-coequalizing morphisms through which every coequalizing morphism factors.
+and the universal properties of limits and coequalizers by the one filter
+_universal: the limit cones are the cones through which every cone factors,
+the coequalizers the coequalizing morphisms through which every coequalizing
+morphism factors.  Ideal kernels are decided by counting instead (see
+ideals.kernels).
 
 A limit shape is a list of objects, one leg each, plus equations (a, i, b, j)
 meaning a∘legs[i] == b∘legs[j]; unlabelled legs let a shape repeat an object
@@ -74,10 +76,22 @@ def _cone_factorizations(C: FinCategory, src: Cone, dst: Cone) -> int:
                        for m_dst, m_src in zip(dst.legs, src.legs))])
 
 
-def _universal(C: FinCategory, candidates: list, count, mode: str) -> list:
+def _into_apex(C: FinCategory, cone: Cone) -> tuple[str, ...]:
+    """The morphisms u that act on a cone: each gives the cone cone∘u."""
+    return C.morphisms_to(cone.apex)
+
+
+def _universal(C: FinCategory, candidates: list, count, acting, mode: str) -> list:
     """The candidates through which every candidate factors: at least once in
     weak mode, exactly once in strict mode, as count(C, src, dst) counts the
     factorizations of src through dst.
+
+    acting(C, dst) gives the morphisms u acting on dst, each of which turns
+    dst into a candidate again, and every factorization of a candidate
+    through dst is one of them.  So the n candidates' factorization sets
+    through dst partition acting(C, dst): a weakly universal dst has at least
+    n acting morphisms, a strict one exactly n, and every other candidate is
+    skipped before any count.
 
     "src factors through dst" is a preorder (identities, composition): weak
     limits are its tops, strict limits its terminal objects.  So
@@ -92,10 +106,14 @@ def _universal(C: FinCategory, candidates: list, count, mode: str) -> list:
     # Plain loops: all() over a generator measured slower on the many small
     # candidate lists of the sweep workload.
     strict = mode == STRICT
+    size = len(candidates)
     out = []
     below = 0  # candidates before this index are ruled out by (a)
     for i, cand in enumerate(candidates):
         if i < below:
+            continue
+        reach = len(acting(C, cand))
+        if reach < size or (strict and reach != size):
             continue
         if out:
             if count(C, out[0], cand) and (not strict or count(C, cand, cand) == 1):
@@ -115,7 +133,8 @@ def _universal(C: FinCategory, candidates: list, count, mode: str) -> list:
 
 def _limit_cones(C: FinCategory, objects: list[str],
                  equations: list[tuple[str, int, str, int]], mode: str) -> list[Cone]:
-    return _universal(C, _all_cones(C, objects, equations), _cone_factorizations, mode)
+    return _universal(C, _all_cones(C, objects, equations), _cone_factorizations,
+                      _into_apex, mode)
 
 
 def limit_cones(C: FinCategory, diagram: Diagram, mode: str) -> list[Cone]:
@@ -215,6 +234,11 @@ def _coequalizer_factorizations(C: FinCategory, src: str, dst: str) -> int:
     return [C.compose(u, dst) for u in C.hom(C.cod(dst), C.cod(src))].count(src)
 
 
+def _out_of_codomain(C: FinCategory, q: str) -> tuple[str, ...]:
+    """The morphisms u that act on a coequalizing q: each gives u∘q."""
+    return C.morphisms_from(C.cod(q))
+
+
 def coequalizers(C: FinCategory, p: ParallelPair) -> list[str]:
     """All coequalizers of p, in input order: the morphisms q out of cod p
     with q∘f1 = q∘f2 through which every such morphism factors exactly once."""
@@ -222,7 +246,8 @@ def coequalizers(C: FinCategory, p: ParallelPair) -> list[str]:
 
     def compute():
         candidates = [q for q in C.morphisms_from(C.cod(p.f1)) if coequalizes(C, q, p)]
-        return _universal(C, candidates, _coequalizer_factorizations, STRICT)
+        return _universal(C, candidates, _coequalizer_factorizations,
+                          _out_of_codomain, STRICT)
 
     return C._memo(("coequalizers", p.f1, p.f2), compute)
 

@@ -2,18 +2,27 @@
 sweeps one notch above the acceptance bound."""
 from __future__ import annotations
 
+import gzip
 import itertools
+import json
+from collections import Counter
+from pathlib import Path
+
+import pytest
 
 from starkit import (CoverWitness, Ideal, MultiPointedCategory,
                      PreconditionFailed, STRICT, check_corollary_d,
                      check_theorem_a, check_theorem_c, enumerate_ideals,
-                     extend_ideal, full_subcategory, has_weak_finite_limits,
-                     is_projective_cover, is_regular_category, is_star_regular,
-                     kernels, morphism_flags, nc_kernel_via_cover,
-                     pointed_ideal, regular_completion, restrict_ideal,
+                     extend_ideal, full_subcategory, has_all_kernels,
+                     has_weak_finite_limits, is_projective_cover,
+                     is_regular_category, is_star_regular, kernels,
+                     morphism_flags, nc_kernel_via_cover, pointed_ideal,
+                     regular_completion, restrict_ideal,
                      verify_galois_and_iso, verify_lemma_a)
 from starkit.corpus import enumerate_categories, parse
 from starkit.ideals import sample_ideals
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 ISO_PAIR_TEXT = ("category Pair\nobjects A B\nmor x : A -> B\nmor y : B -> A\n"
                  "comp x y = 1_B\ncomp y x = 1_A\nend\n")
@@ -101,6 +110,27 @@ def test_theorem_sweep_at_five_morphisms():
             if check_corollary_d(M).verdict == "FAIL":
                 fails += 1
     assert fails == 0
+
+
+@pytest.mark.slow
+def test_kernel_statement_totals_over_the_pinned_six_morphism_corpus():
+    # the theorem-a, corollary-d and star-regular totals the benchmark pins
+    # for its sweep, replayed from its two files alone
+    expected = json.loads((PERFBENCH / "expected.json").read_text("utf-8"))["sweep"]
+    corpus = parse(gzip.decompress((PERFBENCH / expected["corpus"]).read_bytes())
+                   .decode("utf-8"))
+    totals: Counter = Counter()
+    for name in corpus.category_names():
+        C = corpus.category(name)
+        for N in enumerate_ideals(C):
+            M = MultiPointedCategory(C, N)
+            totals[f"theorem-a={check_theorem_a(M).verdict}"] += 1
+            totals[f"corollary-d={check_corollary_d(M).verdict}"] += 1
+            if has_all_kernels(M, STRICT):
+                totals[f"star-regular={is_star_regular(M).verdict}"] += 1
+    checks = ("theorem-a=", "corollary-d=", "star-regular=")
+    assert dict(totals) == {key: n for key, n in expected["totals"].items()
+                            if key.startswith(checks)}
 
 
 def test_theorem_c_on_completions_with_extendable_ideals(chain3):

@@ -4,10 +4,11 @@ terminal objects, products, kernel pairs, pullbacks and equalizers, whose
 searches leave out the legs the other legs determine and skip candidates the
 universality filter has already decided, against an inline search of the
 node-and-edge definition that searches every leg and compares every pair of
-cones, and ideal kernels read off the shared filter against their inline
-definition.  Regularity and weak finite limits, decided by a terminal object
-and binary products alone, are compared with their full definitions, and the
-finiteness theorems (F) and (K) that justify this are pinned over the sweep.
+cones, and ideal kernels and the mono flag, both read off sieve sizes,
+against their inline definitions.  Regularity and weak finite limits, decided
+by a terminal object and binary products alone, are compared with their full
+definitions, and the finiteness theorems (F) and (K) that justify this are
+pinned over the sweep.
 Coequalizers and regular epis, read off the same filter, the pointed ideal,
 read off the zero of one endomorphism monoid, and regular completions, whose
 product clause (F) makes redundant, are compared with the searches they
@@ -27,6 +28,7 @@ from starkit import (FAIL, PASS, STRICT, WEAK, CoverWitness,
                      pullback_cones, regular_completion, regular_epis,
                      terminal_cones)
 from starkit.corpus import enumerate_categories, parse
+from starkit.limits import Cone, _cone_factorizations, _into_apex, _universal
 from tests.conftest import load
 
 SMALL = 5
@@ -246,6 +248,17 @@ def test_terminals_and_products_match_their_diagrams():
                for C in [*_categories(), retract]) == 2760
     assert [c.apex for c in terminal_cones(retract, STRICT)] == ["T"]
     assert [c.apex for c in terminal_cones(retract, WEAK)] == ["T", "E"]
+    # The strict filter skips the cone at E before any count: three morphisms
+    # act on it, and a strict limit has exactly one per cone, here two.
+    asked = []
+
+    def count(C, src, dst):
+        asked.append(dst.apex)
+        return _cone_factorizations(C, src, dst)
+
+    cones = [Cone("T", ()), Cone("E", ())]
+    assert _universal(retract, cones, count, _into_apex, STRICT) == cones[:1]
+    assert asked == ["T", "T"]
 
 
 def _completions(name: str, times: int) -> list:
@@ -279,9 +292,18 @@ def _inline_kernels(M: MultiPointedCategory, f: str, mode: str) -> list[str]:
     return [k for k in candidates if through(k)]
 
 
+def _inline_mono(C, f: str) -> bool:
+    x = C.dom(f)
+    return not any(a != b and C.compose(f, a) == C.compose(f, b)
+                   for w in C.objects for a in C.hom(w, x) for b in C.hom(w, x))
+
+
 def test_kernels_match_their_inline_definition():
+    # kernels and the mono flag both read the sieve sizes
     compared = 0
-    for C in enumerate_categories(SMALL):
+    for C in [*_categories(), parse(RETRACT).category("Ret"), *_completions("Arrow", 1)]:
+        for f in C.morphism_names:
+            assert morphism_flags(C, f).mono == _inline_mono(C, f), (C.to_raw(), f)
         for N in enumerate_ideals(C):
             M = MultiPointedCategory(C, N)
             for f in C.morphism_names:
@@ -289,7 +311,8 @@ def test_kernels_match_their_inline_definition():
                     assert kernels(M, f, mode) == _inline_kernels(M, f, mode), \
                         (C.to_raw(), N.members(), f, mode)
                     compared += 1
-    assert compared == 23850
+    # ideals x morphisms x modes of KP, Ret and Completion(Arrow) after the sweep
+    assert compared == 23850 + 2 * (7 * 11 + 3 * 5 + 5 * 7)
 
 
 def oracle_missing_finite_limit(C, mode: str) -> str | None:
