@@ -461,9 +461,15 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
     is the j-th non-identity morphism.  A shape whose type vector is not the
     least of its class yields nothing.
 
-    Backtracking with unit propagation: whenever a triple's equation has one
-    unknown cell left, that cell is forced, so contradictions surface at the
-    earliest possible node.
+    Backtracking with propagation.  The equation of a triple (a, b, c) of
+    non-identities reads the cells (a, b), (b, c), (T[a,b], c) and
+    (a, T[b,c]).  It is read when (a, b) or (b, c) is decided, and when
+    (v, c) is decided while (a, b) holds v.  So it is read once its first
+    three cells are decided, and then its last cell is compared with them
+    or forced: a complete table is associative, and most contradictions
+    surface before the table is complete.  Propagation decides only forced
+    cells, so it loses no table, and what a shape yields does not depend on
+    how much it forces.
 
     Lex-leader symmetry breaking (Distler, Jefferson, Kelsey and Kotthoff,
     "The semigroups of order 10", CP 2012) over the full relabelling group
@@ -487,7 +493,17 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
       vector has exactly one least table.
     That table is ``_canonical_key(k, types, T)`` read as a pair vector
     (the key minimises over the same relabellings once the type vector is
-    least)."""
+    least).
+
+    The walks are resumed, not restarted.  A walk that stops at an
+    undecided cell, T[g, f] or the preimage cell it is compared with, waits
+    on that cell with its position, and the node that decides the cell walks
+    it on from there.  This decides what a walk from cell 0 would, since a
+    cell decided at a node keeps its value in the node's whole subtree: the
+    cells a walk passed still tie; a relabelling whose walk met a larger
+    decided cell meets it again at every descendant, so it is dropped for
+    the subtree; and one that ties on every cell is an automorphism of a
+    complete table, which prunes nothing."""
     symmetries = []
     for perm in itertools.permutations(range(k)):
         image = tuple(sorted((perm[a], perm[b]) for a, b in types))
@@ -516,12 +532,15 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
         yield {}
         return
 
-    # Each relabelling but the identity, with the position of its preimage
-    # pair (sigma^-1 g, sigma^-1 f) for every pair position (g, f).
+    # waiting[i]: the relabellings whose walk stopped at the undecided cell
+    # i, each with the position it resumes from.  Each relabelling but the
+    # identity comes with the position of its preimage pair
+    # (sigma^-1 g, sigma^-1 f) for every pair position (g, f), and first
+    # waits on cell 0.
+    waiting: list[list[tuple]] = [[] for _ in range(total)]
     runs = {t: list(run) for t, run in itertools.groupby(nonids, lambda j: types[j - k])}
     sources = list(runs.values())
     identity = list(range(k + m))
-    relabellings = []
     for perm in symmetries:
         targets = [runs[(perm[a], perm[b])] for a, b in runs]
         for parts in itertools.product(*(itertools.permutations(run) for run in targets)):
@@ -531,59 +550,86 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
                     sigma[j] = image
             if sigma != identity:
                 inverse = sorted(identity, key=sigma.__getitem__)
-                relabellings.append((sigma, [pidx[(inverse[g], inverse[f])] for g, f in pairs]))
+                waiting[0].append(
+                    (sigma, [pidx[(inverse[g], inverse[f])] for g, f in pairs], 0))
 
-    triples = [(a, b, c) for a in nonids for b in nonids if cod[b] == dom[a]
-               for c in nonids if cod[c] == dom[b]]
-    # A triple's equation touches pairs (a,b), (b,c), (T[a,b], c), (a, T[b,c]);
-    # the last two are caught by matching on the fixed end of the pair.
-    touching: list[list[tuple[int, int, int]]] = [[] for _ in range(total)]
-    for t in triples:
-        a, b, c = t
-        affected = {pidx[(a, b)], pidx[(b, c)]}
-        for i, (g, f) in enumerate(pairs):
-            if f == c or g == a:
-                affected.add(i)
-        for i in affected:
-            touching[i].append(t)
+    # A triple's record: the positions of (a, b) and (b, c), the positions
+    # left[v] of (v, c) and right[v] of (a, v), or -1 where v is an
+    # identity, and a and c.  own[i] holds the records of the triples with
+    # (a, b) or (b, c) at cell i, and by_ab[i][c] the record of the triple
+    # with (a, b) at cell i.
+    after = {f: [pidx.get((v, f), -1) for v in identity] for f in nonids}
+    before = {g: [pidx.get((g, v), -1) for v in identity] for g in nonids}
+    own: list[list[tuple]] = [[] for _ in range(total)]
+    by_ab: list[list] = [[None] * (k + m) for _ in range(total)]
+    for a in nonids:
+        for b in nonids:
+            if cod[b] != dom[a]:
+                continue
+            ab = pidx[(a, b)]
+            for c in nonids:
+                if cod[c] != dom[b]:
+                    continue
+                bc = pidx[(b, c)]
+                record = (ab, bc, after[c], before[a], a, c)
+                own[ab].append(record)
+                own[bc].append(record)
+                by_ab[ab][c] = record
 
     table: list[int | None] = [None] * total
+    # holding[v]: the decided cells whose value is v, in the order decided
+    holding: list[list[int]] = [[] for _ in identity]
 
     def propagate(start: int, trail: list[int]) -> bool:
         queue = [start]
         while queue:
             qi = queue.pop()
-            for a, b, c in touching[qi]:
-                ab = b if a < k else a if b < k else table[pidx[(a, b)]]
-                bc = c if b < k else b if c < k else table[pidx[(b, c)]]
-                if ab is None or bc is None:
+            g, f = pairs[qi]
+            records = own[qi] + [by_ab[p][f] for p in holding[g]]
+            for ab, bc, left, right, a, c in records:
+                v, w = table[ab], table[bc]
+                if v is None or w is None:
                     continue
-                li = None if ab < k else pidx[(ab, c)]
-                ri = None if bc < k else pidx[(a, bc)]
-                left = c if li is None else table[li]
-                right = a if ri is None else table[ri]
-                if left is not None and right is not None:
-                    if left != right:
-                        return False
-                elif left is not None:
-                    table[ri] = left
+                li, ri = left[v], right[w]
+                lhs = c if li < 0 else table[li]
+                rhs = a if ri < 0 else table[ri]
+                if lhs is None:
+                    if rhs is not None:
+                        table[li] = rhs
+                        holding[rhs].append(li)
+                        trail.append(li)
+                        queue.append(li)
+                elif rhs is None:
+                    table[ri] = lhs
+                    holding[lhs].append(ri)
                     trail.append(ri)
                     queue.append(ri)
-                elif right is not None:
-                    table[li] = right
-                    trail.append(li)
-                    queue.append(li)
+                elif lhs != rhs:
+                    return False
         return True
 
-    def smaller_relabelling() -> bool:
-        for sigma, source in relabellings:
-            for i in range(total):
-                here, there = table[i], table[source[i]]
-                if here is None or there is None or sigma[there] > here:
+    def resume(decided: list[int], moved: list[int]) -> bool:
+        """Walk on every relabelling that waits on a newly decided cell, and
+        put it to wait on the next undecided cell, noted in ``moved``; False
+        as soon as one makes T smaller."""
+        for x in decided:
+            for sigma, source, start in waiting[x]:
+                for i in range(start, total):
+                    here, there = table[i], table[source[i]]
+                    if here is None:
+                        cell = i
+                    elif there is None:
+                        cell = source[i]
+                    elif sigma[there] == here:
+                        continue
+                    elif sigma[there] < here:
+                        return False
+                    else:
+                        break
+                    waiting[cell].append((sigma, source, i))
+                    moved.append(cell)
                     break
-                if sigma[there] < here:
-                    return True
-        return False
+        return True
 
     def extend(pos: int) -> Iterator[dict]:
         while pos < total and table[pos] is not None:
@@ -594,9 +640,15 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
         for h in candidates[pos]:
             trail = [pos]
             table[pos] = h
-            if propagate(pos, trail) and not smaller_relabelling():
-                yield from extend(pos + 1)
+            holding[h].append(pos)
+            if propagate(pos, trail):
+                moved: list[int] = []
+                if resume(trail, moved):
+                    yield from extend(pos + 1)
+                for cell in moved:
+                    waiting[cell].pop()
             for i in trail:
+                holding[table[i]].pop()
                 table[i] = None
 
     yield from extend(0)

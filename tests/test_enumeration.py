@@ -8,7 +8,10 @@ keeps one candidate per orbit of interchangeable morphisms (a transposition
 that fixes the cell's operands maps each dropped table to a smaller one).
 Filtered by ``_canonical_key``, the brute-force minimum over every object
 and morphism relabelling, to the tables that are their own canonical form,
-it must give exactly the tables ``_fill_tables`` yields, in the same order."""
+it must give exactly the tables ``_fill_tables`` yields, in the same order.
+It is run on every shape of at most ``ORACLE_SIZE`` morphisms, and on the
+many-object shapes of ``ORACLE_SIZE + 1``, whose relabellings mix object
+permutations with morphism permutations."""
 from __future__ import annotations
 
 import gzip
@@ -16,9 +19,11 @@ import itertools
 from collections import Counter
 from typing import Iterator
 
-from starkit.core import validate_category
+import pytest
+
+from starkit.core import enumerate_reflexive_graphs, validate_category
 from starkit.corpus import (CorpusFile, _canonical_key, _fill_tables,
-                            category_block, serialize)
+                            _table_category, category_block, serialize)
 from tests.conftest import FIXTURES
 
 ORACLE_SIZE = 5
@@ -132,15 +137,29 @@ def _shapes(max_morphisms: int):
                 yield k, types
 
 
-def test_fill_tables_yields_exactly_the_oracle_lex_leaders_in_order():
-    shapes = tables = 0
-    for k, types in _shapes(ORACLE_SIZE):
+def _many_object_shapes(n: int):
+    """The shapes of exactly n morphisms on at least two objects."""
+    return [(k, types) for k, types in _shapes(n) if k > 1 and k + len(types) == n]
+
+
+def _oracle_tables(shapes) -> tuple[int, int]:
+    """Check ``_fill_tables`` against the oracle on every shape; the number
+    of shapes and of tables."""
+    count = tables = 0
+    for k, types in shapes:
         canonical = [t for t in oracle_fill_tables(k, types) if is_canonical(k, types, t)]
         assert list(_fill_tables(k, types)) == canonical, (k, types)
-        shapes += 1
+        count += 1
         tables += len(canonical)
+    return count, tables
+
+
+def test_fill_tables_yields_exactly_the_oracle_lex_leaders_in_order():
     # one table per isomorphism class: 1 + 3 + 11 + 55 + 329
-    assert (shapes, tables) == (113, 399)
+    assert _oracle_tables(_shapes(ORACLE_SIZE)) == (113, 399)
+    # 2,858 categories with 6 morphisms (OEIS A125696) minus 2,237 monoids
+    # of order 6 (OEIS A058129)
+    assert _oracle_tables(_many_object_shapes(ORACLE_SIZE + 1)) == (362, 2858 - 2237)
 
 
 def test_tables_filled_up_to_six_morphisms():
@@ -149,13 +168,43 @@ def test_tables_filled_up_to_six_morphisms():
     assert sum(1 for k, types in _shapes(6) for _ in _fill_tables(k, types)) == 3257
 
 
-def test_many_object_tables_of_seven_morphisms():
+@pytest.fixture(scope="module")
+def many_object_tables7() -> list[tuple]:
+    """(k, types, table) for every many-object category of 7 morphisms."""
+    return [(k, types, table) for k, types in _many_object_shapes(7)
+            for table in _fill_tables(k, types)]
+
+
+def test_many_object_tables_of_seven_morphisms(many_object_tables7):
     # 36,440 categories with 7 morphisms (OEIS A125696) minus 31,559 monoids
-    # of order 7 (OEIS A058129); the one-object column is left out for time
-    objects = Counter(k for k, types in _shapes(7) if k > 1 and k + len(types) == 7
-                      for _ in _fill_tables(k, types))
+    # of order 7 (OEIS A058129), which the next test counts
+    objects = Counter(k for k, _, _ in many_object_tables7)
     assert [objects[k] for k in range(2, 8)] == [4013, 716, 127, 21, 3, 1]
     assert objects.total() == 36440 - 31559
+
+
+@pytest.mark.slow
+def test_monoids_of_order_seven():
+    # OEIS A058129; with the many-object tables, all 36,440 categories of 7
+    assert sum(1 for _ in _fill_tables(1, ((0, 0),) * 6)) == 31559
+
+
+def test_reflexive_graphs_with_distinct_legs_first_appear_at_seven_morphisms(
+        enumerated6, many_object_tables7):
+    """A reflexive graph (d, c, e) with d != c needs two objects.  In a
+    finite monoid d∘e = 1 makes x -> e∘x injective, hence onto, so e∘y = 1
+    for some y, and y = d∘e∘y = d; then c = c∘e∘d = d.  So the monoid
+    column has none at any size.  Of the many-object categories of
+    7 morphisms exactly one has such graphs, and it has two; none of at
+    most 6 morphisms has any."""
+    assert not any(r.d != r.c for C in enumerated6 for r in enumerate_reflexive_graphs(C))
+    found = []
+    for i, (k, types, table) in enumerate(many_object_tables7):
+        C = _table_category(f"C{i}", k, types, table)
+        graphs = [r for r in enumerate_reflexive_graphs(C) if r.d != r.c]
+        if graphs:
+            found.append(len(graphs))
+    assert found == [2]
 
 
 def test_enumerated_categories_equal_their_validated_tables(enumerated6):
