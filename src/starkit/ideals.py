@@ -110,19 +110,21 @@ def kernels(M: MultiPointedCategory, f: str, mode: str) -> list[str]:
     all of S, i.e. iff it has |S| members.  k is a strict kernel iff, in
     addition, u -> k∘u is injective, i.e. iff exactly |S| morphisms u go
     into dom k.  The sieve size depends on k alone, so one table per
-    category serves every ideal, morphism and mode.
+    category serves every ideal, morphism and mode, and one memo entry per
+    (ideal, f) holds both lists.
     """
     C = M.cat
+    _check_mode(mode)
 
     def compute():
-        _check_mode(mode)
         candidates = [k for k in C.morphisms_to(C.dom(f)) if C.compose(f, k) in M.ideal]
         size = len(candidates)
         sieve = _sieve_sizes(C)
-        return [k for k in candidates if sieve[k] == size
-                and (mode == WEAK or len(C.morphisms_to(C.dom(k))) == size)]
+        weak = [k for k in candidates if sieve[k] == size]
+        return weak, [k for k in weak if len(C.morphisms_to(C.dom(k))) == size]
 
-    return C._memo(("kernels", M.ideal.carrier, f, mode), compute)
+    weak, strict = C._memo(("kernels", M.ideal.carrier, f), compute)
+    return weak if mode == WEAK else strict
 
 
 def has_all_kernels(M: MultiPointedCategory, mode: str) -> bool:
@@ -143,17 +145,18 @@ def pointed_ideal(C: FinCategory) -> Ideal | None:
     """
     def compute():
         if not C.objects:
-            return Ideal(C, frozenset())  # no hom-sets to meet
+            return frozenset()  # no hom-sets to meet
         ends = C.hom(C.objects[0], C.objects[0])
         zero = next((z for z in ends
                      if all(C.compose(e, z) == z == C.compose(z, e) for e in ends)), None)
         if zero is None:
             return None
-        N = ideal_closure(C, [zero])
-        homs = {(C.dom(n), C.cod(n)) for n in N.carrier}
-        return N if len(homs) == len(N.carrier) == len(C.objects) ** 2 else None
+        carrier = ideal_closure(C, [zero]).carrier
+        homs = {(C.dom(n), C.cod(n)) for n in carrier}
+        return carrier if len(homs) == len(carrier) == len(C.objects) ** 2 else None
 
-    return C._memo("pointed_ideal", compute)
+    carrier = C._memo("pointed_ideal", compute)
+    return None if carrier is None else Ideal(C, carrier)
 
 
 def restrict_ideal(W: CoverWitness, N: Ideal) -> Ideal:

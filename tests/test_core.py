@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import gc
+import itertools
+import weakref
+
 import pytest
 
-from starkit import (InvalidCategory, ParallelPair, ReflexiveGraph,
-                     enumerate_reflexive_graphs, full_subcategory,
-                     is_jointly_monic, morphism_flags, validate_category)
+from starkit import (InvalidCategory, MultiPointedCategory, ParallelPair,
+                     ReflexiveGraph, check_corollary_b, check_corollary_c,
+                     check_corollary_d, check_theorem_a, check_theorem_c,
+                     enumerate_ideals, enumerate_reflexive_graphs,
+                     full_subcategory, is_jointly_monic, is_normal_category,
+                     is_star_regular, morphism_flags, validate_category)
 from starkit.core import RawCategory
 from starkit.corpus import are_isomorphic, enumerate_categories
+from tests.conftest import load
 
 
 def test_one_is_valid(one):
@@ -142,3 +150,33 @@ def test_full_subcategory_restriction(ptset2):
     assert sub.objects == ("S",)
     assert sub.morphism_names == ("1_S", "u")
     assert sub.compose("u", "u") == "u"
+
+
+def _checked_category(name: str) -> weakref.ref:
+    """Run every statement check on a fresh copy of a fixture category and
+    return a weak reference to it."""
+    C = load(f"{name.lower()}.fincat").category(name)
+    is_normal_category(C)
+    check_corollary_b(C)
+    for N in enumerate_ideals(C):
+        M = MultiPointedCategory(C, N)
+        check_theorem_a(M)
+        check_corollary_d(M)
+        is_star_regular(M)
+        check_corollary_c(C, N)
+        for r in range(1, len(C.objects) + 1):
+            for objs in itertools.combinations(C.objects, r):
+                check_theorem_c(C, full_subcategory(C, objs), N)
+    return weakref.ref(C)
+
+
+def test_statement_checks_leave_no_cycle_through_the_category():
+    # a category's caches must not refer back to it, or every checked
+    # category waits for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        refs = [_checked_category(name) for name in ("One", "PtSet2")]
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -12,23 +12,32 @@ pinned over the sweep.
 Coequalizers and regular epis, read off the same filter, the pointed ideal,
 read off the zero of one endomorphism monoid, and regular completions, whose
 product clause (F) makes redundant, are compared with the searches they
-replace."""
+replace.  The six statement checks, decided in closed form after their
+gates, are compared with the evaluators they replace."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
-from starkit import (FAIL, PASS, STRICT, WEAK, CoverWitness,
-                     MultiPointedCategory, ParallelPair, are_equivalent,
-                     coequalizer, coequalizers, enumerate_ideals,
-                     equalizer_cones, full_subcategory,
-                     has_weak_finite_limits, is_coequalizer,
-                     is_projective_cover, is_regular_category,
-                     is_regular_completion, kernel_pairs, kernels,
+from starkit import (ERROR, FAIL, INAPPLICABLE, PASS, STRICT, WEAK,
+                     CoverWitness, MultiPointedCategory, ParallelPair, Report,
+                     StarkitError, are_equivalent, check_corollary_b,
+                     check_corollary_c, check_corollary_d, check_theorem_a,
+                     check_theorem_c, coequalizer, coequalizers,
+                     enumerate_ideals, enumerate_reflexive_graphs,
+                     equalizer_cones, extend_ideal, full_subcategory,
+                     has_all_kernels, has_weak_finite_limits, is_coequalizer,
+                     is_jointly_monic, is_projective_cover,
+                     is_regular_category, is_regular_completion,
+                     is_star_regular, kernel_pairs, kernel_star, kernels,
                      morphism_flags, pointed_ideal, product_cones,
-                     pullback_cones, regular_completion, regular_epis,
+                     pullback_cones, reflexive_graphs_star_pi0,
+                     regular_completion, regular_epis, restrict_ideal,
                      terminal_cones)
 from starkit.corpus import enumerate_categories, parse
-from starkit.limits import Cone, _cone_factorizations, _into_apex, _universal
+from starkit.limits import (Cone, _cone_factorizations, _into_apex, _universal,
+                            coequalizes)
+from starkit.stars import _pair_passes, _star
 from tests.conftest import load
 
 SMALL = 5
@@ -576,3 +585,262 @@ def test_regular_epis_are_isos_and_pointed_ideals_zeros():
                 f"(F): {C.name} is pointed and regular, hence thin with every hom-set " \
                 "non-empty, so all its objects are isomorphic"
     assert (regular, pointed, pointed_regular) == (3, 135, 2)
+
+
+# The statement checks decide their verdicts in closed form once their gates
+# pass.  The oracles below are the evaluators they replace: each compares
+# reflexive graphs, kernel pairs, kernel stars or completions, and reports
+# a disagreement it finds instead of assuming there is none.
+
+def _first_failing(M: MultiPointedCategory, labelled_pairs) -> str:
+    """The label of the first (pair, label) whose pair fails star-pi0, or ""
+    when every pair passes."""
+    for p, label in labelled_pairs:
+        if not _pair_passes(M, p):
+            return label
+    return ""
+
+
+def oracle_theorem_a(M: MultiPointedCategory) -> Report:
+    C = M.cat
+    for f in C.morphism_names:
+        if not kernels(M, f, WEAK):
+            return Report("theorem-a", INAPPLICABLE, [f"no weak kernel for {f}"])
+    for f in C.morphism_names:
+        if not kernel_pairs(C, f, WEAK):
+            return Report("theorem-a", INAPPLICABLE, [f"no weak kernel pair for {f}"])
+
+    graphs = enumerate_reflexive_graphs(C)
+    failing = {
+        "(a)": _first_failing(M, ((ParallelPair(g.d, g.c), f"graph ({g.d}, {g.c}, {g.e})")
+                                  for g in graphs)),
+        "(b)": _first_failing(M, ((p, f"weak kernel pair ({p.f1}, {p.f2}) of {f}")
+                                  for f in C.morphism_names
+                                  for p in kernel_pairs(C, f, WEAK))),
+        "(c)": _first_failing(M, (
+            (ParallelPair(g.d, g.c), f"reflexive relation ({g.d}, {g.c}, {g.e})")
+            for g in graphs if is_jointly_monic(C, ParallelPair(g.d, g.c)))),
+        "(d)": _first_failing(M, ((p, f"kernel pair ({p.f1}, {p.f2}) of {f}")
+                                  for f in C.morphism_names
+                                  for p in kernel_pairs(C, f, STRICT))),
+    }
+
+    if len({not w for w in failing.values()}) == 1:
+        return Report("theorem-a", PASS, [f"{k}={not w}" for k, w in failing.items()])
+    lines = [f"{k}={not w}" + (f" via {w}" if w else "") for k, w in failing.items()]
+    return Report("theorem-a", FAIL, ["conditions disagree"] + lines)
+
+
+def oracle_star_regular(M: MultiPointedCategory) -> Report:
+    C = M.cat
+    rc = is_regular_category(C)
+    if not rc.passed:
+        return Report("star-regular", FAIL,
+                      [f"ambient category not regular: {rc.witnesses[0]}"])
+    for f in C.morphism_names:
+        if not kernels(M, f, STRICT):
+            return Report("star-regular", FAIL, [f"no kernel of {f} for the ideal"])
+
+    failing: list[str] = []
+    for f in sorted(regular_epis(C)):
+        sw = kernel_star(M, f)
+        if not coequalizes(C, f, sw.star):
+            raise StarkitError(f"regular epi {f} does not coequalize its kernel star")
+        if not is_coequalizer(C, f, sw.star):
+            failing.append(f"regular epi {f} is not a coequalizer of its kernel star "
+                           f"({sw.star.f1}, {sw.star.f2})")
+            break
+    clause_iii = not failing
+
+    graphs_ok, _ = reflexive_graphs_star_pi0(M)
+
+    if clause_iii != graphs_ok:
+        return Report("star-regular", ERROR, [
+            "cross-check disagreement: kernel-star clause is "
+            f"{clause_iii} but reflexive-graph criterion is {graphs_ok}"])
+    if failing:
+        return Report("star-regular", FAIL, failing)
+    return Report("star-regular", PASS, [])
+
+
+def oracle_normal(C) -> Report:
+    N = pointed_ideal(C)
+    if N is None:
+        return Report("normal", INAPPLICABLE, [f"{C.name} is not pointed"])
+    inner = oracle_star_regular(MultiPointedCategory(C, N))
+    return Report("normal", inner.verdict, inner.witnesses)
+
+
+def oracle_corollary_d(M: MultiPointedCategory) -> Report:
+    C = M.cat
+    for f in C.morphism_names:
+        if not kernels(M, f, WEAK):
+            return Report("corollary-d", INAPPLICABLE, [f"no weak kernel for {f}"])
+    for f in C.morphism_names:
+        wkps = kernel_pairs(C, f, WEAK)
+        if not wkps:
+            return Report("corollary-d", INAPPLICABLE, [f"no weak kernel pair for {f}"])
+        if coequalizer(C, wkps[0]) is None:
+            return Report("corollary-d", INAPPLICABLE,
+                          [f"weak kernel pair of {f} has no coequalizer"])
+
+    lhs_wit = next((f"regular epi {f} coequalizes no weak kernel star"
+                    for f in sorted(regular_epis(C))
+                    if not any(is_coequalizer(C, f, _star(C, p, k))
+                               for p in kernel_pairs(C, f, WEAK)
+                               for k in kernels(M, p.f1, WEAK))), "")
+    lhs = not lhs_wit
+    rhs, rhs_wit = reflexive_graphs_star_pi0(M)
+
+    if lhs == rhs:
+        return Report("corollary-d", PASS, [f"both sides {lhs}"])
+    return Report("corollary-d", FAIL, [
+        "sides disagree", f"coequalizer side={lhs} {lhs_wit}".strip(),
+        f"graph side={rhs} {rhs_wit}".strip()])
+
+
+def oracle_theorem_c(C, cover, N) -> Report:
+    if N.cat is not C:
+        raise ValueError("ideal must live on the ambient category")
+    if not is_regular_category(C).passed:
+        return Report("theorem-c", INAPPLICABLE, [f"{C.name} is not regular"])
+    M = MultiPointedCategory(C, N)
+    if not has_all_kernels(M, STRICT):
+        return Report("theorem-c", INAPPLICABLE, ["the ideal does not admit kernels"])
+    W = CoverWitness(C, cover)
+    if not is_projective_cover(W).passed:
+        return Report("theorem-c", INAPPLICABLE,
+                      [f"{cover.label} is not a projective cover"])
+
+    left_report = oracle_star_regular(M)
+    if left_report.verdict == ERROR:
+        return Report("theorem-c", ERROR, left_report.witnesses)
+    left = left_report.passed
+
+    sub = cover.category
+    MP = MultiPointedCategory(sub, restrict_ideal(W, N))
+    right, right_wit = reflexive_graphs_star_pi0(MP)
+
+    if left and not right:
+        return Report("theorem-c", FAIL, [
+            "ambient pair is star-regular but a cover graph fails star-pi0",
+            right_wit])
+    completion = is_regular_completion(C, cover).passed
+    if completion and right and not left:
+        return Report("theorem-c", FAIL, [
+            "cover graphs satisfy star-pi0 on a regular completion "
+            "but the ambient pair is not star-regular"] + left_report.witnesses)
+    return Report("theorem-c", PASS, [f"ambient star-regular={left}",
+                                      f"cover graphs star-pi0={right}",
+                                      f"regular completion={completion}"])
+
+
+def oracle_corollary_c(P, N) -> Report:
+    if N.cat is not P:
+        raise ValueError("ideal must live on the base category")
+    if not has_weak_finite_limits(P):
+        return Report("corollary-c", INAPPLICABLE, [f"{P.name} lacks weak finite limits"])
+    M = MultiPointedCategory(P, N)
+    if not has_all_kernels(M, WEAK):
+        return Report("corollary-c", INAPPLICABLE,
+                      ["the ideal does not admit weak kernels"])
+
+    compl = regular_completion(P)
+    extended = extend_ideal(compl.cover, compl.transport_ideal(N))
+    left_report = oracle_star_regular(MultiPointedCategory(compl.total, extended))
+    if left_report.verdict == ERROR:
+        return Report("corollary-c", ERROR, left_report.witnesses)
+    left = left_report.passed
+    right, right_wit = reflexive_graphs_star_pi0(M)
+
+    if left == right:
+        return Report("corollary-c", PASS, [f"both sides {left}"])
+    lines = ["sides disagree", f"completion star-regular={left}",
+             f"base graphs star-pi0={right}"]
+    if right_wit:
+        lines.append(right_wit)
+    lines.extend(left_report.witnesses)
+    return Report("corollary-c", FAIL, lines)
+
+
+def oracle_corollary_b(P) -> Report:
+    N = pointed_ideal(P)
+    if N is None:
+        return Report("corollary-b", INAPPLICABLE, [f"{P.name} is not pointed"])
+    if not has_weak_finite_limits(P):
+        return Report("corollary-b", INAPPLICABLE, [f"{P.name} lacks weak finite limits"])
+
+    compl = regular_completion(P)
+    failures: list[str] = []
+
+    normal_report = oracle_normal(compl.total)
+    if normal_report.verdict == ERROR:
+        return Report("corollary-b", ERROR, normal_report.witnesses)
+    right, right_wit = reflexive_graphs_star_pi0(MultiPointedCategory(P, N))
+    if normal_report.verdict == INAPPLICABLE:
+        failures.append("completion is not pointed")
+    elif normal_report.passed != right:
+        failures.append(f"completion normal={normal_report.passed} but base graphs "
+                        f"star-pi0={right}" + (f" ({right_wit})" if right_wit else ""))
+
+    M_total = pointed_ideal(compl.total)
+    if M_total is not None:
+        transported = compl.transport_ideal(N)
+        if extend_ideal(compl.cover, transported).carrier != M_total.carrier:
+            failures.append("extension of the base pointed ideal is not the "
+                            "completion's pointed ideal")
+        if restrict_ideal(compl.cover, M_total).carrier != transported.carrier:
+            failures.append("restriction of the completion's pointed ideal is not "
+                            "the base pointed ideal")
+
+    if failures:
+        return Report("corollary-b", FAIL, failures)
+    return Report("corollary-b", PASS, [f"normal={normal_report.passed}",
+                                        f"graphs star-pi0={right}",
+                                        "pointed ideal transfers both ways"])
+
+
+def compare_statement_checks(C) -> Counter:
+    """Assert that the six statement checks give their oracle's verdict and
+    witnesses on every ideal of C (and, for Theorem C, every cover), and
+    that a PASS rests on the premise its closed form uses: every morphism
+    mono for Theorem A and Corollary D, C thin for the others.  Return the
+    evaluations by (statement, verdict)."""
+    counts: Counter = Counter()
+    premises = {"mono": _all_mono(C), "thin": _thin(C)}
+
+    def compare(got: Report, want: Report, premise: str, *where) -> None:
+        assert (got.verdict, got.witnesses) == (want.verdict, want.witnesses), \
+            (C.to_raw(), got.name, where)
+        assert premises[premise] or not got.passed, (C.to_raw(), got.name, where)
+        counts[got.name, got.verdict] += 1
+
+    covers = _covers(C)
+    for N in enumerate_ideals(C, bound=len(C.morphisms)):
+        M = MultiPointedCategory(C, N)
+        compare(check_theorem_a(M), oracle_theorem_a(M), "mono", N.members())
+        compare(check_corollary_d(M), oracle_corollary_d(M), "mono", N.members())
+        compare(is_star_regular(M), oracle_star_regular(M), "thin", N.members())
+        for cover in covers:
+            compare(check_theorem_c(C, cover, N), oracle_theorem_c(C, cover, N), "thin",
+                    N.members(), cover.objects)
+        compare(check_corollary_c(C, N), oracle_corollary_c(C, N), "thin", N.members())
+    compare(check_corollary_b(C), oracle_corollary_b(C), "thin")
+    return counts
+
+
+def test_statement_checks_match_their_evaluators():
+    fixtures = [load(f"{name.lower()}.fincat").category(name)
+                for name in ("One", "Chain3", "PtSet2", "Arrow")]
+    cats = [*_categories(), parse(RETRACT).category("Ret"), parse(ZERO_TWICE).category("ZT"),
+            *fixtures, *_completions("Arrow", 2), *_completions("Chain3", 1)]
+    totals = sum(map(compare_statement_checks, cats), Counter())
+    assert len(cats) == 399 + 3 + 4 + 3  # sweep, KP, Ret, ZT, fixtures, completions
+    assert dict(totals) == {
+        ("theorem-a", PASS): 65, ("theorem-a", INAPPLICABLE): 2464,
+        ("corollary-d", PASS): 65, ("corollary-d", INAPPLICABLE): 2464,
+        ("star-regular", PASS): 21, ("star-regular", FAIL): 2508,
+        ("theorem-c", PASS): 251, ("theorem-c", INAPPLICABLE): 9086,
+        ("corollary-c", PASS): 21, ("corollary-c", INAPPLICABLE): 2508,
+        ("corollary-b", PASS): 3, ("corollary-b", INAPPLICABLE): 406,
+    }
