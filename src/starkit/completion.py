@@ -51,7 +51,11 @@ def _object_name(morphism: str) -> str:
 
 
 def regular_completion(P: FinCategory) -> Completion:
-    """Construct and validate the regular completion of a weakly-lex P."""
+    """Construct and validate the regular completion of a weakly-lex P.
+
+    The memo on P holds every field but the base, and a fresh Completion
+    wraps them on return, so no cached value refers back to P.
+    """
     def compute():
         if not has_weak_finite_limits(P):
             raise PreconditionFailed(f"{P.name} lacks weak finite limits")
@@ -89,12 +93,11 @@ def regular_completion(P: FinCategory) -> Completion:
 
         cover = CoverWitness(total, FullSubcategory(
             total, [embed_objects[x] for x in P.objects]))
-        result = Completion(P, total, embed_objects, embed_morphisms, cover,
-                            members_of)
-        _validate_completion(result)
-        return result
+        fields = (total, embed_objects, embed_morphisms, cover, members_of)
+        _validate_completion(Completion(P, *fields))
+        return fields
 
-    return P._memo("regular_completion", compute)
+    return Completion(P, *P._memo("regular_completion", compute))
 
 
 def _validate_completion(compl: Completion) -> None:

@@ -83,10 +83,12 @@ class FinCategory:
     """A validated finite category.
 
     Instances are immutable after construction and hash by identity, which
-    lets every expensive search cache its result per category.  Cached values
-    hold names and carriers, never the category itself, so a category is
-    freed without the cycle collector.  Do not build directly; go through
-    validate_category or the corpus loaders.
+    lets every expensive search cache its result per category.  Each
+    morphism also has a bit, ``_bit[name]``, the i-th for the i-th name of
+    ``morphism_names``, so a set of morphisms is an int mask (ideals carry
+    one).  Cached values hold names, carriers and masks, never the category
+    itself, so a category is freed without the cycle collector.  Do not
+    build directly; go through validate_category or the corpus loaders.
     """
 
     def __init__(self, name: str, objects: Sequence[str],
@@ -101,11 +103,15 @@ class FinCategory:
         self._hom: dict[tuple[str, str], tuple[str, ...]] = {}
         self._from: dict[str, tuple[str, ...]] = {x: () for x in self.objects}
         self._to: dict[str, tuple[str, ...]] = {x: () for x in self.objects}
+        self._bit: dict[str, int] = {}
+        bit = 1
         for m in self.morphisms:
             key = (m.dom, m.cod)
             self._hom[key] = self._hom.get(key, ()) + (m.name,)
             self._from[m.dom] = self._from[m.dom] + (m.name,)
             self._to[m.cod] = self._to[m.cod] + (m.name,)
+            self._bit[m.name] = bit
+            bit <<= 1
         self.morphism_names: tuple[str, ...] = tuple(m.name for m in self.morphisms)
         self._cache: dict = {}
 
@@ -339,13 +345,18 @@ def _sieve_sizes(C: FinCategory) -> dict[str, int]:
     return C._memo("sieve_sizes", compute)
 
 
+def is_mono(C: FinCategory, f: str) -> bool:
+    """f is mono iff u -> f∘u is injective on the morphisms into dom f, i.e.
+    iff its sieve has as many members as there are such u."""
+    return _sieve_sizes(C)[f] == len(C._to[C.dom(f)])
+
+
 def morphism_flags(C: FinCategory, f: str) -> MorphismFlags:
-    """Mono/epi/split/iso status of f, decided by exhaustive search.  f is
-    mono iff u -> f∘u is injective on the morphisms into dom f, i.e. iff its
-    sieve has as many members as there are such u."""
+    """Mono/epi/split/iso status of f, decided by exhaustive search (mono by
+    is_mono)."""
     def compute():
         x, y = C.dom(f), C.cod(f)
-        mono = _sieve_sizes(C)[f] == len(C.morphisms_to(x))
+        mono = is_mono(C, f)
         epi = True
         for w in C.objects:
             for a in C.hom(y, w):

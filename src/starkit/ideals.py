@@ -6,7 +6,7 @@ category; the ideal plays the role of the null morphisms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .core import FinCategory, FullSubcategory, _sieve_sizes
@@ -20,10 +20,18 @@ DEFAULT_IDEAL_BOUND = 12
 
 @dataclass(frozen=True)
 class Ideal:
-    """A composition-closed class of morphisms of a fixed category."""
+    """A composition-closed class of morphisms of a fixed category.
+
+    ``mask`` is the carrier over the category's morphism bits, or None if
+    the carrier names something that is not a morphism of the category.
+    """
 
     cat: FinCategory
     carrier: frozenset[str]
+    mask: int | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mask", _mask(self.cat, self.carrier))
 
     def __contains__(self, name: str) -> bool:
         return name in self.carrier
@@ -46,7 +54,7 @@ class MultiPointedCategory:
     def __post_init__(self):
         if self.ideal.cat is not self.cat:
             raise ValueError("ideal does not live on this category")
-        if not is_ideal(self.cat, self.ideal.carrier):
+        if not _closed(self.cat, self.ideal.carrier, self.ideal.mask):
             raise ValueError(f"{self.ideal.label()} is not an ideal of {self.cat.name}")
 
 
@@ -66,36 +74,87 @@ class CoverWitness:
         return self.cover.objects
 
 
+def _mask(C: FinCategory, names) -> int | None:
+    """The mask of a set of names, or None if one is not a morphism of C."""
+    bit = C._bit
+    mask = 0
+    for n in names:
+        b = bit.get(n)
+        if b is None:
+            return None
+        mask |= b
+    return mask
+
+
+def _carrier(C: FinCategory, mask: int) -> frozenset[str]:
+    return frozenset(n for n, b in C._bit.items() if b & mask)
+
+
+def _principal_masks(C: FinCategory) -> dict[str, int]:
+    """For each morphism g, the mask of its principal ideal, the composites
+    f∘g∘h.  f∘g∘h = f∘(g∘h), so it is the union over h of the masks of the
+    f∘n with n = g∘h.  One dict per category, read by every ideal test,
+    closure and enumeration."""
+    def compute():
+        comp, bit, to, out = C._comp, C._bit, C._to, C._from
+        left = {}
+        for n in C.morphism_names:
+            mask = 0
+            for f in out[C.cod(n)]:
+                mask |= bit[comp[f, n]]
+            left[n] = mask
+        principal = {}
+        for g in C.morphism_names:
+            mask = 0
+            for h in to[C.dom(g)]:
+                mask |= left[comp[g, h]]
+            principal[g] = mask
+        return principal
+
+    return C._memo("principal_masks", compute)
+
+
+def _closed(C: FinCategory, carrier, mask: int | None) -> bool:
+    """Every member's principal ideal lies in the mask, i.e. f∘n∘h is in the
+    carrier for every member n; that is closure, since f∘n = f∘n∘1."""
+    if mask is None:
+        return False
+    principal = _principal_masks(C)
+    return all(principal[n] | mask == mask for n in carrier)
+
+
 def is_ideal(C: FinCategory, carrier: frozenset[str] | set[str]) -> bool:
-    for n in carrier:
-        if not C.has_morphism(n):
-            return False
-        for f in C.morphisms_from(C.cod(n)):
-            if C.compose(f, n) not in carrier:
-                return False
-        for h in C.morphisms_to(C.dom(n)):
-            if C.compose(n, h) not in carrier:
-                return False
-    return True
+    return _closed(C, carrier, _mask(C, carrier))
 
 
 def ideal_closure(C: FinCategory, gens) -> Ideal:
-    """Smallest ideal containing the generators.
-
-    One pass over all composites f∘g∘h with g a generator suffices, because
-    the result is already closed; this is checked.
-    """
-    carrier: set[str] = set()
+    """Smallest ideal containing the generators: the union of their principal
+    ideals, which is closed.  This is checked one composite at a time, f∘n
+    and n∘h for every member n, without the principal masks, so a composite
+    missing from one raises IdealClosureViolation."""
+    principal = _principal_masks(C)
+    mask = 0
     for g in gens:
         if not C.has_morphism(g):
             raise ValueError(f"{g} is not a morphism of {C.name}")
-        for h in C.morphisms_to(C.dom(g)):
-            gh = C.compose(g, h)
-            for f in C.morphisms_from(C.cod(g)):
-                carrier.add(C.compose(f, gh))
-    if not is_ideal(C, carrier):
-        raise IdealClosureViolation("one-pass closure failed to reach a fixpoint")
-    return Ideal(C, frozenset(carrier))
+        mask |= principal[g]
+    carrier = _carrier(C, mask)
+    comp, bit = C._comp, C._bit
+    for n in carrier:
+        if not (all(bit[comp[f, n]] & mask for f in C._from[C.cod(n)])
+                and all(bit[comp[n, h]] & mask for h in C._to[C.dom(n)])):
+            raise IdealClosureViolation(f"closure misses a composite with {n}")
+    return Ideal(C, carrier)
+
+
+def _weak_kernels(C: FinCategory, mask: int, f: str,
+                  sieve: dict[str, int]) -> tuple[list[str], int]:
+    """The weak kernels of f for the ideal of the mask, and the number of
+    candidates k, those with f∘k in the ideal (see kernels)."""
+    comp, bit = C._comp, C._bit
+    candidates = [k for k in C._to[C.dom(f)] if bit[comp[f, k]] & mask]
+    size = len(candidates)
+    return [k for k in candidates if sieve[k] == size], size
 
 
 def kernels(M: MultiPointedCategory, f: str, mode: str) -> list[str]:
@@ -108,27 +167,47 @@ def kernels(M: MultiPointedCategory, f: str, mode: str) -> list[str]:
     N.  So for k in S the sieve {k∘u : u into dom k} is a subset of S, and
     k is a weak kernel, every member of S being some k∘u, iff the sieve is
     all of S, i.e. iff it has |S| members.  k is a strict kernel iff, in
-    addition, u -> k∘u is injective, i.e. iff exactly |S| morphisms u go
+    addition, u -> k∘u is injective, i.e. iff exactly |S| morphisms go
     into dom k.  The sieve size depends on k alone, so one table per
-    category serves every ideal, morphism and mode, and one memo entry per
-    (ideal, f) holds both lists.
+    category serves every ideal, morphism and mode.
     """
     C = M.cat
     _check_mode(mode)
+    weak, size = _weak_kernels(C, M.ideal.mask, f, _sieve_sizes(C))
+    if mode == WEAK:
+        return weak
+    return [k for k in weak if len(C._to[C.dom(k)]) == size]
+
+
+def _first_without_kernel(M: MultiPointedCategory, mode: str) -> str | None:
+    """The first morphism, in input order, without a (weak) kernel for the
+    ideal, or None if every morphism has one.
+
+    One memo entry per ideal holds both modes.  Its one pass stops at the
+    first morphism without a weak kernel: every kernel is a weak one, so
+    that morphism lacks a kernel too.
+    """
+    C = M.cat
+    _check_mode(mode)
+    mask = M.ideal.mask
 
     def compute():
-        candidates = [k for k in C.morphisms_to(C.dom(f)) if C.compose(f, k) in M.ideal]
-        size = len(candidates)
-        sieve = _sieve_sizes(C)
-        weak = [k for k in candidates if sieve[k] == size]
-        return weak, [k for k in weak if len(C.morphisms_to(C.dom(k))) == size]
+        to, sieve = C._to, _sieve_sizes(C)
+        no_kernel = None
+        for f in C.morphism_names:
+            weak, size = _weak_kernels(C, mask, f, sieve)
+            if not weak:
+                return (f if no_kernel is None else no_kernel), f
+            if no_kernel is None and all(len(to[C.dom(k)]) != size for k in weak):
+                no_kernel = f
+        return no_kernel, None
 
-    weak, strict = C._memo(("kernels", M.ideal.carrier, f), compute)
-    return weak if mode == WEAK else strict
+    no_kernel, no_weak_kernel = C._memo(("kernel_gates", mask), compute)
+    return no_weak_kernel if mode == WEAK else no_kernel
 
 
 def has_all_kernels(M: MultiPointedCategory, mode: str) -> bool:
-    return all(kernels(M, f, mode) for f in M.cat.morphism_names)
+    return _first_without_kernel(M, mode) is None
 
 
 def pointed_ideal(C: FinCategory) -> Ideal | None:
@@ -299,30 +378,32 @@ def nc_kernel_via_cover(W: CoverWitness, N: Ideal, f: str) -> str:
     return factored[1]
 
 
-def _principal_ideals(C: FinCategory) -> list[frozenset[str]]:
-    """The distinct principal ideals of C, in order of their first generator."""
-    return list(dict.fromkeys(ideal_closure(C, [g]).carrier for g in C.morphism_names))
+def _atoms(C: FinCategory) -> list[int]:
+    """The masks of the distinct principal ideals of C, in order of their
+    first generator."""
+    return list(dict.fromkeys(_principal_masks(C).values()))
 
 
-def _by_size(carriers) -> list[frozenset[str]]:
+def _by_size(C: FinCategory, masks) -> list[frozenset[str]]:
+    carriers = [_carrier(C, m) for m in masks]
     return sorted(carriers, key=lambda c: (len(c), tuple(sorted(c))))
 
 
 def enumerate_ideals(C: FinCategory, bound: int | None = None) -> list[Ideal]:
-    """All ideals of C, as unions of principal closures, deduplicated and
-    ordered by (size, members)."""
+    """All ideals of C, as unions of principal ideals, deduplicated and
+    ordered by (size, members).  The unions grow one principal ideal at a
+    time: the unions of the first i + 1 are those of the first i, with and
+    without the next."""
     limit = bound if bound is not None else DEFAULT_IDEAL_BOUND
     if len(C.morphisms) > limit:
         raise BoundExceeded(
             f"{C.name} has {len(C.morphisms)} morphisms; ideal enumeration bound is {limit}")
 
     def compute():
-        atoms = _principal_ideals(C)
-        carriers = {frozenset()}
-        for r in range(1, len(atoms) + 1):
-            for combo in combinations(atoms, r):
-                carriers.add(frozenset().union(*combo))
-        return _by_size(carriers)
+        masks = {0}
+        for atom in _atoms(C):
+            masks |= {m | atom for m in masks}
+        return _by_size(C, masks)
 
     return [Ideal(C, c) for c in C._memo("all_ideals", compute)]
 
@@ -421,14 +502,14 @@ def sample_ideals(C: FinCategory, cap: int = 64) -> list[Ideal]:
     """A deterministic sample of the ideal lattice for categories too large
     for full enumeration: bottom, top, every principal closure, and pairwise
     unions of principals up to the cap."""
-    top = frozenset(C.morphism_names)
-    atoms = [a for a in _principal_ideals(C) if a != top]
-    carriers = {frozenset(), top, *atoms}
+    top = (1 << len(C.morphisms)) - 1
+    atoms = [a for a in _atoms(C) if a != top]
+    masks = {0, top, *atoms}
     for a, b in combinations(atoms, 2):
-        if len(carriers) >= cap:
+        if len(masks) >= cap:
             break
-        carriers.add(a | b)
-    return [Ideal(C, c) for c in _by_size(carriers)]
+        masks.add(a | b)
+    return [Ideal(C, c) for c in _by_size(C, masks)]
 
 
 def verify_galois_and_iso(W: CoverWitness) -> Report:

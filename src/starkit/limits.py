@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FinCategory, ParallelPair, morphism_flags, require_parallel
+from .core import FinCategory, ParallelPair, is_mono, require_parallel
 from .report import FAIL, PASS, Report
 
 WEAK = "weak"
@@ -192,8 +192,30 @@ def pullback_cones(C: FinCategory, f: str, g: str, mode: str) -> list[Cone]:
 
 
 def kernel_pair_cones(C: FinCategory, f: str, mode: str) -> list[Cone]:
-    """Kernel pair cones of f: the pullback cones of (f, f)."""
-    return pullback_cones(C, f, f, mode)
+    """Kernel pair cones of f: the pullback cones of (f, f).
+
+    For a mono f: X -> Y they are built, not searched.  A cone over (f, f)
+    is then some (a, a), and (b, b) factors through (a, a) as b = a∘u.  All
+    cones factor through (a, a) iff (1_X, 1_X) does, i.e. iff a has a
+    section s (a∘s = 1_X), since then b = a∘(s∘b).  Each factors exactly
+    once iff, moreover, a is an iso: (a, a) factors through itself by 1 and
+    by s∘a, as a∘(s∘a) = a, so s∘a = 1.  So the weak kernel pairs are
+    (a, a) for the split epis a into X, the strict ones for the isos, in
+    the search's order (apex, then hom-set).  A morphism that is not mono
+    can have kernel pairs too, and they are searched.
+    """
+    if not is_mono(C, f):
+        return pullback_cones(C, f, f, mode)
+    _check_mode(mode)
+    x = C.dom(f)
+
+    def compute():
+        one = C.identity[x]
+        return [Cone(w, (a, a)) for w in C.objects for a in C.hom(w, x)
+                if any(C.compose(a, s) == one
+                       and (mode == WEAK or C.compose(s, a) == C.identity[w])
+                       for s in C.hom(x, w))]
+    return C._memo(("mono_kernel_pair", x, mode), compute)
 
 
 def kernel_pairs(C: FinCategory, f: str, mode: str) -> list[ParallelPair]:
@@ -281,7 +303,7 @@ def image_factorization(C: FinCategory, f: str) -> tuple[str, str] | None:
                 if e not in epis:
                     continue
                 for m in C.hom(mid, y):
-                    if morphism_flags(C, m).mono and C.compose(m, e) == f:
+                    if is_mono(C, m) and C.compose(m, e) == f:
                         return (e, m)
         return None
 

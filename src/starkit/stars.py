@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, ParallelPair, enumerate_reflexive_graphs,
-                   morphism_flags, require_parallel)
+                   is_mono, require_parallel)
 from .errors import NoKernel, NoKernelPair
-from .ideals import MultiPointedCategory, kernels, pointed_ideal
+from .ideals import (MultiPointedCategory, _first_without_kernel, kernels,
+                     pointed_ideal)
 from .limits import (STRICT, WEAK, coequalizer, coequalizes, is_regular_category,
                      kernel_pairs)
 from .report import FAIL, INAPPLICABLE, PASS, Report
@@ -102,14 +103,36 @@ def check_theorem_a(M: MultiPointedCategory) -> Report:
     p1 = p2.  A pair (x, x) satisfies star-pi0 once x
     has a weak kernel, which the first gate ensures.
     """
-    C = M.cat
-    for f in C.morphism_names:
-        if not kernels(M, f, WEAK):
-            return Report("theorem-a", INAPPLICABLE, [f"no weak kernel for {f}"])
-    for f in C.morphism_names:
-        if not morphism_flags(C, f).mono and not kernel_pairs(C, f, WEAK):
-            return Report("theorem-a", INAPPLICABLE, [f"no weak kernel pair for {f}"])
+    f = _first_without_kernel(M, WEAK)
+    if f is not None:
+        return Report("theorem-a", INAPPLICABLE, [f"no weak kernel for {f}"])
+    missing_pair, _ = _kernel_pair_gates(M.cat)
+    if missing_pair is not None:
+        return Report("theorem-a", INAPPLICABLE, [missing_pair])
     return Report("theorem-a", PASS, ["(a)=True", "(b)=True", "(c)=True", "(d)=True"])
+
+
+def _kernel_pair_gates(C: FinCategory) -> tuple[str | None, str | None]:
+    """The second gates of Theorem A and Corollary D, which do not depend on
+    the ideal, as witness lines, None where they pass: the first morphism
+    without a weak kernel pair, and the first that has none or whose first
+    weak kernel pair has no coequalizer.  A mono has the weak kernel pair
+    (1, 1), which 1 coequalizes, so only the other morphisms are asked.  One
+    pass and one memo entry per category serve both."""
+    def compute():
+        no_coequalizer = None
+        for f in C.morphism_names:
+            if is_mono(C, f):
+                continue
+            wkps = kernel_pairs(C, f, WEAK)
+            if not wkps:
+                line = f"no weak kernel pair for {f}"
+                return line, (line if no_coequalizer is None else no_coequalizer)
+            if no_coequalizer is None and coequalizer(C, wkps[0]) is None:
+                no_coequalizer = f"weak kernel pair of {f} has no coequalizer"
+        return None, no_coequalizer
+
+    return C._memo("kernel_pair_gates", compute)
 
 
 def kernel_star(M: MultiPointedCategory, f: str) -> StarWitness:
@@ -141,9 +164,9 @@ def is_star_regular(M: MultiPointedCategory) -> Report:
     if not rc.passed:
         return Report("star-regular", FAIL,
                       [f"ambient category not regular: {rc.witnesses[0]}"])
-    for f in C.morphism_names:
-        if not kernels(M, f, STRICT):
-            return Report("star-regular", FAIL, [f"no kernel of {f} for the ideal"])
+    f = _first_without_kernel(M, STRICT)
+    if f is not None:
+        return Report("star-regular", FAIL, [f"no kernel of {f} for the ideal"])
     return Report("star-regular", PASS, [])
 
 
@@ -170,17 +193,10 @@ def check_corollary_d(M: MultiPointedCategory) -> Report:
     the graphs as in Theorem A, and a regular epi that is mono is an iso,
     which coequalizes the star (x∘k, x∘k) of its weak kernel pair (x, x).
     """
-    C = M.cat
-    for f in C.morphism_names:
-        if not kernels(M, f, WEAK):
-            return Report("corollary-d", INAPPLICABLE, [f"no weak kernel for {f}"])
-    for f in C.morphism_names:
-        if morphism_flags(C, f).mono:
-            continue
-        wkps = kernel_pairs(C, f, WEAK)
-        if not wkps:
-            return Report("corollary-d", INAPPLICABLE, [f"no weak kernel pair for {f}"])
-        if coequalizer(C, wkps[0]) is None:
-            return Report("corollary-d", INAPPLICABLE,
-                          [f"weak kernel pair of {f} has no coequalizer"])
+    f = _first_without_kernel(M, WEAK)
+    if f is not None:
+        return Report("corollary-d", INAPPLICABLE, [f"no weak kernel for {f}"])
+    _, missing = _kernel_pair_gates(M.cat)
+    if missing is not None:
+        return Report("corollary-d", INAPPLICABLE, [missing])
     return Report("corollary-d", PASS, ["both sides True"])

@@ -10,8 +10,9 @@ from starkit import (InvalidCategory, MultiPointedCategory, ParallelPair,
                      ReflexiveGraph, check_corollary_b, check_corollary_c,
                      check_corollary_d, check_theorem_a, check_theorem_c,
                      enumerate_ideals, enumerate_reflexive_graphs,
-                     full_subcategory, is_jointly_monic, is_normal_category,
-                     is_star_regular, morphism_flags, validate_category)
+                     full_subcategory, has_weak_finite_limits,
+                     is_jointly_monic, is_normal_category, is_star_regular,
+                     morphism_flags, regular_completion, validate_category)
 from starkit.core import RawCategory
 from starkit.corpus import are_isomorphic, enumerate_categories
 from tests.conftest import load
@@ -153,9 +154,12 @@ def test_full_subcategory_restriction(ptset2):
 
 
 def _checked_category(name: str) -> weakref.ref:
-    """Run every statement check on a fresh copy of a fixture category and
-    return a weak reference to it."""
+    """Run every statement check, and the regular completion where there is
+    one, on a fresh copy of a fixture category and return a weak reference
+    to it."""
     C = load(f"{name.lower()}.fincat").category(name)
+    if has_weak_finite_limits(C):
+        assert regular_completion(C).base is C
     is_normal_category(C)
     check_corollary_b(C)
     for N in enumerate_ideals(C):
@@ -176,7 +180,7 @@ def test_statement_checks_leave_no_cycle_through_the_category():
     gc.collect()
     gc.disable()
     try:
-        refs = [_checked_category(name) for name in ("One", "PtSet2")]
-        assert [ref() for ref in refs] == [None, None]
+        refs = [_checked_category(name) for name in ("One", "PtSet2", "Arrow", "Chain3")]
+        assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()

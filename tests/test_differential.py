@@ -13,7 +13,10 @@ Coequalizers and regular epis, read off the same filter, the pointed ideal,
 read off the zero of one endomorphism monoid, and regular completions, whose
 product clause (F) makes redundant, are compared with the searches they
 replace.  The six statement checks, decided in closed form after their
-gates, are compared with the evaluators they replace."""
+gates, are compared with the evaluators they replace.  Ideal tests, closures
+and enumeration, done on masks over the morphisms' bits, and the per-ideal
+kernel gates are compared with the frozenset loops they replace, and the
+kernel pairs of a mono, built from split epis or isos, with the search."""
 from __future__ import annotations
 
 import itertools
@@ -26,17 +29,18 @@ from starkit import (ERROR, FAIL, INAPPLICABLE, PASS, STRICT, WEAK,
                      check_theorem_c, coequalizer, coequalizers,
                      enumerate_ideals, enumerate_reflexive_graphs,
                      equalizer_cones, extend_ideal, full_subcategory,
-                     has_all_kernels, has_weak_finite_limits, is_coequalizer,
-                     is_jointly_monic, is_projective_cover,
-                     is_regular_category, is_regular_completion,
-                     is_star_regular, kernel_pairs, kernel_star, kernels,
-                     morphism_flags, pointed_ideal, product_cones,
-                     pullback_cones, reflexive_graphs_star_pi0,
+                     has_all_kernels, has_weak_finite_limits, ideal_closure,
+                     is_coequalizer, is_ideal, is_jointly_monic, is_mono,
+                     is_projective_cover, is_regular_category,
+                     is_regular_completion, is_star_regular, kernel_pairs,
+                     kernel_star, kernels, morphism_flags, pointed_ideal,
+                     product_cones, pullback_cones, reflexive_graphs_star_pi0,
                      regular_completion, regular_epis, restrict_ideal,
                      terminal_cones)
 from starkit.corpus import enumerate_categories, parse
-from starkit.limits import (Cone, _cone_factorizations, _into_apex, _universal,
-                            coequalizes)
+from starkit.ideals import _first_without_kernel
+from starkit.limits import (Cone, _cone_factorizations, _into_apex, _limit_cones,
+                            _universal, coequalizes, kernel_pair_cones)
 from starkit.stars import _pair_passes, _star
 from tests.conftest import load
 
@@ -243,6 +247,23 @@ def test_kernel_pairs_match_the_kernel_pair_diagram():
                                                  ParallelPair("p2", "p1")]
 
 
+def test_kernel_pairs_of_monos_match_the_search():
+    # a mono's kernel pairs are read off its domain's split epis or isos
+    # instead of searched
+    compared = 0
+    for C in [*_categories(), parse(RETRACT).category("Ret"), parse(ZERO_TWICE).category("ZT"),
+              *_fixtures(), *_completions("Arrow", 2), *_completions("Chain3", 1)]:
+        for f in C.morphism_names:
+            if not is_mono(C, f):
+                continue
+            x = C.dom(f)
+            for mode in (WEAK, STRICT):
+                assert kernel_pair_cones(C, f, mode) == \
+                    _limit_cones(C, [x, x], [(f, 0, f, 1)], mode), (C.to_raw(), f, mode)
+                compared += 1
+    assert compared == 2 * 836  # monos of the categories above, in both modes
+
+
 def test_pullbacks_match_the_cospan_diagram():
     assert sum(_compare_pullbacks(C) for C in _categories()) == 15964
 
@@ -268,6 +289,11 @@ def test_terminals_and_products_match_their_diagrams():
     cones = [Cone("T", ()), Cone("E", ())]
     assert _universal(retract, cones, count, _into_apex, STRICT) == cones[:1]
     assert asked == ["T", "T"]
+
+
+def _fixtures() -> list:
+    return [load(f"{name.lower()}.fincat").category(name)
+            for name in ("One", "Chain3", "PtSet2", "Arrow")]
 
 
 def _completions(name: str, times: int) -> list:
@@ -312,7 +338,8 @@ def test_kernels_match_their_inline_definition():
     compared = 0
     for C in [*_categories(), parse(RETRACT).category("Ret"), *_completions("Arrow", 1)]:
         for f in C.morphism_names:
-            assert morphism_flags(C, f).mono == _inline_mono(C, f), (C.to_raw(), f)
+            assert is_mono(C, f) == morphism_flags(C, f).mono == _inline_mono(C, f), \
+                (C.to_raw(), f)
         for N in enumerate_ideals(C):
             M = MultiPointedCategory(C, N)
             for f in C.morphism_names:
@@ -322,6 +349,83 @@ def test_kernels_match_their_inline_definition():
                     compared += 1
     # ideals x morphisms x modes of KP, Ret and Completion(Arrow) after the sweep
     assert compared == 23850 + 2 * (7 * 11 + 3 * 5 + 5 * 7)
+
+
+# Ideals are masks over the morphisms' bits, closed by principal masks.  The
+# oracles below are the frozenset loops they replace.
+
+def oracle_is_ideal(C, carrier) -> bool:
+    for n in carrier:
+        if not C.has_morphism(n):
+            return False
+        for f in C.morphisms_from(C.cod(n)):
+            if C.compose(f, n) not in carrier:
+                return False
+        for h in C.morphisms_to(C.dom(n)):
+            if C.compose(n, h) not in carrier:
+                return False
+    return True
+
+
+def oracle_ideal_closure(C, gens) -> frozenset[str]:
+    carrier: set[str] = set()
+    for g in gens:
+        for h in C.morphisms_to(C.dom(g)):
+            gh = C.compose(g, h)
+            for f in C.morphisms_from(C.cod(g)):
+                carrier.add(C.compose(f, gh))
+    assert oracle_is_ideal(C, carrier), (C.to_raw(), gens)
+    return frozenset(carrier)
+
+
+def oracle_enumerate_ideals(C) -> list[frozenset[str]]:
+    """Every union of principal ideals, ordered by (size, members)."""
+    atoms = list(dict.fromkeys(oracle_ideal_closure(C, [g]) for g in C.morphism_names))
+    carriers = {frozenset()}
+    for r in range(1, len(atoms) + 1):
+        for combo in itertools.combinations(atoms, r):
+            carriers.add(frozenset().union(*combo))
+    return sorted(carriers, key=lambda c: (len(c), tuple(sorted(c))))
+
+
+def oracle_first_without_kernel(M: MultiPointedCategory, mode: str) -> str | None:
+    """The gate loop: the first morphism whose kernels list is empty."""
+    return next((f for f in M.cat.morphism_names if not kernels(M, f, mode)), None)
+
+
+def test_ideals_match_their_frozenset_definitions():
+    subsets = 0
+    for C in enumerate_categories(SMALL):
+        for r in range(len(C.morphisms) + 1):
+            for carrier in map(frozenset, itertools.combinations(C.morphism_names, r)):
+                assert is_ideal(C, carrier) == oracle_is_ideal(C, carrier), \
+                    (C.to_raw(), carrier)
+                assert ideal_closure(C, carrier).carrier == \
+                    oracle_ideal_closure(C, carrier), (C.to_raw(), carrier)
+                subsets += 1
+        assert not is_ideal(C, {"nope"}) and not is_ideal(C, {*C.morphism_names, "nope"})
+    assert subsets == 11510  # 2^m over the 399 categories with at most 5 morphisms
+
+    gated = 0
+    for C in [*_categories(), parse(RETRACT).category("Ret"), parse(ZERO_TWICE).category("ZT")]:
+        for N in enumerate_ideals(C):
+            M = MultiPointedCategory(C, N)
+            for mode in (WEAK, STRICT):
+                expected = oracle_first_without_kernel(M, mode)
+                assert _first_without_kernel(M, mode) == expected, \
+                    (C.to_raw(), N.members(), mode)
+                assert has_all_kernels(M, mode) == (expected is None)
+                gated += 1
+    assert gated == 2 * 2481  # ideals of the sweep, KP, Ret and ZT, in both modes
+
+    enumerated = []
+    for C in [*_categories(), parse(RETRACT).category("Ret"), parse(ZERO_TWICE).category("ZT"),
+              *_fixtures(), *_completions("Arrow", 2), *_completions("Chain3", 1)]:
+        ideals = enumerate_ideals(C, bound=len(C.morphisms))
+        assert [N.carrier for N in ideals] == oracle_enumerate_ideals(C), C.to_raw()
+        enumerated.append(len(ideals))
+    # the 2,529 ideals of test_statement_checks_match_their_evaluators
+    assert (len(enumerated), sum(enumerated)) == (409, 2529)
 
 
 def oracle_missing_finite_limit(C, mode: str) -> str | None:
@@ -830,10 +934,8 @@ def compare_statement_checks(C) -> Counter:
 
 
 def test_statement_checks_match_their_evaluators():
-    fixtures = [load(f"{name.lower()}.fincat").category(name)
-                for name in ("One", "Chain3", "PtSet2", "Arrow")]
     cats = [*_categories(), parse(RETRACT).category("Ret"), parse(ZERO_TWICE).category("ZT"),
-            *fixtures, *_completions("Arrow", 2), *_completions("Chain3", 1)]
+            *_fixtures(), *_completions("Arrow", 2), *_completions("Chain3", 1)]
     totals = sum(map(compare_statement_checks, cats), Counter())
     assert len(cats) == 399 + 3 + 4 + 3  # sweep, KP, Ret, ZT, fixtures, completions
     assert dict(totals) == {

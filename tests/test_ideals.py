@@ -83,7 +83,8 @@ RESTRICT_NON_IDEAL = """
 import sys
 from pathlib import Path
 from starkit import (CoverWitness, Ideal, IdealClosureViolation,
-                     full_subcategory, parse, restrict_ideal)
+                     MultiPointedCategory, full_subcategory, is_ideal, parse,
+                     restrict_ideal)
 C = parse(Path(sys.argv[1]).read_text()).category("Chain3")
 W = CoverWitness(C, full_subcategory(C, C.objects))
 print(__debug__)
@@ -91,6 +92,12 @@ try:
     restrict_ideal(W, Ideal(C, frozenset({"f01"})))
 except IdealClosureViolation:
     print("raised")
+for carrier in ({"f01"}, {"f02", "nope"}):
+    try:
+        MultiPointedCategory(C, Ideal(C, frozenset(carrier)))
+    except ValueError:
+        print("refused")
+print(is_ideal(C, {"f02"}), is_ideal(C, {"f02", "nope"}))
 """
 
 
@@ -99,7 +106,7 @@ def test_restrict_ideal_checks_closure_under_optimize():
         [sys.executable, "-O", "-c", RESTRICT_NON_IDEAL, str(FIXTURES / "chain3.fincat")],
         capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\nraised\n"
+    assert proc.stdout == "False\nraised\nrefused\nrefused\nTrue False\n"
 
 
 def test_restrict_ideal(ptset2, ptset2_corpus):

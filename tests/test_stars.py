@@ -9,7 +9,8 @@ from starkit import (Ideal, MultiPointedCategory, NoKernelPair, ParallelPair,
                      satisfies_star_pi0, star_of)
 from starkit.corpus import enumerate_categories
 from starkit.ideals import enumerate_ideals
-from starkit.limits import is_coequalizer, morphism_flags
+from starkit.core import morphism_flags
+from starkit.limits import is_coequalizer
 
 
 def total_mpc(C) -> MultiPointedCategory:
