@@ -9,7 +9,7 @@ witnesses on failure.
 from .core import (FinCategory, FullSubcategory, Morphism, MorphismFlags,
                    ParallelPair, RawCategory, ReflexiveGraph, Violation,
                    enumerate_reflexive_graphs, full_subcategory,
-                   identity_name, is_jointly_monic, is_mono,
+                   identity_name, is_epi, is_jointly_monic, is_mono,
                    morphism_flags, validate_category)
 from .errors import (BoundExceeded, CorpusSyntaxError, Exhausted,
                      IdealClosureViolation, InvalidCategory, NoKernel,

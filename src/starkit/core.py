@@ -312,12 +312,13 @@ class FullSubcategory:
     @property
     def category(self) -> FinCategory:
         if self._category is None:
-            keep = set(self.objects)
-            morphisms = [m for m in self.parent.morphisms
-                         if m.dom in keep and m.cod in keep]
-            names = {m.name for m in morphisms}
-            comp = {(g, f): h for (g, f), h in self.parent._comp.items()
-                    if g in names and f in names}
+            keep, parent = set(self.objects), self.parent
+            morphisms = [m for m in parent.morphisms if m.dom in keep and m.cod in keep]
+            comp = parent._comp  # FinCategory copies it
+            if len(keep) < len(parent.objects):  # the composable pairs of kept morphisms
+                names = {m.name for m in morphisms}
+                comp = {(g, m.name): comp[g, m.name] for m in morphisms
+                        for g in parent._from[m.cod] if g in names}
             self._category = FinCategory(self.label, self.objects, morphisms, comp)
         return self._category
 
@@ -345,24 +346,34 @@ def _sieve_sizes(C: FinCategory) -> dict[str, int]:
     return C._memo("sieve_sizes", compute)
 
 
+def _cosieve_sizes(C: FinCategory) -> dict[str, int]:
+    """For each morphism q, how many distinct composites u∘q the morphisms u
+    out of cod q give.  One dict per category, as for _sieve_sizes."""
+    def compute():
+        comp, fro = C._comp, C._from
+        return {q: len({comp[u, q] for u in fro[C.cod(q)]}) for q in C.morphism_names}
+
+    return C._memo("cosieve_sizes", compute)
+
+
 def is_mono(C: FinCategory, f: str) -> bool:
     """f is mono iff u -> f∘u is injective on the morphisms into dom f, i.e.
     iff its sieve has as many members as there are such u."""
     return _sieve_sizes(C)[f] == len(C._to[C.dom(f)])
 
 
+def is_epi(C: FinCategory, f: str) -> bool:
+    """f is epi iff u -> u∘f is injective on the morphisms out of cod f, i.e.
+    iff its cosieve has as many members as there are such u."""
+    return _cosieve_sizes(C)[f] == len(C._from[C.cod(f)])
+
+
 def morphism_flags(C: FinCategory, f: str) -> MorphismFlags:
     """Mono/epi/split/iso status of f, decided by exhaustive search (mono by
-    is_mono)."""
+    is_mono, epi by is_epi)."""
     def compute():
         x, y = C.dom(f), C.cod(f)
-        mono = is_mono(C, f)
-        epi = True
-        for w in C.objects:
-            for a in C.hom(y, w):
-                for b in C.hom(y, w):
-                    if a != b and C.compose(a, f) == C.compose(b, f):
-                        epi = False
+        mono, epi = is_mono(C, f), is_epi(C, f)
         split_epi = any(C.compose(f, s) == C.identity[y] for s in C.hom(y, x))
         split_mono = any(C.compose(r, f) == C.identity[x] for r in C.hom(y, x))
         iso = any(C.compose(f, g) == C.identity[y] and C.compose(g, f) == C.identity[x]

@@ -1,16 +1,32 @@
 """Weak and strict finite limits, coequalizers, regular epis, regularity.
 
-Everything here is decided by exhaustive search over the composition table,
-and the universal properties of limits and coequalizers by the one filter
-_universal: the limit cones are the cones through which every cone factors,
-the coequalizers the coequalizing morphisms through which every coequalizing
-morphism factors.  Ideal kernels are decided by counting instead (see
-ideals.kernels).
+Universal properties are decided by counting, by one argument for limits,
+coequalizers and ideal kernels (ideals.kernels) alike.
+
+Limits.  The cones S over a shape are closed under precomposition: a cone c
+at apex w and a morphism u: v -> w give the cone c∘u at v.  So the sieve of
+c, the cones c∘u over all u into w, lies inside S, and c is a weak limit,
+every cone being some c∘u, iff its sieve has |S| members.  It is a strict
+limit, each cone being c∘u for exactly one u, iff moreover u -> c∘u is
+injective, i.e. iff exactly |S| morphisms go into w.  So cones are listed
+only at apexes with at least |S| (weak) or exactly |S| (strict) morphisms
+into them, and |S| is counted without listing cones where the shape allows
+it.  The sieve of a cone with legs is the set of leg tuples, which has at
+least as many members as the sieve of each leg and at most |S|: the sieve
+size of a one-leg cone, or of a leg with |S| members, is read off
+core._sieve_sizes, and only otherwise are the tuples built.  A cone with no
+legs is its apex, so its sieve is the set of domains of the u.
+
+Coequalizers.  Dually, the morphisms Q = {q : q∘f1 = q∘f2} out of cod f1
+are closed under postcomposition, so q in Q is a coequalizer, each member
+of Q being u∘q for exactly one u, iff u -> u∘q maps the morphisms out of
+cod q one-to-one onto Q: iff q is epi (core.is_epi) and exactly |Q|
+morphisms go out of cod q.
 
 A limit shape is a list of objects, one leg each, plus equations (a, i, b, j)
 meaning a∘legs[i] == b∘legs[j]; unlabelled legs let a shape repeat an object
 (kernel pairs, X x X).  A leg the others determine, such as a pullback's leg
-to the shared codomain, is not searched.  A kernel pair is the pullback of a
+to the shared codomain, is not listed.  A kernel pair is the pullback of a
 morphism along itself.
 
 (F) A finite category with weak binary products is thin (Freyd; Mac Lane,
@@ -18,14 +34,15 @@ CWM V.2, Prop. 3): if |hom(Z, y)| >= 2, the weak products y, y x y,
 (y x y) x y, ... have at least 2, 4, 8, ... morphisms from Z, more than a
 finite category holds.  So on a finite table weakly lex, finitely complete
 and regular all mean a preorder with a top and binary meets, and the checks
-of those properties below search for a terminal object and binary products
+of those properties below look for a terminal object and binary products
 only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FinCategory, ParallelPair, is_mono, require_parallel
+from .core import (FinCategory, ParallelPair, _sieve_sizes, is_epi, is_mono,
+                   require_parallel)
 from .report import FAIL, PASS, Report
 
 WEAK = "weak"
@@ -56,92 +73,79 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be {WEAK!r} or {STRICT!r}, got {mode!r}")
 
 
-def _all_cones(C: FinCategory, objects: list[str],
-               equations: list[tuple[str, int, str, int]]) -> list[Cone]:
-    cones: list[Cone] = []
-    for apex in C.objects:
+def _cones_at(C: FinCategory, objects: list[str],
+              equations: list[tuple[str, int, str, int]]):
+    """The function listing the legs of each cone at an apex, in hom order."""
+    comp = C._comp
+
+    def cones_at(w: str) -> list[tuple[str, ...]]:
         stack = [()]
         for x in objects:
-            stack = [legs + (m,) for legs in stack for m in C.hom(apex, x)]
-        cones.extend(Cone(apex, legs) for legs in stack
-                     if all(C.compose(a, legs[i]) == C.compose(b, legs[j])
-                            for a, i, b, j in equations))
-    return cones
+            stack = [legs + (m,) for legs in stack for m in C.hom(w, x)]
+        return [legs for legs in stack
+                if all(comp[a, legs[i]] == comp[b, legs[j]] for a, i, b, j in equations)]
+    return cones_at
 
 
-def _cone_factorizations(C: FinCategory, src: Cone, dst: Cone) -> int:
-    """How many morphisms u make every leg of src the leg of dst after u."""
-    return len([u for u in C.hom(src.apex, dst.apex)
-                if all(C.compose(m_dst, u) == m_src
-                       for m_dst, m_src in zip(dst.legs, src.legs))])
-
-
-def _into_apex(C: FinCategory, cone: Cone) -> tuple[str, ...]:
-    """The morphisms u that act on a cone: each gives the cone cone∘u."""
-    return C.morphisms_to(cone.apex)
-
-
-def _universal(C: FinCategory, candidates: list, count, acting, mode: str) -> list:
-    """The candidates through which every candidate factors: at least once in
-    weak mode, exactly once in strict mode, as count(C, src, dst) counts the
-    factorizations of src through dst.
-
-    acting(C, dst) gives the morphisms u acting on dst, each of which turns
-    dst into a candidate again, and every factorization of a candidate
-    through dst is one of them.  So the n candidates' factorization sets
-    through dst partition acting(C, dst): a weakly universal dst has at least
-    n acting morphisms, a strict one exactly n, and every other candidate is
-    skipped before any count.
-
-    "src factors through dst" is a preorder (identities, composition): weak
-    limits are its tops, strict limits its terminal objects.  So
-    (a) when some candidate does not factor through c, the candidates that
-        passed c's scan before it lie below c and are not tops either;
-    (b) once a top u is found, a later k is a top iff u factors through k;
-    (c) once a strict limit u is found, a later k is one iff u factors
-        through k and k factors through itself only by the identity: then
-        the factorizations k -> u -> k and u -> k -> u are identities, k ≅ u.
-    """
+def _limit_cones(C: FinCategory, mode: str, cones_at, count_at=None) -> list[Cone]:
+    """The (weak) limit cones of a shape whose cones at an apex w cones_at(w)
+    lists, in apex order, then hom order, by the counting rule of the module
+    docstring.  count_at(w) counts the cones at w where the shape allows it
+    without listing them; otherwise the cones of every apex are listed."""
     _check_mode(mode)
-    # Plain loops: all() over a generator measured slower on the many small
-    # candidate lists of the sweep workload.
+    if count_at is None:
+        listed = {w: cones_at(w) for w in C.objects}
+        cones_at, count_at = listed.__getitem__, lambda w: len(listed[w])
+    size = sum(map(count_at, C.objects))
+    comp, to, sieve = C._comp, C._to, _sieve_sizes(C)
     strict = mode == STRICT
-    size = len(candidates)
     out = []
-    below = 0  # candidates before this index are ruled out by (a)
-    for i, cand in enumerate(candidates):
-        if i < below:
+    for w in C.objects:
+        into = to[w]
+        if not size or len(into) < size or (strict and len(into) != size):
             continue
-        reach = len(acting(C, cand))
-        if reach < size or (strict and reach != size):
-            continue
-        if out:
-            if count(C, out[0], cand) and (not strict or count(C, cand, cand) == 1):
-                out.append(cand)
-            continue
-        for j, other in enumerate(candidates):
-            n = count(C, other, cand)
-            if n == 0:
-                below = j
-                break
-            if strict and n != 1:
-                break
-        else:
-            out.append(cand)
+        column: dict[str, list[str]] = {}  # m -> the m∘u, u into w
+        for legs in cones_at(w):
+            if not legs:  # the cone is its apex, so c∘u is dom u
+                n = len({C.dom(u) for u in into})
+            else:
+                n = max(sieve[m] for m in legs)
+                if n < size and len(legs) > 1:
+                    for m in legs:
+                        if m not in column:
+                            column[m] = [comp[m, u] for u in into]
+                    n = len(set(zip(*[column[m] for m in legs])))
+            if n == size:
+                out.append(Cone(w, legs))
     return out
 
 
-def _limit_cones(C: FinCategory, objects: list[str],
-                 equations: list[tuple[str, int, str, int]], mode: str) -> list[Cone]:
-    return _universal(C, _all_cones(C, objects, equations), _cone_factorizations,
-                      _into_apex, mode)
+def _product_count(C: FinCategory, x: str, y: str):
+    """The number of cones at w over (x, y): |hom(w, x)|·|hom(w, y)|."""
+    return lambda w: len(C.hom(w, x)) * len(C.hom(w, y))
+
+
+def _pullback_shape(C: FinCategory, f: str, g: str):
+    """cones_at and count_at for the cospan f: X -> Z <- Y :g.  At w, the b
+    in hom(w, Y) are grouped by g∘b, and each a in hom(w, X) is joined with
+    the group of f∘a, in hom order."""
+    comp, x, y = C._comp, C.dom(f), C.dom(g)
+
+    def joined(w: str) -> list[list[str]]:
+        fibre: dict[str, list[str]] = {}
+        for b in C.hom(w, y):
+            fibre.setdefault(comp[g, b], []).append(b)
+        return [fibre.get(comp[f, a], []) for a in C.hom(w, x)]
+    return (lambda w: [(a, b) for a, bs in zip(C.hom(w, x), joined(w)) for b in bs],
+            lambda w: sum(map(len, joined(w))))
 
 
 def limit_cones(C: FinCategory, diagram: Diagram, mode: str) -> list[Cone]:
     """All (weak) limit cones of the diagram; empty list means none exists.
 
     Weak mode keeps every cone through which all cones factor; strict mode
-    additionally requires each factorization to be unique.
+    additionally requires each factorization to be unique.  The cones are
+    listed at every apex, to count them.
     """
     index: dict[str, int] = {}
     for x in diagram.objects:
@@ -156,19 +160,21 @@ def limit_cones(C: FinCategory, diagram: Diagram, mode: str) -> list[Cone]:
         if x not in index or y not in index:
             raise ValueError(f"diagram morphism {m} has an endpoint outside the selection")
         equations.append((m, index[x], C.identity[y], index[y]))
-    return _limit_cones(C, list(diagram.objects), equations, mode)
+    return _limit_cones(C, mode, _cones_at(C, list(diagram.objects), equations))
 
 
 def terminal_cones(C: FinCategory, mode: str) -> list[Cone]:
+    """Terminal cones: one empty cone per apex, so |S| is the number of
+    objects."""
     def compute():
-        return _limit_cones(C, [], [], mode)
+        return _limit_cones(C, mode, lambda w: [()], lambda w: 1)
     return C._memo(("terminal", mode), compute)
 
 
 def product_cones(C: FinCategory, x: str, y: str, mode: str) -> list[Cone]:
     """Binary product cones, legs to x and y."""
     def compute():
-        return _limit_cones(C, [x, y], [], mode)
+        return _limit_cones(C, mode, _cones_at(C, [x, y], []), _product_count(C, x, y))
     return C._memo(("product", x, y, mode), compute)
 
 
@@ -177,7 +183,7 @@ def equalizer_cones(C: FinCategory, p: ParallelPair, mode: str) -> list[Cone]:
     require_parallel(C, p)
 
     def compute():
-        return _limit_cones(C, [C.dom(p.f1)], [(p.f1, 0, p.f2, 0)], mode)
+        return _limit_cones(C, mode, _cones_at(C, [C.dom(p.f1)], [(p.f1, 0, p.f2, 0)]))
     return C._memo(("equalizer", p.f1, p.f2, mode), compute)
 
 
@@ -187,35 +193,13 @@ def pullback_cones(C: FinCategory, f: str, g: str, mode: str) -> list[Cone]:
         raise ValueError(f"({f}, {g}) is not a cospan")
 
     def compute():
-        return _limit_cones(C, [C.dom(f), C.dom(g)], [(f, 0, g, 1)], mode)
+        return _limit_cones(C, mode, *_pullback_shape(C, f, g))
     return C._memo(("pullback", f, g, mode), compute)
 
 
 def kernel_pair_cones(C: FinCategory, f: str, mode: str) -> list[Cone]:
-    """Kernel pair cones of f: the pullback cones of (f, f).
-
-    For a mono f: X -> Y they are built, not searched.  A cone over (f, f)
-    is then some (a, a), and (b, b) factors through (a, a) as b = a∘u.  All
-    cones factor through (a, a) iff (1_X, 1_X) does, i.e. iff a has a
-    section s (a∘s = 1_X), since then b = a∘(s∘b).  Each factors exactly
-    once iff, moreover, a is an iso: (a, a) factors through itself by 1 and
-    by s∘a, as a∘(s∘a) = a, so s∘a = 1.  So the weak kernel pairs are
-    (a, a) for the split epis a into X, the strict ones for the isos, in
-    the search's order (apex, then hom-set).  A morphism that is not mono
-    can have kernel pairs too, and they are searched.
-    """
-    if not is_mono(C, f):
-        return pullback_cones(C, f, f, mode)
-    _check_mode(mode)
-    x = C.dom(f)
-
-    def compute():
-        one = C.identity[x]
-        return [Cone(w, (a, a)) for w in C.objects for a in C.hom(w, x)
-                if any(C.compose(a, s) == one
-                       and (mode == WEAK or C.compose(s, a) == C.identity[w])
-                       for s in C.hom(x, w))]
-    return C._memo(("mono_kernel_pair", x, mode), compute)
+    """Kernel pair cones of f: the pullback cones of (f, f)."""
+    return pullback_cones(C, f, f, mode)
 
 
 def kernel_pairs(C: FinCategory, f: str, mode: str) -> list[ParallelPair]:
@@ -251,25 +235,17 @@ def coequalizes(C: FinCategory, g: str, p: ParallelPair) -> bool:
     return C.compose(g, p.f1) == C.compose(g, p.f2)
 
 
-def _coequalizer_factorizations(C: FinCategory, src: str, dst: str) -> int:
-    """How many morphisms u make u∘dst = src."""
-    return [C.compose(u, dst) for u in C.hom(C.cod(dst), C.cod(src))].count(src)
-
-
-def _out_of_codomain(C: FinCategory, q: str) -> tuple[str, ...]:
-    """The morphisms u that act on a coequalizing q: each gives u∘q."""
-    return C.morphisms_from(C.cod(q))
-
-
 def coequalizers(C: FinCategory, p: ParallelPair) -> list[str]:
     """All coequalizers of p, in input order: the morphisms q out of cod p
-    with q∘f1 = q∘f2 through which every such morphism factors exactly once."""
+    with q∘f1 = q∘f2 through which every such morphism factors exactly once.
+    By the counting rule of the module docstring, the epis among them out of
+    whose codomain go as many morphisms as there are such q."""
     require_parallel(C, p)
 
     def compute():
-        candidates = [q for q in C.morphisms_from(C.cod(p.f1)) if coequalizes(C, q, p)]
-        return _universal(C, candidates, _coequalizer_factorizations,
-                          _out_of_codomain, STRICT)
+        candidates = [q for q in C._from[C.cod(p.f1)] if coequalizes(C, q, p)]
+        return [q for q in candidates
+                if len(C._from[C.cod(q)]) == len(candidates) and is_epi(C, q)]
 
     return C._memo(("coequalizers", p.f1, p.f2), compute)
 

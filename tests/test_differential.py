@@ -1,22 +1,24 @@
 """Each universal construction against the definition it replaces, over every
 category with at most 5 morphisms (plus hand-built ones the sweep lacks):
-terminal objects, products, kernel pairs, pullbacks and equalizers, whose
-searches leave out the legs the other legs determine and skip candidates the
-universality filter has already decided, against an inline search of the
-node-and-edge definition that searches every leg and compares every pair of
-cones, and ideal kernels and the mono flag, both read off sieve sizes,
-against their inline definitions.  Regularity and weak finite limits, decided
-by a terminal object and binary products alone, are compared with their full
+terminal objects, products, kernel pairs, pullbacks and equalizers, decided
+by counting the cones per apex and comparing that count with the sieve of a
+cone, against an inline search of the node-and-edge definition that
+searches every leg and compares every pair of cones; the cone counts
+against the number of cones that search lists; and ideal kernels and the
+mono and epi flags, read off sieve and cosieve sizes, against their inline
+definitions.  Regularity and weak finite limits, decided by a terminal
+object and binary products alone, are compared with their full
 definitions, and the finiteness theorems (F) and (K) that justify this are
 pinned over the sweep.
-Coequalizers and regular epis, read off the same filter, the pointed ideal,
-read off the zero of one endomorphism monoid, and regular completions, whose
-product clause (F) makes redundant, are compared with the searches they
-replace.  The six statement checks, decided in closed form after their
-gates, are compared with the evaluators they replace.  Ideal tests, closures
-and enumeration, done on masks over the morphisms' bits, and the per-ideal
-kernel gates are compared with the frozenset loops they replace, and the
-kernel pairs of a mono, built from split epis or isos, with the search."""
+Coequalizers and regular epis, decided by the same count, the pointed
+ideal, read off the zero of one endomorphism monoid, and regular
+completions, whose product clause (F) makes redundant, are compared with
+the searches they replace.  The six statement checks, decided in closed
+form after their gates, are compared with the evaluators they replace.
+Ideal tests, closures and enumeration, done on masks over the morphisms'
+bits, and the per-ideal kernel gates are compared with the frozenset loops
+they replace, and the kernel pairs of a mono with their construction from
+split epis or isos."""
 from __future__ import annotations
 
 import itertools
@@ -39,8 +41,9 @@ from starkit import (ERROR, FAIL, INAPPLICABLE, PASS, STRICT, WEAK,
                      terminal_cones)
 from starkit.corpus import enumerate_categories, parse
 from starkit.ideals import _first_without_kernel
-from starkit.limits import (Cone, _cone_factorizations, _into_apex, _limit_cones,
-                            _universal, coequalizes, kernel_pair_cones)
+from starkit.core import is_epi
+from starkit.limits import (Cone, _cones_at, _product_count, _pullback_shape,
+                            coequalizes, kernel_pair_cones)
 from starkit.stars import _pair_passes, _star
 from tests.conftest import load
 
@@ -147,15 +150,20 @@ end
 """
 
 
+def _inline_cones(C, nodes: list[str],
+                  edges: list[tuple[int, str, int]]) -> list[tuple[str, tuple[str, ...]]]:
+    """(apex, legs) of every cone: one leg per node, each searched on its own,
+    with an edge (s, m, t) meaning m∘legs[s] == legs[t]."""
+    return [(apex, legs) for apex in C.objects
+            for legs in itertools.product(*(C.hom(apex, x) for x in nodes))
+            if all(C.compose(m, legs[s]) == legs[t] for s, m, t in edges)]
+
+
 def _inline_limit(C, nodes: list[str], edges: list[tuple[int, str, int]],
                   mode: str) -> list[tuple[str, tuple[str, ...]]]:
-    """(apex, legs) of every limit cone: one leg per node, each searched on its
-    own, with an edge (s, m, t) meaning m∘legs[s] == legs[t], and a cone kept
-    when every cone factors through it on every leg (exactly once in strict
-    mode)."""
-    cones = [(apex, legs) for apex in C.objects
-             for legs in itertools.product(*(C.hom(apex, x) for x in nodes))
-             if all(C.compose(m, legs[s]) == legs[t] for s, m, t in edges)]
+    """(apex, legs) of every limit cone: a cone kept when every cone factors
+    through it on every leg (exactly once in strict mode)."""
+    cones = _inline_cones(C, nodes, edges)
 
     def through(cand) -> bool:
         for apex, legs in cones:
@@ -247,19 +255,34 @@ def test_kernel_pairs_match_the_kernel_pair_diagram():
                                                  ParallelPair("p2", "p1")]
 
 
+def oracle_mono_kernel_pairs(C, f: str, mode: str) -> list[Cone]:
+    """The kernel pair cones of a mono f: X -> Y, built.  A cone over (f, f)
+    is some (a, a), and (b, b) factors through (a, a) as b = a∘u.  All cones
+    factor through (a, a) iff (1_X, 1_X) does, i.e. iff a has a section s
+    (a∘s = 1_X), since then b = a∘(s∘b).  Each factors exactly once iff,
+    moreover, a is an iso: (a, a) factors through itself by 1 and by s∘a, as
+    a∘(s∘a) = a, so s∘a = 1.  So the weak kernel pairs are (a, a) for the
+    split epis a into X, the strict ones for the isos, in apex, then hom
+    order."""
+    x = C.dom(f)
+    return [Cone(w, (a, a)) for w in C.objects for a in C.hom(w, x)
+            if any(C.compose(a, s) == C.identity[x]
+                   and (mode == WEAK or C.compose(s, a) == C.identity[w])
+                   for s in C.hom(x, w))]
+
+
 def test_kernel_pairs_of_monos_match_the_search():
-    # a mono's kernel pairs are read off its domain's split epis or isos
-    # instead of searched
+    # the counted pullback gives a mono's kernel pairs as its domain's split
+    # epis or isos
     compared = 0
     for C in [*_categories(), parse(RETRACT).category("Ret"), parse(ZERO_TWICE).category("ZT"),
               *_fixtures(), *_completions("Arrow", 2), *_completions("Chain3", 1)]:
         for f in C.morphism_names:
             if not is_mono(C, f):
                 continue
-            x = C.dom(f)
             for mode in (WEAK, STRICT):
                 assert kernel_pair_cones(C, f, mode) == \
-                    _limit_cones(C, [x, x], [(f, 0, f, 1)], mode), (C.to_raw(), f, mode)
+                    oracle_mono_kernel_pairs(C, f, mode), (C.to_raw(), f, mode)
                 compared += 1
     assert compared == 2 * 836  # monos of the categories above, in both modes
 
@@ -276,19 +299,41 @@ def test_terminals_and_products_match_their_diagrams():
     retract = parse(RETRACT).category("Ret")
     assert sum(_compare_terminals_and_products(C)
                for C in [*_categories(), retract]) == 2760
+    # The empty cone at an apex w is w itself, so its sieve is the set of
+    # domains of the morphisms into w: {T, E} at both T and E, though three
+    # morphisms go into E.  A sieve keyed on the legs alone, one empty tuple,
+    # would find no weak terminal here.
     assert [c.apex for c in terminal_cones(retract, STRICT)] == ["T"]
     assert [c.apex for c in terminal_cones(retract, WEAK)] == ["T", "E"]
-    # The strict filter skips the cone at E before any count: three morphisms
-    # act on it, and a strict limit has exactly one per cone, here two.
-    asked = []
 
-    def count(C, src, dst):
-        asked.append(dst.apex)
-        return _cone_factorizations(C, src, dst)
 
-    cones = [Cone("T", ()), Cone("E", ())]
-    assert _universal(retract, cones, count, _into_apex, STRICT) == cones[:1]
-    assert asked == ["T", "T"]
+def test_cone_counts_match_the_listed_cones():
+    # The limit searches count the cones S over a shape per apex, listing
+    # cones only where a limit can sit; each count against the oracle's list.
+    counts = Counter()
+    for C in _categories():
+        def counted(count_at) -> int:
+            return sum(map(count_at, C.objects))
+
+        assert len(C.objects) == len(_inline_cones(C, [], []))  # terminal: one per apex
+        counts["terminal"] += 1
+        for x in C.objects:
+            for y in C.objects:
+                assert counted(_product_count(C, x, y)) == \
+                    len(_inline_cones(C, [x, y], [])), (C.to_raw(), x, y)
+                counts["product"] += 1
+        for f in C.morphism_names:
+            for g in C.morphisms_to(C.cod(f)):
+                assert counted(_pullback_shape(C, f, g)[1]) == len(_inline_cones(
+                    C, [C.dom(f), C.cod(f), C.dom(g)], [(0, f, 1), (2, g, 1)])), \
+                    (C.to_raw(), f, g)
+                counts["pullback"] += 1
+        for p in C.parallel_pairs():
+            cones_at = _cones_at(C, [C.dom(p.f1)], [(p.f1, 0, p.f2, 0)])
+            assert counted(lambda w: len(cones_at(w))) == len(_inline_cones(
+                C, [C.dom(p.f1), C.cod(p.f1)], [(0, p.f1, 1), (0, p.f2, 1)])), (C.to_raw(), p)
+            counts["equalizer"] += 1
+    assert counts == {"terminal": 400, "product": 975, "pullback": 7982, "equalizer": 7772}
 
 
 def _fixtures() -> list:
@@ -333,12 +378,21 @@ def _inline_mono(C, f: str) -> bool:
                    for w in C.objects for a in C.hom(w, x) for b in C.hom(w, x))
 
 
+def _inline_epi(C, f: str) -> bool:
+    y = C.cod(f)
+    return not any(a != b and C.compose(a, f) == C.compose(b, f)
+                   for w in C.objects for a in C.hom(y, w) for b in C.hom(y, w))
+
+
 def test_kernels_match_their_inline_definition():
-    # kernels and the mono flag both read the sieve sizes
+    # kernels and the mono flag both read the sieve sizes, the epi flag the
+    # cosieve sizes
     compared = 0
     for C in [*_categories(), parse(RETRACT).category("Ret"), *_completions("Arrow", 1)]:
         for f in C.morphism_names:
             assert is_mono(C, f) == morphism_flags(C, f).mono == _inline_mono(C, f), \
+                (C.to_raw(), f)
+            assert is_epi(C, f) == morphism_flags(C, f).epi == _inline_epi(C, f), \
                 (C.to_raw(), f)
         for N in enumerate_ideals(C):
             M = MultiPointedCategory(C, N)
@@ -544,11 +598,10 @@ def oracle_regular_epis(C) -> frozenset[str]:
     """The epis that split or coequalize some pair into their domain."""
     out = set()
     for f in C.morphism_names:
-        flags = morphism_flags(C, f)
-        if not flags.epi:
+        if not _inline_epi(C, f):
             continue
         x = C.dom(f)
-        if flags.split_epi or any(
+        if morphism_flags(C, f).split_epi or any(
                 oracle_is_coequalizer(C, f, ParallelPair(u, v))
                 for w in C.objects for u in C.hom(w, x) for v in C.hom(w, x)):
             out.add(f)
@@ -630,6 +683,19 @@ def oracle_regular_completion(C, cover) -> tuple[str, list[str]]:
 def _covers(C) -> list:
     return [full_subcategory(C, objs) for r in range(1, len(C.objects) + 1)
             for objs in itertools.combinations(C.objects, r)]
+
+
+def test_cover_tables_match_the_scan_of_the_parent_table():
+    # a cover's table is read off its kept morphisms' composable pairs, or is
+    # the parent's when every object is kept
+    compared = 0
+    for C in [*_categories(), *_fixtures(), *_completions("Arrow", 2)]:
+        for cover in _covers(C):
+            names = set(cover.category.morphism_names)
+            assert cover.category._comp == {(g, f): h for (g, f), h in C._comp.items()
+                                            if g in names and f in names}, (C.to_raw(), cover)
+            compared += 1
+    assert compared == 978
 
 
 def compare_coequalizers_and_pointed_ideal(C) -> tuple[int, int, int]:
