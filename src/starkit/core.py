@@ -180,108 +180,101 @@ class FinCategory:
 def validate_category(raw: RawCategory) -> FinCategory:
     """Check a raw table and build the category, or raise InvalidCategory.
 
-    The three category axioms are verified exhaustively: identity laws hold
-    by construction (identity rows are generated, not declared), typing is
-    checked per composition row, and associativity is checked over every
-    composable triple.
+    Morphisms are numbered once, identities in object order and then the
+    declared ones in input order (the ``_bit`` order), so each row resolves
+    its names once and is typed on integer dom/cod arrays.  Identity rows
+    are generated, never declared, so the identity laws hold by construction.
 
-    A thin table, where no hom-set has more than one member (identities
-    included), skips the associativity check: for a composable triple
-    (a, b, c), both (a∘b)∘c and a∘(b∘c) are typed rows, so both lie in
-    hom(dom c, cod a), which has one member, and they are equal.
+    Associativity is checked per composable pair (a, b) of declared
+    morphisms, on the rows L_x: u -> x∘u over the morphisms u into dom x.
+    For c into dom b, L_{a∘b}(c) = (a∘b)∘c and L_a(L_b(c)) = a∘(b∘c), and
+    c = 1_{dom b} gives a∘b on both sides, so L_{a∘b} = L_a∘L_b iff every
+    triple (a, b, c) of declared morphisms associates.  A row holds
+    positions among the morphisms into cod x, one cell per composable pair;
+    a pair's triples are walked only when its rows differ.  A thin table
+    (no hom-set with two members) has no rows: (a∘b)∘c and a∘(b∘c) both lie
+    in hom(dom c, cod a), which has one member.
     """
     violations: list[Violation] = []
-
     objects = list(raw.objects)
-    seen_obj = set()
+    obj: dict[str, int] = {}
     for x in objects:
-        if x in seen_obj:
+        if x in obj:
             violations.append(Violation("DuplicateName", f"object {x} declared twice"))
-        seen_obj.add(x)
-
-    id_names = {identity_name(x) for x in seen_obj}
-    morphisms: list[Morphism] = [Morphism(identity_name(x), x, x) for x in objects
-                                 if x in seen_obj]
-    seen_mor = {m.name for m in morphisms}
-    for name, dom, cod in raw.morphisms:
-        if name in seen_mor or name in id_names:
+        obj.setdefault(x, len(obj))
+    index = {identity_name(x): i for x, i in obj.items()}  # morphism name -> number
+    k = len(obj)
+    dom, cod = list(range(k)), list(range(k))
+    for name, d, c in raw.morphisms:
+        if name in index:
             violations.append(Violation("DuplicateName", f"morphism {name} declared twice"))
-            continue
-        bad = False
-        for end, label in ((dom, "domain"), (cod, "codomain")):
-            if end not in seen_obj:
-                violations.append(Violation("UnknownName", f"{label} {end} of morphism {name}"))
-                bad = True
-        if not bad:
-            seen_mor.add(name)
-            morphisms.append(Morphism(name, dom, cod))
+        elif d in obj and c in obj:
+            index[name] = len(dom)
+            dom.append(obj[d])
+            cod.append(obj[c])
+        else:
+            violations.extend(Violation("UnknownName", f"{label} {end} of morphism {name}")
+                              for end, label in ((d, "domain"), (c, "codomain")) if end not in obj)
     if violations:
         raise InvalidCategory(violations)
 
-    by_name = {m.name: m for m in morphisms}
-    is_id = {m.name: (m.name in id_names) for m in morphisms}
-    comp: dict[tuple[str, str], str] = {}
+    names, n = list(index), len(index)
+    into: list[list[int]] = [[] for _ in objects]  # identity first, then input order
+    pos = []  # pos[i]: the place of morphism i in into[cod i]
+    for i, c in enumerate(cod):
+        pos.append(len(into[c]))
+        into[c].append(i)
+    # rows[i][pos[u]] = pos[i∘u], None on a thin table.  A declared row's
+    # identity column, position 0, is set here, and the rows set the rest.
+    rows = None if len(set(zip(dom, cod))) == n else [
+        list(range(len(into[i]))) if i < k else [pos[i]] * len(into[dom[i]]) for i in range(n)]
 
+    comp: dict[tuple[str, str], str] = {}
     for g, f, h in raw.compositions:
-        missing = [n for n in (g, f, h) if n not in by_name]
-        if missing:
-            for n in missing:
-                violations.append(Violation("UnknownName", f"morphism {n} in row {g} {f} = {h}"))
-            continue
-        if is_id[g] or is_id[f]:
+        gi, fi, hi = index.get(g), index.get(f), index.get(h)
+        if gi is None or fi is None or hi is None:
+            violations.extend(Violation("UnknownName", f"morphism {m} in row {g} {f} = {h}")
+                              for m in (g, f, h) if m not in index)
+        elif gi < k or fi < k:
             violations.append(Violation(
                 "RedundantIdentity", f"row {g} {f} = {h} mentions an identity operand"))
-            continue
-        if by_name[f].cod != by_name[g].dom:
-            violations.append(Violation(
-                "BadTyping", f"pair ({g}, {f}) is not composable"))
-            continue
-        if by_name[h].dom != by_name[f].dom or by_name[h].cod != by_name[g].cod:
+        elif cod[fi] != dom[gi]:
+            violations.append(Violation("BadTyping", f"pair ({g}, {f}) is not composable"))
+        elif dom[hi] != dom[fi] or cod[hi] != cod[gi]:
             violations.append(Violation(
                 "BadTyping", f"row {g} {f} = {h}: composite must go "
-                f"{by_name[f].dom} -> {by_name[g].cod}"))
-            continue
-        if (g, f) in comp:
-            violations.append(Violation(
-                "DuplicateComposite", f"pair ({g}, {f}) given twice"))
-            continue
-        comp[(g, f)] = h
-
-    nonids = [m for m in morphisms if not is_id[m.name]]
-    for g in nonids:
-        for f in nonids:
-            if f.cod == g.dom and (g.name, f.name) not in comp:
-                violations.append(Violation(
-                    "MissingComposite", f"no row for pair ({g.name}, {f.name})"))
+                f"{objects[dom[fi]]} -> {objects[cod[gi]]}"))
+        elif (g, f) in comp:
+            violations.append(Violation("DuplicateComposite", f"pair ({g}, {f}) given twice"))
+        else:
+            comp[g, f] = h
+            if rows is not None:
+                rows[gi][pos[fi]] = pos[hi]
+    # each filled cell is a composable pair of declared morphisms
+    if len(comp) < sum(len(into[dom[g]]) - 1 for g in range(k, n)):
+        violations.extend(Violation("MissingComposite", f"no row for pair ({names[g]}, {names[f]})")
+                          for g in range(k, n) for f in into[dom[g]][1:]
+                          if (names[g], names[f]) not in comp)
     if violations:
         raise InvalidCategory(violations)
 
-    # Total table: identity rows are forced.
-    for m in morphisms:
-        comp[(m.name, identity_name(m.dom))] = m.name
-        comp[(identity_name(m.cod), m.name)] = m.name
-
-    types = {(m.dom, m.cod) for m in morphisms}
-    if len(types) == len(morphisms):
+    for i, m in enumerate(names):  # total table: identity rows are forced
+        comp[m, names[dom[i]]] = comp[names[cod[i]], m] = m
+    morphisms = [Morphism(m, objects[dom[i]], objects[cod[i]]) for i, m in enumerate(names)]
+    if rows is None:
         return FinCategory(raw.name, objects, morphisms, comp)
-
-    for a in nonids:
-        for b in nonids:
-            if b.cod != a.dom:
-                continue
-            ab = comp[(a.name, b.name)]
-            for c in nonids:
-                if c.cod != b.dom:
-                    continue
-                bc = comp[(b.name, c.name)]
-                if comp[(ab, c.name)] != comp[(a.name, bc)]:
-                    violations.append(Violation(
-                        "NonAssociative",
-                        f"({a.name} {b.name}) {c.name} = {comp[(ab, c.name)]} but "
-                        f"{a.name} ({b.name} {c.name}) = {comp[(a.name, bc)]}"))
+    for a in range(k, n):
+        ra, out = rows[a], into[cod[a]]
+        for b in into[dom[a]][1:]:
+            rb, rab = rows[b], rows[out[ra[pos[b]]]]
+            if rab != list(map(ra.__getitem__, rb)):
+                A, B = names[a], names[b]
+                violations.extend(Violation(
+                    "NonAssociative", f"({A} {B}) {names[c]} = {names[out[rab[pos[c]]]]} "
+                    f"but {A} ({B} {names[c]}) = {names[out[ra[rb[pos[c]]]]]}")
+                    for c in into[dom[b]][1:] if rab[pos[c]] != ra[rb[pos[c]]])
     if violations:
         raise InvalidCategory(violations)
-
     return FinCategory(raw.name, objects, morphisms, comp)
 
 

@@ -40,12 +40,15 @@ DEFAULT_ENUM_CAP = 6
 DEFAULT_SEARCH_BUDGET = 1000
 ENV_MAX_MORPHISMS = "STARKIT_MAX_MORPHISMS"
 
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_REF = re.compile(r"(?:1_)?[A-Za-z][A-Za-z0-9_]*\Z")
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_REF = re.compile(r"(?:1_)?" + _NAME.pattern)
 _CATEGORY = re.compile(r"category\s+(\S+)\s*\Z")
 _OBJECTS = re.compile(r"objects\s+(.*)\Z")
 _MOR = re.compile(r"mor\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\s*\Z")
 _COMP = re.compile(r"comp\s+(\S+)\s+(\S+)\s*=\s*(\S+)\s*\Z")
+# _MOR and _COMP with _NAME and _REF groups; _syntax_error says why one fails
+_MOR_ROW = re.compile(r"mor\s+({0})\s*:\s*({0})\s*->\s*({0})\s*\Z".format(_NAME.pattern))
+_COMP_ROW = re.compile(r"comp\s+({0})\s+({0})\s*=\s*({0})\s*\Z".format(_REF.pattern))
 _IDEAL = re.compile(r"ideal\s+(\S+)\s+on\s+(\S+)\s*=\s*\{(.*)\}\s*\Z")
 _COVER = re.compile(r"cover\s+(\S+)\s+on\s+(\S+)\s*=\s*\{(.*)\}\s*\Z")
 
@@ -168,11 +171,18 @@ def _split_members(text: str, line_no: int) -> list[str]:
         return []
     members = [part.strip() for part in body.split(",")]
     for i, m in enumerate(members):
-        if not _REF.match(m):
+        if not _REF.fullmatch(m):
             raise CorpusSyntaxError(f"bad name {m!r}", line_no)
         if m in members[:i]:
             raise CorpusSyntaxError(f"member {m!r} is already used", line_no)
     return members
+
+
+def _syntax_error(form, name, usage: str, line: str, line_no: int) -> CorpusSyntaxError:
+    """The error for a mor or comp line that its row pattern rejects."""
+    m = form.match(line)
+    bad = [n for n in m.groups() if not name.fullmatch(n)] if m else []
+    return CorpusSyntaxError(f"bad name {bad[0]!r}" if bad else f"expected: {usage}", line_no)
 
 
 def parse(text: str) -> CorpusFile:
@@ -185,7 +195,6 @@ def parse(text: str) -> CorpusFile:
         return name
 
     current: RawCategory | None = None
-    stage = 0  # 0 objects, 1 mor, 2 comp
     in_header = True
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -200,52 +209,43 @@ def parse(text: str) -> CorpusFile:
         word = line.split(None, 1)[0]
 
         if current is not None:
-            if word == "objects":
-                if stage != 0:
+            if word == "comp":
+                m = _COMP_ROW.match(line)
+                if not m:
+                    raise _syntax_error(_COMP, _REF, "comp <g> <f> = <h>", line, line_no)
+                current.compositions.append(m.groups())
+            elif word == "mor":
+                m = _MOR_ROW.match(line)
+                if not m:
+                    raise _syntax_error(_MOR, _NAME, "mor <name> : <dom> -> <cod>", line, line_no)
+                current.morphisms.append(m.groups())
+            elif word == "objects":
+                if current.morphisms or current.compositions:
                     raise CorpusSyntaxError("objects after morphisms", line_no)
                 m = _OBJECTS.match(line)
                 names = m.group(1).split() if m else []
                 if not names:
                     raise CorpusSyntaxError("objects line needs at least one name", line_no)
                 for n in names:
-                    if not _NAME.match(n):
+                    if not _NAME.fullmatch(n):
                         raise CorpusSyntaxError(f"bad object name {n!r}", line_no)
                 current.objects.extend(names)
-            elif word == "mor":
-                m = _MOR.match(line)
-                if not m:
-                    raise CorpusSyntaxError("expected: mor <name> : <dom> -> <cod>", line_no)
-                for n in m.groups():
-                    if not _NAME.match(n):
-                        raise CorpusSyntaxError(f"bad name {n!r}", line_no)
-                stage = max(stage, 1)
-                current.morphisms.append((m.group(1), m.group(2), m.group(3)))
-            elif word == "comp":
-                m = _COMP.match(line)
-                if not m:
-                    raise CorpusSyntaxError("expected: comp <g> <f> = <h>", line_no)
-                for n in m.groups():
-                    if not _REF.match(n):
-                        raise CorpusSyntaxError(f"bad name {n!r}", line_no)
-                stage = 2
-                current.compositions.append((m.group(1), m.group(2), m.group(3)))
             elif word == "end":
                 corpus._add(CategoryBlock(current))
-                current, stage = None, 0
+                current = None
             else:
                 raise CorpusSyntaxError(f"unexpected {word!r} inside category block", line_no)
             continue
 
         if word == "category":
             m = _CATEGORY.match(line)
-            if not m or not _NAME.match(m.group(1)):
+            if not m or not _NAME.fullmatch(m.group(1)):
                 raise CorpusSyntaxError("expected: category <name>", line_no)
             name = unused(CategoryBlock, m.group(1), line_no)
             current = RawCategory(name, [], [], [])
-            stage = 0
         elif word == "ideal":
             m = _IDEAL.match(line)
-            if not m or not _NAME.match(m.group(1)):
+            if not m or not _NAME.fullmatch(m.group(1)):
                 raise CorpusSyntaxError(
                     "expected: ideal <name> on <target> = { ... }", line_no)
             target = m.group(2)
@@ -256,7 +256,7 @@ def parse(text: str) -> CorpusFile:
             corpus._add(IdealBlock(name, target, _split_members(m.group(3), line_no)))
         elif word == "cover":
             m = _COVER.match(line)
-            if not m or not _NAME.match(m.group(1)):
+            if not m or not _NAME.fullmatch(m.group(1)):
                 raise CorpusSyntaxError("expected: cover <name> on <cat> = { ... }", line_no)
             if corpus._named(CategoryBlock, m.group(2)) is None:
                 raise CorpusSyntaxError(f"unknown category {m.group(2)!r}", line_no)
@@ -665,8 +665,7 @@ def _table_category(name: str, k: int, types: tuple, table: dict) -> FinCategory
     names = [m.name for m in morphisms]
     comp = {(names[g], names[f]): names[h] for (g, f), h in table.items()}
     for m in morphisms:
-        comp[(m.name, identity_name(m.dom))] = m.name
-        comp[(identity_name(m.cod), m.name)] = m.name
+        comp[m.name, identity_name(m.dom)] = comp[identity_name(m.cod), m.name] = m.name
     return FinCategory(name, objects, morphisms, comp)
 
 

@@ -260,9 +260,17 @@ def coequalizer(C: FinCategory, p: ParallelPair) -> str | None:
 
 
 def regular_epis(C: FinCategory) -> frozenset[str]:
-    """The union of coequalizers(C, p) over C.parallel_pairs()."""
-    return C._memo("regular_epis", lambda: frozenset(
-        q for p in C.parallel_pairs() for q in coequalizers(C, p)))
+    """The union of coequalizers(C, p) over C.parallel_pairs(); in a thin C,
+    the isos, the q with hom(cod q, dom q) non-empty.  There every pair is
+    some (u, u), every morphism epi and v -> v∘q injective, and a coequalizer
+    q maps from(cod q) onto from(dom q): 1_{dom q} = v∘q, so q∘v = 1 by
+    thinness.  Each iso coequalizes (1, 1)."""
+    def compute():
+        if len(C._hom) == len(C.morphisms):  # thin
+            return frozenset(q for q in C.morphism_names if C.hom(C.cod(q), C.dom(q)))
+        return frozenset(q for p in C.parallel_pairs() for q in coequalizers(C, p))
+
+    return C._memo("regular_epis", compute)
 
 
 def is_regular_epi(C: FinCategory, f: str) -> bool:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +37,44 @@ def test_validate_broken_exits_2(capsys):
     assert code == 2
     assert "PROPERTY validate ERROR" in out
     assert "MissingComposite" in out
+
+
+# Invalid tables and the violation lines validate prints for them, in order.
+BAD_FILES = {
+    "non-associative": (
+        "category N\nobjects X\nmor a : X -> X\nmor b : X -> X\n"
+        "comp a a = a\ncomp a b = a\ncomp b a = b\ncomp b b = a\nend\n",
+        ["NonAssociative: (b a) b = a but b (a b) = b",
+         "NonAssociative: (b b) b = a but b (b b) = b"]),
+    "badly-typed": (
+        "category T\nobjects X Y\nmor f : X -> Y\nmor e : X -> X\n"
+        "comp f f = f\ncomp e e = e\ncomp f e = e\nend\n",
+        ["BadTyping: pair (f, f) is not composable",
+         "BadTyping: row f e = e: composite must go X -> Y",
+         "MissingComposite: no row for pair (f, e)"]),
+}
+
+
+def validate_bad_files(directory) -> dict[str, list]:
+    """[exit code, stdout] of validate on each of BAD_FILES, written to directory."""
+    out = {}
+    for name, (text, _) in BAD_FILES.items():
+        path = Path(directory) / f"{name}.fincat"
+        path.write_text(text, encoding="utf-8")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = run(["validate", str(path)])
+        out[name] = [code, stdout.getvalue()]
+    return out
+
+
+def expected_bad_files() -> dict[str, list]:
+    return {name: [2, "PROPERTY validate ERROR\n" + "".join(f"  {v}\n" for v in lines)]
+            for name, (_, lines) in BAD_FILES.items()}
+
+
+def test_validate_prints_every_violation_in_order(tmp_path):
+    assert validate_bad_files(tmp_path) == expected_bad_files()
 
 
 def test_validate_duplicate_category_exits_2(capsys, tmp_path):
@@ -263,14 +304,18 @@ def test_module_entry_point():
 
 
 GOLDEN_UNDER_OPTIMIZE = """
-import json, sys
+import json, sys, tempfile
+from tests.test_cli import validate_bad_files
 from tests.test_cli_golden import results
-json.dump({"debug": __debug__, "results": results()}, sys.stdout)
+with tempfile.TemporaryDirectory() as directory:
+    bad = validate_bad_files(directory)
+json.dump({"debug": __debug__, "results": results(), "bad": bad}, sys.stdout)
 """
 
 
 def test_golden_invocations_under_optimize():
-    # Every invocation of the golden file, replayed where asserts are stripped.
+    # Every invocation of the golden file, and validate on the invalid
+    # tables, replayed where asserts are stripped.
     env = subprocess_env()
     env.pop("STARKIT_MAX_MORPHISMS", None)
     proc = subprocess.run([sys.executable, "-O", "-c", GOLDEN_UNDER_OPTIMIZE],
@@ -282,3 +327,4 @@ def test_golden_invocations_under_optimize():
     assert [g["argv"] for g in got["results"]] == [g["argv"] for g in golden]
     differing = [g["argv"] for g, want in zip(got["results"], golden) if g != want]
     assert not differing, f"{len(differing)} invocations differ, first {differing[:3]}"
+    assert got["bad"] == expected_bad_files()

@@ -50,6 +50,27 @@ def test_parse_syntax_errors_carry_line():
         parse("category A\nobjects X\n")  # not closed
 
 
+@pytest.mark.parametrize("row, message", [
+    ("comp 1x f = f", "bad name '1x'"),
+    ("comp f 1_ = f", "bad name '1_'"),
+    ("comp f f = a=b", "bad name 'a=b'"),
+    ("comp f 1x = -", "bad name '1x'"),
+    ("comp f f== f", "bad name 'f='"),
+    ("comp f f f", "expected: comp <g> <f> = <h>"),
+    ("comp f = f", "expected: comp <g> <f> = <h>"),
+    ("mor 1_g : X -> X", "bad name '1_g'"),
+    ("mor g : X_ -> -", "bad name '-'"),
+    ("mor g : X -> 1X", "bad name '1X'"),
+    ("mor g X -> X", "expected: mor <name> : <dom> -> <cod>"),
+    ("mor g : X => X", "expected: mor <name> : <dom> -> <cod>"),
+    ("objects Y", "objects after morphisms"),
+])
+def test_parse_pins_the_first_bad_name_or_the_expected_form(row, message):
+    with pytest.raises(CorpusSyntaxError) as err:
+        parse(f"# header\ncategory A\nobjects X\nmor f : X -> X\n{row}\nend\n")
+    assert str(err.value) == f"line 5, col 1: {message}"
+
+
 @pytest.mark.parametrize("text, line", [
     ("category A\nobjects X\nend\ncategory A\nobjects Y\nend\n", 4),
     ("category A\nobjects X\nend\ncover P on A = { X }\ncover P on A = { X }\n", 5),

@@ -18,15 +18,19 @@ form after their gates, are compared with the evaluators they replace.
 Ideal tests, closures and enumeration, done on masks over the morphisms'
 bits, and the per-ideal kernel gates are compared with the frozenset loops
 they replace, and the kernel pairs of a mono with their construction from
-split epis or isos."""
+split epis or isos.  Regular epis of thin categories, read as the isos,
+are compared with the search too.  Validation, on a dense morphism index
+with associativity checked per composable pair by comparing rows, is
+compared with the name-keyed loops it replaces: the violations it lists,
+in order, or the category it builds."""
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 
 from starkit import (ERROR, FAIL, INAPPLICABLE, PASS, STRICT, WEAK,
-                     CoverWitness, MultiPointedCategory, ParallelPair, Report,
-                     StarkitError, are_equivalent, check_corollary_b,
+                     CoverWitness, InvalidCategory, MultiPointedCategory,
+                     ParallelPair, Report, StarkitError, are_equivalent, check_corollary_b,
                      check_corollary_c, check_corollary_d, check_theorem_a,
                      check_theorem_c, coequalizer, coequalizers,
                      enumerate_ideals, enumerate_reflexive_graphs,
@@ -41,7 +45,8 @@ from starkit import (ERROR, FAIL, INAPPLICABLE, PASS, STRICT, WEAK,
                      terminal_cones)
 from starkit.corpus import enumerate_categories, parse
 from starkit.ideals import _first_without_kernel
-from starkit.core import is_epi
+from starkit.core import (FinCategory, Morphism, RawCategory, Violation, identity_name,
+                          is_epi, validate_category)
 from starkit.limits import (Cone, _cones_at, _product_count, _pullback_shape,
                             coequalizes, kernel_pair_cones)
 from starkit.stars import _pair_passes, _star
@@ -731,6 +736,17 @@ def test_coequalizers_and_the_pointed_ideal_match_the_searches_they_replace():
     assert pointed_ideal(parse(ZERO_TWICE).category("ZT")) is None
 
 
+def test_regular_epis_of_thin_categories_match_the_oracle(enumerated6):
+    # regular_epis reads a thin category's isos without a coequalizer search;
+    # 19 categories of at most 6 morphisms are thin, 3 fixtures and the 4
+    # completions
+    thin = [C for C in [*enumerated6, *_fixtures(), *_completions("Arrow", 2),
+                        *_completions("Chain3", 2)] if _thin(C)]
+    for C in thin:
+        assert regular_epis(C) == oracle_regular_epis(C), C.name
+    assert len(thin) == 19 + 3 + 4
+
+
 def test_regular_epis_are_isos_and_pointed_ideals_zeros():
     one = load("one.fincat").category("One")
     regular = pointed = pointed_regular = 0
@@ -1012,3 +1028,183 @@ def test_statement_checks_match_their_evaluators():
         ("corollary-c", PASS): 21, ("corollary-c", INAPPLICABLE): 2508,
         ("corollary-b", PASS): 3, ("corollary-b", INAPPLICABLE): 406,
     }
+
+
+# Validation numbers the morphisms once and checks associativity one
+# composable pair at a time, by comparing rows; the name-keyed loops it
+# replaces are the oracle.
+
+def oracle_validate_category(raw: RawCategory) -> FinCategory:
+    """The name-keyed validation that validate_category replaces.  The three
+    category axioms are verified exhaustively: identity laws hold by
+    construction (identity rows are generated, not declared), typing is
+    checked per composition row, and associativity is checked over every
+    composable triple.
+
+    A thin table, where no hom-set has more than one member (identities
+    included), skips the associativity check: for a composable triple
+    (a, b, c), both (a∘b)∘c and a∘(b∘c) are typed rows, so both lie in
+    hom(dom c, cod a), which has one member, and they are equal.
+    """
+    violations: list[Violation] = []
+
+    objects = list(raw.objects)
+    seen_obj = set()
+    for x in objects:
+        if x in seen_obj:
+            violations.append(Violation("DuplicateName", f"object {x} declared twice"))
+        seen_obj.add(x)
+
+    id_names = {identity_name(x) for x in seen_obj}
+    morphisms: list[Morphism] = [Morphism(identity_name(x), x, x) for x in objects
+                                 if x in seen_obj]
+    seen_mor = {m.name for m in morphisms}
+    for name, dom, cod in raw.morphisms:
+        if name in seen_mor or name in id_names:
+            violations.append(Violation("DuplicateName", f"morphism {name} declared twice"))
+            continue
+        bad = False
+        for end, label in ((dom, "domain"), (cod, "codomain")):
+            if end not in seen_obj:
+                violations.append(Violation("UnknownName", f"{label} {end} of morphism {name}"))
+                bad = True
+        if not bad:
+            seen_mor.add(name)
+            morphisms.append(Morphism(name, dom, cod))
+    if violations:
+        raise InvalidCategory(violations)
+
+    by_name = {m.name: m for m in morphisms}
+    is_id = {m.name: (m.name in id_names) for m in morphisms}
+    comp: dict[tuple[str, str], str] = {}
+
+    for g, f, h in raw.compositions:
+        missing = [n for n in (g, f, h) if n not in by_name]
+        if missing:
+            for n in missing:
+                violations.append(Violation("UnknownName", f"morphism {n} in row {g} {f} = {h}"))
+            continue
+        if is_id[g] or is_id[f]:
+            violations.append(Violation(
+                "RedundantIdentity", f"row {g} {f} = {h} mentions an identity operand"))
+            continue
+        if by_name[f].cod != by_name[g].dom:
+            violations.append(Violation(
+                "BadTyping", f"pair ({g}, {f}) is not composable"))
+            continue
+        if by_name[h].dom != by_name[f].dom or by_name[h].cod != by_name[g].cod:
+            violations.append(Violation(
+                "BadTyping", f"row {g} {f} = {h}: composite must go "
+                f"{by_name[f].dom} -> {by_name[g].cod}"))
+            continue
+        if (g, f) in comp:
+            violations.append(Violation(
+                "DuplicateComposite", f"pair ({g}, {f}) given twice"))
+            continue
+        comp[(g, f)] = h
+
+    nonids = [m for m in morphisms if not is_id[m.name]]
+    for g in nonids:
+        for f in nonids:
+            if f.cod == g.dom and (g.name, f.name) not in comp:
+                violations.append(Violation(
+                    "MissingComposite", f"no row for pair ({g.name}, {f.name})"))
+    if violations:
+        raise InvalidCategory(violations)
+
+    # Total table: identity rows are forced.
+    for m in morphisms:
+        comp[(m.name, identity_name(m.dom))] = m.name
+        comp[(identity_name(m.cod), m.name)] = m.name
+
+    types = {(m.dom, m.cod) for m in morphisms}
+    if len(types) == len(morphisms):
+        return FinCategory(raw.name, objects, morphisms, comp)
+
+    for a in nonids:
+        for b in nonids:
+            if b.cod != a.dom:
+                continue
+            ab = comp[(a.name, b.name)]
+            for c in nonids:
+                if c.cod != b.dom:
+                    continue
+                bc = comp[(b.name, c.name)]
+                if comp[(ab, c.name)] != comp[(a.name, bc)]:
+                    violations.append(Violation(
+                        "NonAssociative",
+                        f"({a.name} {b.name}) {c.name} = {comp[(ab, c.name)]} but "
+                        f"{a.name} ({b.name} {c.name}) = {comp[(a.name, bc)]}"))
+    if violations:
+        raise InvalidCategory(violations)
+
+    return FinCategory(raw.name, objects, morphisms, comp)
+
+
+def _validation(validate, raw: RawCategory):
+    """The violations (kind, detail, in order) that validate raises on raw,
+    or the objects, morphisms and table (in insertion order) it builds."""
+    try:
+        C = validate(raw)
+    except InvalidCategory as e:
+        return [(v.kind, v.detail) for v in e.violations]
+    return C.name, C.objects, C.morphisms, list(C._comp.items())
+
+
+def compare_validation(raw: RawCategory) -> bool:
+    """Assert that validate_category agrees with the oracle on raw; return
+    whether raw is a category."""
+    got = _validation(validate_category, raw)
+    assert got == _validation(oracle_validate_category, raw), raw
+    return not isinstance(got, list)
+
+
+def _single_row_changes(raw: RawCategory):
+    """raw with the composite of one row replaced by another morphism of the
+    same type, for every row and every such morphism."""
+    C = validate_category(raw)
+    for i, (g, f, h) in enumerate(raw.compositions):
+        for h2 in C.hom(C.dom(f), C.cod(g)):
+            if h2 != h:
+                yield RawCategory(raw.name, raw.objects, raw.morphisms,
+                                  [*raw.compositions[:i], (g, f, h2), *raw.compositions[i + 1:]])
+
+
+def test_validation_matches_the_oracle_on_categories_and_their_row_changes():
+    from tests.test_truncations import pointed_sets  # imports this module
+    cats = [*_categories(), *_fixtures(), pointed_sets(4),
+            *_completions("Arrow", 2), *_completions("Chain3", 2)]
+    assert all(compare_validation(C.to_raw()) for C in cats)
+    changed = Counter(compare_validation(raw) for C in [*_categories(), *_fixtures()]
+                      for raw in _single_row_changes(C.to_raw()))
+    assert (len(cats), changed[True], changed[False]) == (409, 1086, 15907)
+
+
+# One table per violation kind, each also carrying kinds that come before it
+# in the same pass of the validator.
+INVALID_TABLES = [
+    ("DuplicateName", RawCategory("D", ["X", "Y", "X"], [("f", "X", "Y"), ("f", "Y", "X"),
+                                                         ("1_Y", "Y", "Y")], [])),
+    ("UnknownName", RawCategory("U", ["X"], [("f", "X", "Z"), ("g", "W", "V")], [])),
+    ("UnknownName", RawCategory("U", ["X"], [("e", "X", "X")],
+                                [("e", "e", "k"), ("u", "e", "u")])),
+    ("RedundantIdentity", RawCategory("R", ["X"], [("e", "X", "X")],
+                                      [("e", "1_X", "e"), ("e", "e", "e"), ("1_X", "e", "e")])),
+    ("BadTyping", RawCategory("T", ["X", "Y"], [("f", "X", "Y"), ("e", "X", "X")],
+                              [("f", "f", "f"), ("e", "e", "e"), ("f", "e", "e")])),
+    ("DuplicateComposite", RawCategory("P", ["X"], [("e", "X", "X")],
+                                       [("e", "e", "e"), ("e", "e", "1_X"), ("e", "e", "e")])),
+    ("MissingComposite", RawCategory("M", ["X", "Y"], [("f", "X", "Y"), ("e", "X", "X"),
+                                                       ("s", "Y", "Y")],
+                                     [("f", "e", "f"), ("s", "s", "1_Y")])),
+    ("NonAssociative", RawCategory("N", ["X"], [("a", "X", "X"), ("b", "X", "X")],
+                                   [("a", "a", "a"), ("a", "b", "a"),
+                                    ("b", "a", "b"), ("b", "b", "a")])),
+]
+
+
+def test_validation_matches_the_oracle_on_every_violation_kind():
+    for kind, raw in INVALID_TABLES:
+        assert not compare_validation(raw)
+        assert kind in {k for k, _ in _validation(validate_category, raw)}, kind
+    assert len(INVALID_TABLES) == 8

@@ -5,8 +5,11 @@ the corpus format round-trips, the canonical form ignores names and order,
 the pullback, equalizer and coequalizer searches, ideal kernels, regular
 epis, the pointed ideal and regular completions agree with the oracles of
 ``test_differential``, validation rejects exactly the single-cell changes
-that break associativity, ``ideal_closure`` gives the least ideal, and the
-finiteness theorems (F) and (K) pinned there hold."""
+that break associativity and agrees with its oracle on random edits,
+``ideal_closure`` gives the least ideal, and the finiteness theorems (F)
+and (K) pinned there hold.  Generated ``comp`` and ``mor`` lines parse to
+the groups, or fail with the error, that the line forms and name checks
+give."""
 from __future__ import annotations
 
 import itertools
@@ -21,11 +24,14 @@ from starkit import (STRICT, WEAK, InvalidCategory, MultiPointedCategory,  # noq
                      enumerate_ideals, equalizer_cones, ideal_closure, is_ideal,
                      kernels, pullback_cones)
 from starkit.core import RawCategory, identity_name, validate_category  # noqa: E402
-from starkit.corpus import (CorpusFile, _random_category, canonical_key,  # noqa: E402
+from starkit.corpus import (_COMP, _MOR, _NAME, _REF, CorpusFile,  # noqa: E402
+                            CorpusSyntaxError, _random_category, canonical_key,
                             category_block, parse, serialize)
 from tests.test_differential import (_all_mono, _has_weak_kernel_pairs,  # noqa: E402
-                                     _has_weak_products, _inline_kernels, _thin,
+                                     _has_weak_products, _inline_kernels,
+                                     _single_row_changes, _thin,
                                      compare_coequalizers_and_pointed_ideal,
+                                     compare_validation,
                                      oracle_equalizer, oracle_pullback)
 
 SWEPT, MAX_MORPHISMS = 5, 8
@@ -121,20 +127,35 @@ def _associative(raw: RawCategory) -> bool:
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(seeds)
 def test_validation_rejects_exactly_the_non_associative_cell_changes(seed):
-    C = _draw(seed)
-    raw = C.to_raw()
-    for i, (g, f, h) in enumerate(raw.compositions):
-        for h2 in C.hom(C.dom(f), C.cod(g)):
-            if h2 == h:
-                continue
-            changed = RawCategory(raw.name, raw.objects, raw.morphisms,
-                                  [*raw.compositions[:i], (g, f, h2), *raw.compositions[i + 1:]])
-            if _associative(changed):
+    for changed in _single_row_changes(_draw(seed).to_raw()):
+        if _associative(changed):
+            validate_category(changed)
+        else:
+            with pytest.raises(InvalidCategory) as err:
                 validate_category(changed)
-            else:
-                with pytest.raises(InvalidCategory) as err:
-                    validate_category(changed)
-                assert {v.kind for v in err.value.violations} == {"NonAssociative"}
+            assert {v.kind for v in err.value.violations} == {"NonAssociative"}
+        compare_validation(changed)
+
+
+@examples
+@given(seeds, st.randoms())
+def test_validation_matches_the_oracle_on_random_edits(seed, rng):
+    # one or two edits: a composite replaced by any name, a row dropped, a
+    # row of any three names added, or a row's operands swapped
+    raw = _draw(seed).to_raw()
+    names = [*(identity_name(x) for x in raw.objects), *(m for m, _, _ in raw.morphisms), "z"]
+    rows = list(raw.compositions)
+    for _ in range(rng.randint(1, 2)):
+        edit, i = rng.randrange(4), rng.randrange(len(rows) or 1)
+        if edit == 0 and rows:
+            rows[i] = (*rows[i][:2], rng.choice(names))
+        elif edit == 1 and rows:
+            del rows[i]
+        elif edit == 2 or not rows:
+            rows.insert(i, tuple(rng.choice(names) for _ in range(3)))
+        else:
+            rows[i] = (rows[i][1], rows[i][0], rows[i][2])
+    compare_validation(RawCategory(raw.name, raw.objects, raw.morphisms, rows))
 
 
 @examples
@@ -165,3 +186,42 @@ def test_weak_products_force_a_preorder(seed):
 def test_weak_kernel_pairs_force_monos(seed):
     C = _draw(seed)
     assert not _has_weak_kernel_pairs(C) or _all_mono(C)
+
+
+# Names, near-names and the row punctuation, joined by mixed whitespace.
+_WORDS = st.one_of(st.sampled_from(["f", "g1", "X_2", "1_X", "Ab"]),
+                   st.sampled_from(["1x", "1_", "a=b", "-", "f:", "->", "=", ":", "=h", "é"]))
+_SEPARATORS = ["", " ", "\t", "  ", " \t "]
+_FORMS = {"comp": (_COMP, _REF, "comp <g> <f> = <h>", ["", "", "="]),
+          "mor": (_MOR, _NAME, "mor <name> : <dom> -> <cod>", ["", ":", "->"])}
+
+
+@st.composite
+def _rows(draw):
+    keyword = draw(st.sampled_from(sorted(_FORMS)))
+    if draw(st.booleans()):  # three words around the keyword's punctuation
+        pieces = [p for mark in _FORMS[keyword][3] for p in (mark, draw(_WORDS))]
+    else:
+        pieces = draw(st.lists(_WORDS, max_size=6))
+    return keyword + " " + "".join(draw(st.sampled_from(_SEPARATORS)) + p for p in pieces)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_rows())
+def test_row_patterns_agree_with_the_form_and_name_checks(line):
+    keyword = line.split()[0]
+    form, name, usage, _ = _FORMS[keyword]
+    m = form.match(line.strip())
+    bad = [n for n in m.groups() if not name.fullmatch(n)] if m else []
+    if not m:
+        expected = f"line 3, col 1: expected: {usage}"
+    elif bad:
+        expected = f"line 3, col 1: bad name {bad[0]!r}"
+    else:
+        expected = m.groups()
+    try:
+        raw = parse(f"category A\nobjects X\n{line}\nend\n").blocks[0].raw
+        got = (raw.compositions if keyword == "comp" else raw.morphisms)[0]
+    except CorpusSyntaxError as e:
+        got = str(e)
+    assert got == expected

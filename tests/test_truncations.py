@@ -9,11 +9,14 @@ kernel-pair and coequalizer oracles get real inputs here."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
-from starkit import (STRICT, WEAK, ParallelPair, RawCategory, coequalizers,
-                     kernel_pairs, validate_category)
+from starkit import (FAIL, STRICT, WEAK, MultiPointedCategory, ParallelPair,
+                     RawCategory, coequalizers, enumerate_reflexive_graphs,
+                     kernel_pairs, pointed_ideal, satisfies_star_pi0, star_of,
+                     validate_category)
 from tests.test_differential import oracle_coequalizers, oracle_pullback
 
 
@@ -76,3 +79,30 @@ def test_coequalizers_of_pointed_set_kernel_pairs_match_the_oracle(ptset4):
                     compared += 1
     assert distinct == {WEAK: 24, STRICT: 24}
     assert compared == 254
+
+
+def test_star_pi0_on_the_reflexive_graphs_of_pointed_sets(ptset4):
+    """Pointed sets do not form a normal category, and star-pi0 at the
+    pointed ideal fails on 41 of the 76 reflexive graphs of PtSet<=4 with
+    d != c.  The first failure is d = p32_011, c = p32_001 from {0, 1, 2}
+    to {0, 1}, with section e = p23_02.  The fibre of d over the basepoint
+    is {0}, so its kernel is the zero map k = p13_0 from the one-point set
+    (its weak kernels are the zero maps into {0, 1, 2}).  The star
+    (d∘k, c∘k) is then (0, 0), which every morphism coequalizes, 1_P2
+    among them, although d != c."""
+    M = MultiPointedCategory(ptset4, pointed_ideal(ptset4))
+    verdicts = Counter()
+    failures = []
+    for g in enumerate_reflexive_graphs(ptset4):
+        if g.d != g.c:
+            report = satisfies_star_pi0(M, ParallelPair(g.d, g.c))
+            verdicts[report.verdict] += 1
+            if report.verdict == FAIL:
+                failures.append((g.d, g.c, g.e, report.witnesses))
+    assert verdicts == {"PASS": 35, "FAIL": 41}
+    assert failures[0] == ("p32_011", "p32_001", "p23_02", [
+        "pair=(p32_011, p32_001)", "kernel=p13_0", "violating morphism g=1_P2"])
+    stars = star_of(M, ParallelPair("p32_011", "p32_001"), WEAK)
+    assert stars[0].star == ParallelPair("p12_0", "p12_0")
+    assert [w.k for w in stars] == ["p13_0", "p23_00", "p33_000", "p43_0000"]
+    assert all(w.star.f1 == w.star.f2 for w in stars)
