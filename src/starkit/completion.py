@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 from .core import (FinCategory, FullSubcategory, RawCategory, identity_name,
                    validate_category)
-from .errors import IdealClosureViolation, PreconditionFailed, ValidationFailed
+from .errors import PreconditionFailed, ValidationFailed
 from .ideals import (CoverWitness, Ideal, MultiPointedCategory, has_all_kernels,
-                     is_ideal, is_projective_cover, pointed_ideal)
+                     is_projective_cover, pointed_ideal)
 from .limits import STRICT, WEAK, has_weak_finite_limits, is_regular_category
 from .report import FAIL, INAPPLICABLE, PASS, Report
 
@@ -34,16 +34,6 @@ class Completion:
     embed_morphisms: dict[str, str]
     cover: CoverWitness
     classes: dict[str, tuple[str, ...]]  # total morphism -> base representatives
-
-    def transport_ideal(self, N: Ideal) -> Ideal:
-        """An ideal of the base, carried along the embedding onto the cover."""
-        if N.cat is not self.base:
-            raise ValueError("ideal must live on the base category")
-        sub = self.cover.cover.category
-        carrier = frozenset(self.embed_morphisms[m] for m in N.carrier)
-        if not is_ideal(sub, carrier):
-            raise IdealClosureViolation(f"transport of {N.label()} to the cover is not closed")
-        return Ideal(sub, carrier)
 
 
 def _object_name(morphism: str) -> str:

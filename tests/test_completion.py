@@ -8,7 +8,8 @@ from starkit import (Ideal, PreconditionFailed, WEAK, check_corollary_b,
                      is_regular_category, is_regular_completion, kernel_pairs,
                      pointed_ideal, regular_completion)
 from starkit.core import identity_name
-from starkit.corpus import are_equivalent, enumerate_categories
+from starkit.corpus import enumerate_categories
+from tests.helpers import are_equivalent
 
 
 def test_completion_of_one(one):

@@ -11,11 +11,12 @@ from starkit import (InvalidCategory, MultiPointedCategory, ParallelPair,
                      check_corollary_d, check_theorem_a, check_theorem_c,
                      enumerate_ideals, enumerate_reflexive_graphs,
                      full_subcategory, has_weak_finite_limits,
-                     is_jointly_monic, is_normal_category, is_star_regular,
-                     morphism_flags, regular_completion, validate_category)
+                     is_normal_category, is_star_regular, morphism_flags,
+                     regular_completion, validate_category)
 from starkit.core import RawCategory
 from starkit.corpus import are_isomorphic, enumerate_categories
 from tests.conftest import load
+from tests.helpers import is_jointly_monic
 
 
 def test_one_is_valid(one):

@@ -5,11 +5,11 @@ import pytest
 from starkit import (BoundExceeded, CorpusSyntaxError, Exhausted,
                      RawCategory, validate_category)
 from starkit.corpus import (CategoryBlock, CorpusResolutionError, IdealBlock,
-                            are_equivalent, are_isomorphic, canonical_key,
-                            category_block, CorpusFile, enumerate_categories,
-                            parse, search_counterexample, serialize,
-                            _random_category)
+                            are_isomorphic, canonical_key, category_block,
+                            CorpusFile, enumerate_categories, parse,
+                            search_counterexample, serialize, _random_category)
 from tests.conftest import FIXTURES, FIXTURE_FILES
+from tests.helpers import are_equivalent
 
 import random
 from collections import Counter

@@ -16,11 +16,11 @@ from starkit import (CoverWitness, Ideal, MultiPointedCategory,
                      extend_ideal, full_subcategory, has_all_kernels,
                      has_weak_finite_limits, is_projective_cover,
                      is_regular_category, is_star_regular, kernels,
-                     morphism_flags, nc_kernel_via_cover, pointed_ideal,
-                     regular_completion, restrict_ideal,
-                     verify_galois_and_iso, verify_lemma_a)
+                     morphism_flags, pointed_ideal, regular_completion,
+                     restrict_ideal, verify_galois_and_iso, verify_lemma_a)
 from starkit.corpus import enumerate_categories, parse
 from starkit.ideals import sample_ideals
+from tests.helpers import nc_kernel_via_cover, transport_ideal
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -56,7 +56,7 @@ def test_completion_cover_is_proper_and_transfers(chain3):
     assert is_projective_cover(W).passed
     # the embedding reflects every base ideal: restrict(extend(N)) = N
     for N in enumerate_ideals(chain3):
-        transported = compl.transport_ideal(N)
+        transported = transport_ideal(compl, N)
         ext = extend_ideal(W, transported)
         assert restrict_ideal(W, ext).carrier == transported.carrier
 
@@ -72,7 +72,7 @@ def test_sampled_galois_on_completion(chain3):
 def test_nc_kernel_on_completion_cover(chain3):
     compl = regular_completion(chain3)
     total, W = compl.total, compl.cover
-    transported = compl.transport_ideal(Ideal(chain3, frozenset({"f02"})))
+    transported = transport_ideal(compl, Ideal(chain3, frozenset({"f02"})))
     ext = extend_ideal(W, transported)
     agree = skipped = 0
     for f in total.morphism_names:
@@ -138,7 +138,7 @@ def test_theorem_c_on_completions_with_extendable_ideals(chain3):
     total, W = compl.total, compl.cover
     verdicts = set()
     for N in enumerate_ideals(chain3):
-        extended = extend_ideal(W, compl.transport_ideal(N))
+        extended = extend_ideal(W, transport_ideal(compl, N))
         rep = check_theorem_c(total, W.cover, extended)
         assert rep.verdict in ("PASS", "INAPPLICABLE"), rep.witnesses
         verdicts.add(rep.verdict)

@@ -22,35 +22,41 @@ split epis or isos.  Regular epis of thin categories, read as the isos,
 are compared with the search too.  Validation, on a dense morphism index
 with associativity checked per composable pair by comparing rows, is
 compared with the name-keyed loops it replaces: the violations it lists,
-in order, or the category it builds."""
+in order, or the category it builds.  Reflexive graphs, listed from the
+sections of each leg, are compared with the triple loop over (d, c, e).
+Lemma A and the Galois connections, decided in closed form, are compared
+with the exhaustive evaluators they replace on every cover and pair of
+ideals."""
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 
 from starkit import (ERROR, FAIL, INAPPLICABLE, PASS, STRICT, WEAK,
-                     CoverWitness, InvalidCategory, MultiPointedCategory,
-                     ParallelPair, Report, StarkitError, are_equivalent, check_corollary_b,
+                     BoundExceeded, CoverWitness, Ideal, InvalidCategory,
+                     MultiPointedCategory, ParallelPair, PreconditionFailed,
+                     Report, StarkitError, check_corollary_b,
                      check_corollary_c, check_corollary_d, check_theorem_a,
                      check_theorem_c, coequalizer, coequalizers,
                      enumerate_ideals, enumerate_reflexive_graphs,
                      equalizer_cones, extend_ideal, full_subcategory,
                      has_all_kernels, has_weak_finite_limits, ideal_closure,
-                     is_coequalizer, is_ideal, is_jointly_monic, is_mono,
-                     is_projective_cover, is_regular_category,
-                     is_regular_completion, is_star_regular, kernel_pairs,
-                     kernel_star, kernels, morphism_flags, pointed_ideal,
-                     product_cones, pullback_cones, reflexive_graphs_star_pi0,
+                     is_coequalizer, is_ideal, is_mono, is_projective_cover,
+                     is_regular_category, is_regular_completion,
+                     is_star_regular, kernel_pairs, kernel_star, kernels,
+                     morphism_flags, pointed_ideal, product_cones,
+                     pullback_cones, reflexive_graphs_star_pi0,
                      regular_completion, regular_epis, restrict_ideal,
-                     terminal_cones)
+                     terminal_cones, verify_galois_and_iso, verify_lemma_a)
 from starkit.corpus import enumerate_categories, parse
-from starkit.ideals import _first_without_kernel
-from starkit.core import (FinCategory, Morphism, RawCategory, Violation, identity_name,
-                          is_epi, validate_category)
+from starkit.ideals import _first_without_kernel, sample_ideals
+from starkit.core import (FinCategory, Morphism, RawCategory, ReflexiveGraph, Violation,
+                          identity_name, is_epi, validate_category)
 from starkit.limits import (Cone, _cones_at, _product_count, _pullback_shape,
                             coequalizes, kernel_pair_cones)
 from starkit.stars import _pair_passes, _star
 from tests.conftest import load
+from tests.helpers import are_equivalent, is_jointly_monic, transport_ideal
 
 SMALL = 5
 
@@ -932,7 +938,7 @@ def oracle_corollary_c(P, N) -> Report:
                       ["the ideal does not admit weak kernels"])
 
     compl = regular_completion(P)
-    extended = extend_ideal(compl.cover, compl.transport_ideal(N))
+    extended = extend_ideal(compl.cover, transport_ideal(compl, N))
     left_report = oracle_star_regular(MultiPointedCategory(compl.total, extended))
     if left_report.verdict == ERROR:
         return Report("corollary-c", ERROR, left_report.witnesses)
@@ -971,7 +977,7 @@ def oracle_corollary_b(P) -> Report:
 
     M_total = pointed_ideal(compl.total)
     if M_total is not None:
-        transported = compl.transport_ideal(N)
+        transported = transport_ideal(compl, N)
         if extend_ideal(compl.cover, transported).carrier != M_total.carrier:
             failures.append("extension of the base pointed ideal is not the "
                             "completion's pointed ideal")
@@ -1027,6 +1033,312 @@ def test_statement_checks_match_their_evaluators():
         ("theorem-c", PASS): 251, ("theorem-c", INAPPLICABLE): 9086,
         ("corollary-c", PASS): 21, ("corollary-c", INAPPLICABLE): 2508,
         ("corollary-b", PASS): 3, ("corollary-b", INAPPLICABLE): 406,
+    }
+
+
+# Reflexive graphs are listed from the sections of each d; the triple loop
+# over (d, c, e) that this replaces is the oracle.
+
+def oracle_reflexive_graphs(C) -> tuple[ReflexiveGraph, ...]:
+    """Every d, every c parallel to it and every e back, in that order, kept
+    when d∘e = c∘e = identity."""
+    out = []
+    for d in C.morphism_names:
+        g1, g0 = C.dom(d), C.cod(d)
+        for c in C.hom(g1, g0):
+            for e in C.hom(g0, g1):
+                if (C.compose(d, e) == C.identity[g0]
+                        and C.compose(c, e) == C.identity[g0]):
+                    out.append(ReflexiveGraph(d, c, e))
+    return tuple(out)
+
+
+def test_reflexive_graphs_match_the_triple_loop():
+    graphs = 0
+    for C in [*_categories(), *_fixtures()]:
+        expected = oracle_reflexive_graphs(C)
+        assert enumerate_reflexive_graphs(C) == expected, C.to_raw()
+        graphs += len(expected)
+    assert graphs == 717
+
+
+# Lemma A and the Galois connections are decided in closed form once their
+# gates pass.  The oracles below are the exhaustive evaluators they replace,
+# with the saturation tests and the orientation scan they read: round trips,
+# monotonicity over all pairs of ideals and saturation searches.
+
+def is_saturating(M: MultiPointedCategory, f: str) -> bool:
+    """f saturates every ideal morphism into its codomain: each such n is
+    covered, via a regular epi, by an ideal morphism into dom(f)."""
+    C = M.cat
+
+    def compute():
+        epis = regular_epis(C)
+        return all(any(m in M.ideal and C.compose(f, m) == C.compose(n, g)
+                       for g in C.morphisms_to(C.dom(n)) if g in epis
+                       for m in C.hom(C.dom(g), C.dom(f)))
+                   for n in M.ideal.carrier if C.cod(n) == C.cod(f))
+
+    return C._memo(("saturating", M.ideal.carrier, f), compute)
+
+
+def regular_epis_saturating(M: MultiPointedCategory) -> bool:
+    return all(is_saturating(M, f) for f in sorted(regular_epis(M.cat)))
+
+
+def oracle_lemma_a(W: CoverWitness, N_P: Ideal, N_C: Ideal) -> Report:
+    """The five transfer laws between an ideal on a projective cover and an
+    ideal on its parent category, each checked exhaustively:
+
+    (a) restriction of the extension of N_P is N_P again;
+    (b) the cover has weak N_P-kernels iff the parent has strict kernels for
+        the extension of N_P;
+    (c) if the parent has strict N_C-kernels, the cover has weak kernels for
+        the restriction of N_C and the extension of that restriction is
+        contained in N_C (vacuous otherwise, reported as such);
+    (d) N_C is contained in the extension of its restriction iff every
+        regular epi of the parent is N_C-saturating;
+    (e) every regular epi of the parent saturates the extension of N_P.
+    """
+    C = W.cat
+    sub = W.cover.category
+    if N_P.cat is not sub:
+        raise ValueError("N_P must live on the cover subcategory")
+    if N_C.cat is not C:
+        raise ValueError("N_C must live on the parent category")
+    if not is_projective_cover(W).passed:
+        raise PreconditionFailed(f"{W.cover.label} is not a projective cover of {C.name}")
+    if not is_regular_category(C).passed:
+        return Report("lemma-a", INAPPLICABLE,
+                      [f"{C.name} is not regular; the transfer laws presuppose "
+                       "a regular parent"])
+
+    witnesses: list[str] = []
+    failures: list[str] = []
+    MP = MultiPointedCategory(sub, N_P)
+
+    ext_NP = extend_ideal(W, N_P)
+    if restrict_ideal(W, ext_NP).carrier == N_P.carrier:
+        witnesses.append("(a) holds")
+    else:
+        failures.append(
+            f"(a) restrict(extend(N_P)) = {restrict_ideal(W, ext_NP).label()} "
+            f"but N_P = {N_P.label()}")
+
+    lhs_b = has_all_kernels(MP, WEAK)
+    rhs_b = has_all_kernels(MultiPointedCategory(C, ext_NP), STRICT)
+    if lhs_b == rhs_b:
+        witnesses.append(f"(b) holds: both sides {lhs_b}")
+    else:
+        failures.append(f"(b) cover weak kernels = {lhs_b} but extended strict kernels = {rhs_b}")
+
+    MC = MultiPointedCategory(C, N_C)
+    if has_all_kernels(MC, STRICT):
+        res_NC = restrict_ideal(W, N_C)
+        ok_wk = has_all_kernels(MultiPointedCategory(sub, res_NC), WEAK)
+        ok_sub = extend_ideal(W, res_NC).carrier <= N_C.carrier
+        if ok_wk and ok_sub:
+            witnesses.append("(c) holds")
+        else:
+            failures.append(
+                f"(c) weak restricted kernels = {ok_wk}, "
+                f"extend(restrict(N_C)) <= N_C is {ok_sub}")
+    else:
+        witnesses.append("(c) vacuous: parent lacks strict N_C-kernels")
+
+    lhs_d = N_C.carrier <= extend_ideal(W, restrict_ideal(W, N_C)).carrier
+    rhs_d = regular_epis_saturating(MC)
+    if lhs_d == rhs_d:
+        witnesses.append(f"(d) holds: both sides {lhs_d}")
+    else:
+        failures.append(f"(d) N_C <= extend(restrict(N_C)) is {lhs_d} "
+                        f"but regular epis saturating is {rhs_d}")
+
+    if regular_epis_saturating(MultiPointedCategory(C, ext_NP)):
+        witnesses.append("(e) holds")
+    else:
+        bad = next(f for f in sorted(regular_epis(C))
+                   if not is_saturating(MultiPointedCategory(C, ext_NP), f))
+        failures.append(f"(e) regular epi {bad} does not saturate the extension of N_P")
+
+    if failures:
+        return Report("lemma-a", FAIL, failures)
+    return Report("lemma-a", PASS, witnesses)
+
+
+def _galois_holds(left: list[Ideal], right: list[Ideal], fwd, bwd) -> bool:
+    """fwd left adjoint to bwd: fwd(m) <= n iff m <= bwd(n), over all pairs."""
+    for m in left:
+        fm = fwd(m)
+        for n in right:
+            if (fm <= n.carrier) != (m.carrier <= bwd(n)):
+                return False
+    return True
+
+
+def oracle_galois(W: CoverWitness) -> Report:
+    """Classify the ideal lattices on both sides of a projective cover and
+    verify the two Galois connections plus the lattice isomorphism between
+    cover ideals with weak kernels and parent ideals that both admit kernels
+    and saturate regular epis.
+
+    The adjunction orientation is detected empirically and reported, not
+    hard-coded; ideals mapped outside the stated sublattices are failures.
+    Past the ideal-enumeration bound the checks run on a deterministic sample
+    of generator closures instead of the full lattice, noted in the report.
+    """
+    C = W.cat
+    sub = W.cover.category
+    if not is_regular_category(C).passed:
+        return Report("galois", INAPPLICABLE, [f"{C.name} is not regular"])
+    if not is_projective_cover(W).passed:
+        return Report("galois", INAPPLICABLE,
+                      [f"{W.cover.label} is not a projective cover"])
+
+    sampled = False
+    try:
+        ideals_C = enumerate_ideals(C)
+        ideals_P = enumerate_ideals(sub)
+    except BoundExceeded:
+        sampled = True
+        ideals_C = sample_ideals(C)
+        ideals_P = sample_ideals(sub)
+
+    def saturates(carrier: frozenset) -> bool:
+        return regular_epis_saturating(MultiPointedCategory(C, Ideal(C, carrier)))
+
+    def admits_kernels(carrier: frozenset) -> bool:
+        return has_all_kernels(MultiPointedCategory(C, Ideal(C, carrier)), STRICT)
+
+    def admits_weak_kernels(carrier: frozenset) -> bool:
+        return has_all_kernels(MultiPointedCategory(sub, Ideal(sub, carrier)), WEAK)
+
+    I_s = [n for n in ideals_C if saturates(n.carrier)]
+    I_k = [n for n in ideals_C if admits_kernels(n.carrier)]
+    I_wk = [m for m in ideals_P if admits_weak_kernels(m.carrier)]
+    I_sk = [n for n in I_s if n in I_k]
+
+    witnesses = [
+        ("sampled " if sampled else "") +
+        f"ideals: parent={len(ideals_C)} cover={len(ideals_P)}",
+        f"I_s={len(I_s)} I_k={len(I_k)} I_s&I_k={len(I_sk)} I_wk={len(I_wk)}",
+    ]
+    failures: list[str] = []
+
+    def ext(m: Ideal) -> frozenset[str]:
+        return extend_ideal(W, m).carrier
+
+    def res(n: Ideal) -> frozenset[str]:
+        return restrict_ideal(W, n).carrier
+
+    # Monotonicity of both maps on the full lattices.
+    for a in ideals_C:
+        for b in ideals_C:
+            if a.carrier <= b.carrier and not res(a) <= res(b):
+                failures.append(f"restriction not monotone at {a.label()} <= {b.label()}")
+    for a in ideals_P:
+        for b in ideals_P:
+            if a.carrier <= b.carrier and not ext(a) <= ext(b):
+                failures.append(f"extension not monotone at {a.label()} <= {b.label()}")
+
+    # Maps must land in the stated sublattices (property checked directly,
+    # since in sampled mode the image need not be a sampled ideal).
+    for m in ideals_P:
+        if not saturates(ext(m)):
+            failures.append(f"extension of {m.label()} leaves I_s")
+    for m in I_wk:
+        if not admits_kernels(ext(m)):
+            failures.append(f"extension of weak-kernel ideal {m.label()} leaves I_k")
+    for n in I_k:
+        if not admits_weak_kernels(res(n)):
+            failures.append(f"restriction of kernel ideal {n.label()} leaves I_wk")
+
+    # Connection between the full cover lattice and I_s: detect orientation.
+    c1_res_left = _galois_holds(I_s, ideals_P, res, ext)
+    c1_ext_left = _galois_holds(ideals_P, I_s, ext, res)
+    if c1_res_left or c1_ext_left:
+        direction = ("restriction" if c1_res_left else "") + (
+            "|extension" if c1_ext_left else "")
+        witnesses.append(f"connection I(P)~I_s(C): left adjoint = {direction.strip('|')}")
+    else:
+        failures.append("no Galois orientation holds between I(P) and I_s(C)")
+
+    # Connection between I_wk and I_k: detect orientation.
+    c2_ext_left = _galois_holds(I_wk, I_k, ext, res)
+    c2_res_left = _galois_holds(I_k, I_wk, res, ext)
+    if c2_ext_left or c2_res_left:
+        direction = ("extension" if c2_ext_left else "") + (
+            "|restriction" if c2_res_left else "")
+        witnesses.append(f"connection I_wk(P)~I_k(C): left adjoint = {direction.strip('|')}")
+    else:
+        failures.append("no Galois orientation holds between I_wk(P) and I_k(C)")
+
+    # The isomorphism: both round trips are identities on the sublattices.
+    for n in I_sk:
+        if ext(Ideal(sub, res(n))) != n.carrier:
+            failures.append(f"extend(restrict({n.label()})) differs from it on I_s&I_k")
+    for m in I_wk:
+        if res(Ideal(C, ext(m))) != m.carrier:
+            failures.append(f"restrict(extend({m.label()})) differs from it on I_wk")
+
+    if failures:
+        return Report("galois", FAIL, failures)
+    return Report("galois", PASS, witnesses)
+
+
+def _transfer_ideals(C) -> list:
+    """Every ideal of C, or a sample of eight past the enumeration bound."""
+    try:
+        return enumerate_ideals(C)
+    except BoundExceeded:
+        return sample_ideals(C, cap=8)
+
+
+def _outcome(check, *args) -> tuple:
+    try:
+        report = check(*args)
+    except PreconditionFailed as exc:
+        return "PreconditionFailed", str(exc)
+    return report.verdict, report.witnesses
+
+
+def compare_transfer_checks(C) -> Counter:
+    """Assert that verify_lemma_a and verify_galois_and_iso give their
+    oracle's verdict and witnesses on every cover of C and, for Lemma A,
+    every pair of ideals, and that on a PASS the parent's strict-kernel gate
+    for the extension of N_P is the cover's weak-kernel gate, which (b)
+    states.  Return the evaluations by (statement, verdict)."""
+    counts: Counter = Counter()
+    ideals_C = _transfer_ideals(C)
+    for cover in _covers(C):
+        W = CoverWitness(C, cover)
+        got = _outcome(verify_galois_and_iso, W)
+        assert got == _outcome(oracle_galois, W), (C.name, cover.objects)
+        counts["galois", got[0]] += 1
+        counts["galois sampled"] += got[1][0].startswith("sampled")
+        sub = cover.category
+        for N_P in _transfer_ideals(sub):
+            for N_C in ideals_C:
+                got = _outcome(verify_lemma_a, W, N_P, N_C)
+                assert got == _outcome(oracle_lemma_a, W, N_P, N_C), \
+                    (C.name, cover.objects, N_P.members(), N_C.members())
+                counts["lemma-a", got[0]] += 1
+                if got[0] == PASS:
+                    assert has_all_kernels(MultiPointedCategory(C, extend_ideal(W, N_P)),
+                                           STRICT) == \
+                        has_all_kernels(MultiPointedCategory(sub, N_P), WEAK), \
+                        (C.name, cover.objects, N_P.members())
+    return counts
+
+
+def test_transfer_checks_match_their_evaluators():
+    cats = [*_categories(), *_fixtures(), *_completions("Arrow", 2),
+            *_completions("Chain3", 1)]
+    totals = sum(map(compare_transfer_checks, cats), Counter())
+    assert dict(totals) == {
+        ("galois", PASS): 95, ("galois", INAPPLICABLE): 946, "galois sampled": 84,
+        ("lemma-a", PASS): 3980, ("lemma-a", INAPPLICABLE): 19022,
+        ("lemma-a", "PreconditionFailed"): 25073,
     }
 
 

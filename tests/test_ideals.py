@@ -9,12 +9,13 @@ import pytest
 from starkit import (BoundExceeded, CoverWitness, Ideal, MultiPointedCategory,
                      PASS, PreconditionFailed, STRICT, WEAK, enumerate_ideals,
                      extend_ideal, full_subcategory, ideal_closure, is_ideal,
-                     is_projective_cover, is_saturating, kernels,
-                     morphism_flags, nc_kernel_via_cover, pointed_ideal,
-                     regular_completion, regular_epis, restrict_ideal,
-                     verify_galois_and_iso, verify_lemma_a)
+                     is_projective_cover, kernels, morphism_flags,
+                     pointed_ideal, regular_completion, regular_epis,
+                     restrict_ideal, verify_galois_and_iso, verify_lemma_a)
 from starkit.corpus import enumerate_categories
 from tests.conftest import FIXTURES, subprocess_env
+from tests.helpers import nc_kernel_via_cover
+from tests.test_differential import is_saturating
 
 
 def cover_all(C) -> CoverWitness:

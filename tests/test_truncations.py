@@ -17,7 +17,8 @@ from starkit import (FAIL, STRICT, WEAK, MultiPointedCategory, ParallelPair,
                      RawCategory, coequalizers, enumerate_reflexive_graphs,
                      kernel_pairs, pointed_ideal, satisfies_star_pi0, star_of,
                      validate_category)
-from tests.test_differential import oracle_coequalizers, oracle_pullback
+from tests.test_differential import (oracle_coequalizers, oracle_pullback,
+                                     oracle_reflexive_graphs)
 
 
 def pointed_sets(n: int):
@@ -79,6 +80,12 @@ def test_coequalizers_of_pointed_set_kernel_pairs_match_the_oracle(ptset4):
                     compared += 1
     assert distinct == {WEAK: 24, STRICT: 24}
     assert compared == 254
+
+
+def test_reflexive_graphs_of_pointed_sets_match_the_triple_loop(ptset4):
+    graphs = enumerate_reflexive_graphs(ptset4)
+    assert graphs == oracle_reflexive_graphs(ptset4)
+    assert len(graphs) == 123
 
 
 def test_star_pi0_on_the_reflexive_graphs_of_pointed_sets(ptset4):
