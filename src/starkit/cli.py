@@ -133,7 +133,7 @@ def _cmd_validate(args) -> tuple[Report, str | None]:
     for name in corpus.category_names():
         C = corpus.category(name)
         details.append(f"category {name}: {len(C.objects)} objects, "
-                       f"{len(C.morphisms)} morphisms")
+                       f"{len(C.morphism_names)} morphisms")
     for block in corpus.blocks:
         if isinstance(block, IdealBlock):
             corpus.ideal(block.name)
@@ -159,7 +159,7 @@ def _cmd_complete(args) -> tuple[Report, str | None]:
               "# objects stand for the morphisms of the base; the cover is the embedded image"]
     Path(args.out).write_text(serialize(CorpusFile(header, blocks)), encoding="utf-8")
     return Report("complete", PASS,
-                  [f"objects={len(total.objects)} morphisms={len(total.morphisms)}",
+                  [f"objects={len(total.objects)} morphisms={len(total.morphism_names)}",
                    f"wrote {args.out}"]), None
 
 

@@ -51,35 +51,33 @@ def regular_completion(P: FinCategory) -> Completion:
             raise PreconditionFailed(f"{P.name} lacks weak finite limits")
 
         # P is thin, so hom(X1, Y1) is empty or one arrow's whole class.
-        names: dict[tuple[str, str], str] = {}
+        objects = [_object_name(f) for f in P.morphism_names]
+        mor = range(len(objects))
+        names: dict[tuple[int, int], str] = {}
         members_of: dict[str, tuple[str, ...]] = {}
         declared: list[tuple[str, str, str]] = []
-        for f in P.morphism_names:
-            for g in P.morphism_names:
-                members = P.hom(P.dom(f), P.dom(g))
+        for f in mor:
+            for g in mor:
+                members = P._homs.get((P._dom[f], P._dom[g]))
                 if not members:
                     continue
                 if f == g:
-                    name = identity_name(_object_name(f))
+                    name = identity_name(objects[f])
                 else:
                     name = f"q{len(declared)}"
-                    declared.append((name, _object_name(f), _object_name(g)))
-                names[(f, g)] = name
-                members_of[name] = members
+                    declared.append((name, objects[f], objects[g]))
+                names[f, g] = name
+                members_of[name] = P._names(members)
 
-        rows = [(names[(g, j)], names[(f, g)], names[(f, j)])
-                for f in P.morphism_names for g in P.morphism_names
-                if f != g and (f, g) in names
-                for j in P.morphism_names if j != g and (g, j) in names]
+        rows = [(names[g, j], names[f, g], names[f, j])
+                for f in mor for g in mor if f != g and (f, g) in names
+                for j in mor if j != g and (g, j) in names]
+        total = validate_category(RawCategory(f"{P.name}_reg", objects, declared, rows))
 
-        raw = RawCategory(f"{P.name}_reg",
-                          [_object_name(f) for f in P.morphism_names],
-                          declared, rows)
-        total = validate_category(raw)
-
-        embed_objects = {x: _object_name(P.identity[x]) for x in P.objects}
-        embed_morphisms = {m: names[(P.identity[P.dom(m)], P.identity[P.cod(m)])]
-                           for m in P.morphism_names}
+        # the identity of object x is the morphism x
+        embed_objects = {x: objects[i] for i, x in enumerate(P.objects)}
+        embed_morphisms = {P.morphism_names[m]: names[ends]
+                           for m, ends in enumerate(zip(P._dom, P._cod))}
 
         cover = CoverWitness(total, FullSubcategory(
             total, [embed_objects[x] for x in P.objects]))
@@ -94,20 +92,17 @@ def _validate_completion(compl: Completion) -> None:
     P, total = compl.base, compl.total
     if len(set(compl.embed_objects.values())) != len(P.objects):
         raise ValidationFailed("embedding identifies distinct objects")
-    if len(set(compl.embed_morphisms.values())) != len(P.morphisms):
+    if len(set(compl.embed_morphisms.values())) != len(P.morphism_names):
         raise ValidationFailed("embedding identifies distinct morphisms")
     for x in P.objects:
         if compl.embed_morphisms[P.identity[x]] != total.identity[compl.embed_objects[x]]:
             raise ValidationFailed(f"embedding does not preserve the identity of {x}")
-    for g in P.morphism_names:
-        for f in P.morphism_names:
-            if not P.composable(g, f):
-                continue
-            lhs = compl.embed_morphisms[P.compose(g, f)]
-            rhs = total.compose(compl.embed_morphisms[g], compl.embed_morphisms[f])
-            if lhs != rhs:
+    embed, names = compl.embed_morphisms, P.morphism_names
+    for g, x in enumerate(P._dom):
+        for f in P._into[x]:
+            if embed[names[P._compose(g, f)]] != total.compose(embed[names[g]], embed[names[f]]):
                 raise ValidationFailed(
-                    f"embedding does not preserve the composite of {g} and {f}")
+                    f"embedding does not preserve the composite of {names[g]} and {names[f]}")
     rc = is_regular_completion(total, compl.cover.cover)
     if not rc.passed:
         raise ValidationFailed(f"completion fails its characterisation: {rc.witnesses[0]}")

@@ -1,10 +1,10 @@
 """Finite categories given as explicit composition tables.
 
-A category is stored as an ordered list of objects, an ordered list of
-morphisms (identities first, one per object, then the declared morphisms in
-input order) and a total composition map over composable pairs.  Morphisms
-are addressed by name; identities are implicit in the input format and are
-auto-named ``1_<object>``.
+Morphisms are ints: the identities in object order (the identity of object
+x is x), then the declared morphisms in input order.  The searches of this
+package run on the ints; names, kept in one tuple, are for parsing,
+serializing, the public methods and witness lines.  Identities are implicit
+in the input format and are auto-named ``1_<object>``.
 
 All exists/forall searches in this package iterate in input order and report
 the first witness, so results are deterministic for a fixed input.
@@ -80,93 +80,116 @@ class MorphismFlags:
 
 
 class FinCategory:
-    """A validated finite category.
+    """A validated finite category on integers, with names at the boundary.
 
-    Instances are immutable after construction and hash by identity, which
-    lets every expensive search cache its result per category.  Each
-    morphism also has a bit, ``_bit[name]``, the i-th for the i-th name of
-    ``morphism_names``, so a set of morphisms is an int mask (ideals carry
-    one).  Cached values hold names, carriers and masks, never the category
-    itself, so a category is freed without the cycle collector.  Do not
-    build directly; go through validate_category or the corpus loaders.
+    ``_index`` maps each name to its morphism, in int order.  ``_dom[i]`` and
+    ``_cod[i]`` are object indices, and ``_into[x]``, ``_out[x]`` and
+    ``_homs[x, y]`` list morphisms in int order, so ``_into[x]`` starts with
+    the identity of x.  ``_pos[u]`` is the place of u in ``_into[_cod[u]]``,
+    and ``_rows[g][_pos[u]]`` the place of g∘u in ``_into[_cod[g]]``; the
+    builder fills the cells that are None when the category is made.  A set
+    of morphisms is an int mask, bit i for morphism i (ideals carry one), and
+    ``thin`` says that no hom-set has two members.
+
+    Instances are immutable once built and hash by identity, which lets
+    every expensive search cache its result per category.  Cached values
+    never hold the category itself, so a category is freed without the
+    cycle collector.  Do not build directly; go through validate_category,
+    the corpus loaders or full subcategories.
     """
 
-    def __init__(self, name: str, objects: Sequence[str],
-                 morphisms: Sequence[Morphism],
-                 comp: dict[tuple[str, str], str]):
+    def __init__(self, name: str, objects: Sequence[str], index: dict[str, int],
+                 dom: list[int], cod: list[int]):
         self.name = name
         self.objects: tuple[str, ...] = tuple(objects)
-        self.morphisms: tuple[Morphism, ...] = tuple(morphisms)
-        self.identity: dict[str, str] = {x: identity_name(x) for x in self.objects}
-        self._by_name: dict[str, Morphism] = {m.name: m for m in self.morphisms}
-        self._comp = dict(comp)
-        self._hom: dict[tuple[str, str], tuple[str, ...]] = {}
-        self._from: dict[str, tuple[str, ...]] = {x: () for x in self.objects}
-        self._to: dict[str, tuple[str, ...]] = {x: () for x in self.objects}
-        self._bit: dict[str, int] = {}
-        bit = 1
-        for m in self.morphisms:
-            key = (m.dom, m.cod)
-            self._hom[key] = self._hom.get(key, ()) + (m.name,)
-            self._from[m.dom] = self._from[m.dom] + (m.name,)
-            self._to[m.cod] = self._to[m.cod] + (m.name,)
-            self._bit[m.name] = bit
-            bit <<= 1
-        self.morphism_names: tuple[str, ...] = tuple(m.name for m in self.morphisms)
+        self.morphism_names: tuple[str, ...] = tuple(index)
+        self.identity: dict[str, str] = dict(zip(self.objects, self.morphism_names))
+        self._obj = {x: i for i, x in enumerate(self.objects)}
+        self._index = index
+        self._dom, self._cod = dom, cod
+        self._into: list[list[int]] = [[] for _ in self.objects]
+        self._out: list[list[int]] = [[] for _ in self.objects]
+        self._homs: dict[tuple[int, int], list[int]] = {}
+        self._pos: list[int] = []
+        for i, (x, y) in enumerate(zip(dom, cod)):
+            self._pos.append(len(self._into[y]))
+            self._into[y].append(i)
+            self._out[x].append(i)
+            self._homs.setdefault((x, y), []).append(i)
+        self.thin = len(self._homs) == len(dom)
+        k, into, pos = len(self.objects), self._into, self._pos
+        self._rows: list[list] = [list(range(len(into[i]))) if i < k else
+                                  [pos[i]] + [None] * (len(into[dom[i]]) - 1)
+                                  for i in range(len(dom))]
         self._cache: dict = {}
 
     def __repr__(self) -> str:
         return (f"FinCategory({self.name!r}, {len(self.objects)} objects, "
-                f"{len(self.morphisms)} morphisms)")
+                f"{len(self.morphism_names)} morphisms)")
 
-    # -- lookups ------------------------------------------------------------
+    def _compose(self, g: int, f: int) -> int:
+        """g after f, on ints; the pair must be composable."""
+        return self._into[self._cod[g]][self._rows[g][self._pos[f]]]
+
+    def _names(self, ints) -> tuple[str, ...]:
+        return tuple(map(self.morphism_names.__getitem__, ints))
+
+    # -- lookups by name -----------------------------------------------------
+
+    @property
+    def morphisms(self) -> tuple[Morphism, ...]:
+        return tuple(map(self.morphism, self.morphism_names))
 
     def morphism(self, name: str) -> Morphism:
-        return self._by_name[name]
+        return Morphism(name, self.dom(name), self.cod(name))
 
     def has_morphism(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._index
 
     def dom(self, name: str) -> str:
-        return self._by_name[name].dom
+        return self.objects[self._dom[self._index[name]]]
 
     def cod(self, name: str) -> str:
-        return self._by_name[name].cod
+        return self.objects[self._cod[self._index[name]]]
 
     def is_identity(self, name: str) -> bool:
-        m = self._by_name[name]
-        return m.dom == m.cod and name == self.identity[m.dom]
+        return self._index[name] < len(self.objects)
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
-        return self._hom.get((x, y), ())
+        return self._names(self._homs.get((self._obj.get(x), self._obj.get(y)), ()))
 
     def morphisms_from(self, x: str) -> tuple[str, ...]:
-        return self._from[x]
+        return self._names(self._out[self._obj[x]])
 
     def morphisms_to(self, x: str) -> tuple[str, ...]:
-        return self._to[x]
+        return self._names(self._into[self._obj[x]])
 
     def composable(self, g: str, f: str) -> bool:
-        return self.cod(f) == self.dom(g)
+        return self._cod[self._index[f]] == self._dom[self._index[g]]
 
     def compose(self, g: str, f: str) -> str:
         """g after f.  Raises KeyError on a non-composable pair."""
-        return self._comp[(g, f)]
+        gi, fi = self._index[g], self._index[f]
+        if self._cod[fi] != self._dom[gi]:
+            raise KeyError((g, f))
+        return self.morphism_names[self._compose(gi, fi)]
 
     def parallel_pairs(self) -> Iterator[ParallelPair]:
         """All ordered pairs of parallel morphisms, in input order."""
-        for f1 in self.morphism_names:
-            x, y = self.dom(f1), self.cod(f1)
-            for f2 in self.hom(x, y):
-                yield ParallelPair(f1, f2)
+        names = self.morphism_names
+        for f1, ends in enumerate(zip(self._dom, self._cod)):
+            for f2 in self._homs[ends]:
+                yield ParallelPair(names[f1], names[f2])
 
     def to_raw(self) -> RawCategory:
         """The canonical unvalidated form: declared morphisms and their rows."""
-        declared = [(m.name, m.dom, m.cod) for m in self.morphisms
-                    if not self.is_identity(m.name)]
-        rows = [(g, f, h) for (g, f), h in sorted(self._comp.items())
-                if not self.is_identity(g) and not self.is_identity(f)]
-        return RawCategory(self.name, list(self.objects), declared, rows)
+        names, objects, k = self.morphism_names, self.objects, len(self.objects)
+        dom, cod, into = self._dom, self._cod, self._into
+        declared = [(names[i], objects[dom[i]], objects[cod[i]]) for i in range(k, len(names))]
+        rows = sorted((names[g], names[f], names[into[cod[g]][h]])
+                      for g in range(k, len(names))
+                      for f, h in zip(into[dom[g]][1:], self._rows[g][1:]))
+        return RawCategory(self.name, list(objects), declared, rows)
 
     def _memo(self, key, fn):
         try:
@@ -181,9 +204,10 @@ def validate_category(raw: RawCategory) -> FinCategory:
     """Check a raw table and build the category, or raise InvalidCategory.
 
     Morphisms are numbered once, identities in object order and then the
-    declared ones in input order (the ``_bit`` order), so each row resolves
-    its names once and is typed on integer dom/cod arrays.  Identity rows
-    are generated, never declared, so the identity laws hold by construction.
+    declared ones in input order, so each row resolves its names once, is
+    typed on the integer dom/cod arrays and fills one cell of the
+    category's rows.  Identity rows are generated, never declared, so the
+    identity laws hold by construction.
 
     Associativity is checked per composable pair (a, b) of declared
     morphisms, on the rows L_x: u -> x∘u over the morphisms u into dom x.
@@ -192,8 +216,8 @@ def validate_category(raw: RawCategory) -> FinCategory:
     triple (a, b, c) of declared morphisms associates.  A row holds
     positions among the morphisms into cod x, one cell per composable pair;
     a pair's triples are walked only when its rows differ.  A thin table
-    (no hom-set with two members) has no rows: (a∘b)∘c and a∘(b∘c) both lie
-    in hom(dom c, cod a), which has one member.
+    (no hom-set with two members) skips the check: (a∘b)∘c and a∘(b∘c)
+    both lie in hom(dom c, cod a), which has one member.
     """
     violations: list[Violation] = []
     objects = list(raw.objects)
@@ -218,18 +242,10 @@ def validate_category(raw: RawCategory) -> FinCategory:
     if violations:
         raise InvalidCategory(violations)
 
-    names, n = list(index), len(index)
-    into: list[list[int]] = [[] for _ in objects]  # identity first, then input order
-    pos = []  # pos[i]: the place of morphism i in into[cod i]
-    for i, c in enumerate(cod):
-        pos.append(len(into[c]))
-        into[c].append(i)
-    # rows[i][pos[u]] = pos[i∘u], None on a thin table.  A declared row's
-    # identity column, position 0, is set here, and the rows set the rest.
-    rows = None if len(set(zip(dom, cod))) == n else [
-        list(range(len(into[i]))) if i < k else [pos[i]] * len(into[dom[i]]) for i in range(n)]
-
-    comp: dict[tuple[str, str], str] = {}
+    C = FinCategory(raw.name, objects, index, dom, cod)
+    names, n = C.morphism_names, len(index)
+    into, pos, rows = C._into, C._pos, C._rows
+    filled = 0
     for g, f, h in raw.compositions:
         gi, fi, hi = index.get(g), index.get(f), index.get(h)
         if gi is None or fi is None or hi is None:
@@ -244,25 +260,20 @@ def validate_category(raw: RawCategory) -> FinCategory:
             violations.append(Violation(
                 "BadTyping", f"row {g} {f} = {h}: composite must go "
                 f"{objects[dom[fi]]} -> {objects[cod[gi]]}"))
-        elif (g, f) in comp:
+        elif rows[gi][pos[fi]] is not None:
             violations.append(Violation("DuplicateComposite", f"pair ({g}, {f}) given twice"))
         else:
-            comp[g, f] = h
-            if rows is not None:
-                rows[gi][pos[fi]] = pos[hi]
+            rows[gi][pos[fi]] = pos[hi]
+            filled += 1
     # each filled cell is a composable pair of declared morphisms
-    if len(comp) < sum(len(into[dom[g]]) - 1 for g in range(k, n)):
+    if filled < sum(len(into[dom[g]]) - 1 for g in range(k, n)):
         violations.extend(Violation("MissingComposite", f"no row for pair ({names[g]}, {names[f]})")
                           for g in range(k, n) for f in into[dom[g]][1:]
-                          if (names[g], names[f]) not in comp)
+                          if rows[g][pos[f]] is None)
     if violations:
         raise InvalidCategory(violations)
-
-    for i, m in enumerate(names):  # total table: identity rows are forced
-        comp[m, names[dom[i]]] = comp[names[cod[i]], m] = m
-    morphisms = [Morphism(m, objects[dom[i]], objects[cod[i]]) for i, m in enumerate(names)]
-    if rows is None:
-        return FinCategory(raw.name, objects, morphisms, comp)
+    if C.thin:
+        return C
     for a in range(k, n):
         ra, out = rows[a], into[cod[a]]
         for b in into[dom[a]][1:]:
@@ -275,15 +286,16 @@ def validate_category(raw: RawCategory) -> FinCategory:
                     for c in into[dom[b]][1:] if rab[pos[c]] != ra[rb[pos[c]]])
     if violations:
         raise InvalidCategory(violations)
-    return FinCategory(raw.name, objects, morphisms, comp)
+    return C
 
 
 class FullSubcategory:
     """The full subcategory of ``parent`` on a subset of its objects.
 
     The morphism set is derived: every parent morphism with both endpoints in
-    the subset.  Names are shared with the parent, so restriction and
-    extension of ideals are plain set operations on names.
+    the subset, in parent order, under the parent's names, so restriction
+    and extension of ideals are plain set operations on names.  Its rows
+    are the parent's, restricted to the kept morphisms.
     """
 
     def __init__(self, parent: FinCategory, objects: Sequence[str]):
@@ -305,14 +317,17 @@ class FullSubcategory:
     @property
     def category(self) -> FinCategory:
         if self._category is None:
-            keep, parent = set(self.objects), self.parent
-            morphisms = [m for m in parent.morphisms if m.dom in keep and m.cod in keep]
-            comp = parent._comp  # FinCategory copies it
-            if len(keep) < len(parent.objects):  # the composable pairs of kept morphisms
-                names = {m.name for m in morphisms}
-                comp = {(g, m.name): comp[g, m.name] for m in morphisms
-                        for g in parent._from[m.cod] if g in names}
-            self._category = FinCategory(self.label, self.objects, morphisms, comp)
+            P = self.parent
+            obj = {P._obj[x]: i for i, x in enumerate(self.objects)}
+            kept = [i for i, (x, y) in enumerate(zip(P._dom, P._cod)) if x in obj and y in obj]
+            new = {i: j for j, i in enumerate(kept)}
+            C = FinCategory(self.label, self.objects, {P.morphism_names[i]: new[i] for i in kept},
+                            [obj[P._dom[i]] for i in kept], [obj[P._cod[i]] for i in kept])
+            for j, g in enumerate(kept):  # the parent's row of g, on the kept morphisms
+                out, row = P._into[P._cod[g]], P._rows[g]
+                C._rows[j] = [C._pos[new[out[h]]]
+                              for u, h in zip(P._into[P._dom[g]], row) if u in new]
+            self._category = C
         return self._category
 
 
@@ -328,49 +343,40 @@ def require_parallel(C: FinCategory, p: ParallelPair) -> None:
         raise ValueError(f"({p.f1}, {p.f2}) is not a parallel pair in {C.name}")
 
 
-def _sieve_sizes(C: FinCategory) -> dict[str, int]:
+def _sieve_sizes(C: FinCategory) -> list[int]:
     """For each morphism k, the size of the sieve it generates: how many
-    distinct composites k∘u the morphisms u into dom k give.  One dict per
-    category, since the kernels of every ideal read it."""
-    def compute():
-        comp, to = C._comp, C._to
-        return {k: len({comp[k, u] for u in to[C.dom(k)]}) for k in C.morphism_names}
-
-    return C._memo("sieve_sizes", compute)
-
-
-def _cosieve_sizes(C: FinCategory) -> dict[str, int]:
-    """For each morphism q, how many distinct composites u∘q the morphisms u
-    out of cod q give.  One dict per category, as for _sieve_sizes."""
-    def compute():
-        comp, fro = C._comp, C._from
-        return {q: len({comp[u, q] for u in fro[C.cod(q)]}) for q in C.morphism_names}
-
-    return C._memo("cosieve_sizes", compute)
+    distinct composites k∘u the morphisms u into dom k give, the distinct
+    cells of its row.  One list per category, since the kernels of every
+    ideal read it."""
+    return C._memo("sieve_sizes", lambda: [len(set(row)) for row in C._rows])
 
 
 def is_mono(C: FinCategory, f: str) -> bool:
     """f is mono iff u -> f∘u is injective on the morphisms into dom f, i.e.
     iff its sieve has as many members as there are such u."""
-    return _sieve_sizes(C)[f] == len(C._to[C.dom(f)])
+    i = C._index[f]
+    return _sieve_sizes(C)[i] == len(C._rows[i])
 
 
 def is_epi(C: FinCategory, f: str) -> bool:
     """f is epi iff u -> u∘f is injective on the morphisms out of cod f, i.e.
     iff its cosieve has as many members as there are such u."""
-    return _cosieve_sizes(C)[f] == len(C._from[C.cod(f)])
+    i = C._index[f]
+    out = C._out[C._cod[i]]
+    return len({C._compose(u, i) for u in out}) == len(out)
 
 
 def morphism_flags(C: FinCategory, f: str) -> MorphismFlags:
     """Mono/epi/split/iso status of f, decided by exhaustive search (mono by
     is_mono, epi by is_epi)."""
     def compute():
-        x, y = C.dom(f), C.cod(f)
+        i, compose = C._index[f], C._compose
+        x, y = C._dom[i], C._cod[i]  # the identities of x and y are x and y
+        back = C._homs.get((y, x), ())
         mono, epi = is_mono(C, f), is_epi(C, f)
-        split_epi = any(C.compose(f, s) == C.identity[y] for s in C.hom(y, x))
-        split_mono = any(C.compose(r, f) == C.identity[x] for r in C.hom(y, x))
-        iso = any(C.compose(f, g) == C.identity[y] and C.compose(g, f) == C.identity[x]
-                  for g in C.hom(y, x))
+        split_epi = any(compose(i, s) == y for s in back)
+        split_mono = any(compose(r, i) == x for r in back)
+        iso = any(compose(i, g) == y and compose(g, i) == x for g in back)
         return MorphismFlags(mono, epi, split_mono, split_epi, iso)
 
     return C._memo(("flags", f), compute)
@@ -382,14 +388,12 @@ def enumerate_reflexive_graphs(C: FinCategory) -> tuple[ReflexiveGraph, ...]:
     The sections e of each d, those with d∘e = 1, are listed once; each c
     parallel to d is then tried against those alone."""
     def compute():
-        out = []
-        for d in C.morphism_names:
-            g1, g0 = C.dom(d), C.cod(d)
-            one = C.identity[g0]
-            sections = [e for e in C.hom(g0, g1) if C.compose(d, e) == one]
-            for c in C.hom(g1, g0):
-                out.extend(ReflexiveGraph(d, c, e) for e in sections
-                           if C.compose(c, e) == one)
+        names, homs, compose, out = C.morphism_names, C._homs, C._compose, []
+        for d, (g1, g0) in enumerate(zip(C._dom, C._cod)):
+            sections = [e for e in homs.get((g0, g1), ()) if compose(d, e) == g0]
+            for c in homs[g1, g0]:
+                out.extend(ReflexiveGraph(names[d], names[c], names[e])
+                           for e in sections if compose(c, e) == g0)
         return tuple(out)
 
     return C._memo("reflexive_graphs", compute)

@@ -26,8 +26,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import (FinCategory, FullSubcategory, Morphism, RawCategory,
-                   identity_name, validate_category)
+from .core import (FinCategory, FullSubcategory, RawCategory, identity_name,
+                   validate_category)
 from .errors import BoundExceeded, CorpusSyntaxError, Exhausted, StarkitError
 from .ideals import CoverWitness, Ideal, is_ideal, pointed_ideal
 from .limits import is_regular_category
@@ -315,26 +315,6 @@ def cover_block(name: str, on: str, objects) -> CoverBlock:
 
 # -- isomorphism --------------------------------------------------------------
 
-def _int_form(C: FinCategory):
-    """(object count, non-identity types, composition table) in input order."""
-    obj_index = {x: i for i, x in enumerate(C.objects)}
-    nonids = [m for m in C.morphisms if not C.is_identity(m.name)]
-    mor_index: dict[str, int] = {}
-    for i, x in enumerate(C.objects):
-        mor_index[C.identity[x]] = i
-    for j, m in enumerate(nonids):
-        mor_index[m.name] = len(C.objects) + j
-    types = tuple((obj_index[m.dom], obj_index[m.cod]) for m in nonids)
-    k = len(C.objects)
-    table: dict[tuple[int, int], int] = {}
-    for g in nonids:
-        for f in nonids:
-            if f.cod == g.dom:
-                table[(mor_index[g.name], mor_index[f.name])] = \
-                    mor_index[C.compose(g.name, f.name)]
-    return k, types, table
-
-
 def _canonical_key(k: int, types: tuple, table: dict) -> tuple:
     """Lexicographically smallest (k, types, table) over object relabellings
     and type-preserving morphism relabellings, with prefix early-abort."""
@@ -386,10 +366,14 @@ def _canonical_key(k: int, types: tuple, table: dict) -> tuple:
 
 
 def canonical_key(C: FinCategory) -> tuple:
-    """A complete isomorphism invariant: the minimal relabelled table."""
+    """A complete isomorphism invariant: the minimal relabelled table.  The
+    category's own numbering is the one ``_canonical_key`` reads: object i,
+    its identity i, and the j-th declared morphism k + j."""
     def compute():
-        k, types, table = _int_form(C)
-        return _canonical_key(k, types, table)
+        k, dom, cod, into = len(C.objects), C._dom, C._cod, C._into
+        table = {(g, f): into[cod[g]][h] for g in range(k, len(dom))
+                 for f, h in zip(into[dom[g]][1:], C._rows[g][1:])}
+        return _canonical_key(k, tuple(zip(dom[k:], cod[k:])), table)
     return C._memo("canonical_key", compute)
 
 
@@ -604,17 +588,18 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
 def _table_category(name: str, k: int, types: tuple, table: dict) -> FinCategory:
     """The category of a composition table in ``_fill_tables`` form, built
     without ``validate_category``: objects ``X<i>``, identities ``1_X<i>``,
-    non-identity morphisms ``f<j>``, and the composition map that
-    ``validate_category`` would build from the table's rows.  The table
-    must be associative; ``_fill_tables`` makes it so by construction."""
+    non-identity morphisms ``f<j>``, numbered as in the table, and the rows
+    that ``validate_category`` would fill from its cells.  The table must be
+    associative; ``_fill_tables`` makes it so by construction."""
     objects = [f"X{i}" for i in range(k)]
-    morphisms = [Morphism(identity_name(x), x, x) for x in objects]
-    morphisms += [Morphism(f"f{j}", objects[a], objects[b]) for j, (a, b) in enumerate(types)]
-    names = [m.name for m in morphisms]
-    comp = {(names[g], names[f]): names[h] for (g, f), h in table.items()}
-    for m in morphisms:
-        comp[m.name, identity_name(m.dom)] = comp[identity_name(m.cod), m.name] = m.name
-    return FinCategory(name, objects, morphisms, comp)
+    index = {identity_name(x): i for i, x in enumerate(objects)}
+    index.update((f"f{j}", k + j) for j in range(len(types)))
+    C = FinCategory(name, objects, index, [*range(k), *(a for a, _ in types)],
+                    [*range(k), *(b for _, b in types)])
+    rows, pos = C._rows, C._pos
+    for (g, f), h in table.items():
+        rows[g][pos[f]] = pos[h]
+    return C
 
 
 def enumerate_categories(max_morphisms: int) -> Iterator[FinCategory]:
@@ -647,24 +632,27 @@ def enumerate_categories(max_morphisms: int) -> Iterator[FinCategory]:
 
 
 def _random_category(rng: random.Random, lo: int, hi: int, name: str) -> FinCategory | None:
-    """One attempt at a random valid category with morphism count in (lo, hi]."""
+    """One attempt at a random valid category with morphism count in (lo, hi]:
+    a random table, named as ``_table_category`` names an enumerated one,
+    through the full check, since it is rarely associative."""
     n = rng.randint(lo + 1, hi)
     k = rng.randint(1, n)
     types = tuple(sorted((rng.randrange(k), rng.randrange(k)) for _ in range(n - k)))
-    dom = list(range(k)) + [t[0] for t in types]
-    cod = list(range(k)) + [t[1] for t in types]
-    table = {}
+    objects = [f"X{i}" for i in range(k)]
+    declared = [(f"f{j}", objects[a], objects[b]) for j, (a, b) in enumerate(types)]
+    names = [*map(identity_name, objects), *(m for m, _, _ in declared)]
+    ends = [(x, x) for x in range(k)] + list(types)
+    rows = []
     for g, gt in enumerate(types, k):
         for f, ft in enumerate(types, k):
             if ft[1] != gt[0]:
                 continue
-            cands = [h for h in range(k + len(types)) if dom[h] == ft[0] and cod[h] == gt[1]]
+            cands = [h for h in range(n) if ends[h] == (ft[0], gt[1])]
             if not cands:
                 return None
-            table[(g, f)] = rng.choice(cands)
-    # a random table is rarely associative, so it goes through the full check
+            rows.append((names[g], names[f], names[rng.choice(cands)]))
     try:
-        return validate_category(_table_category(name, k, types, table).to_raw())
+        return validate_category(RawCategory(name, objects, declared, rows))
     except StarkitError:
         return None
 

@@ -58,7 +58,7 @@ class MultiPointedCategory:
     def __post_init__(self):
         if self.ideal.cat is not self.cat:
             raise ValueError("ideal does not live on this category")
-        if not _closed(self.cat, self.ideal.carrier, self.ideal.mask):
+        if not _closed(self.cat, self.ideal.mask):
             raise ValueError(f"{self.ideal.label()} is not an ideal of {self.cat.name}")
 
 
@@ -80,55 +80,59 @@ class CoverWitness:
 
 def _mask(C: FinCategory, names) -> int | None:
     """The mask of a set of names, or None if one is not a morphism of C."""
-    bit = C._bit
+    index = C._index
     mask = 0
     for n in names:
-        b = bit.get(n)
-        if b is None:
+        i = index.get(n)
+        if i is None:
             return None
-        mask |= b
+        mask |= 1 << i
     return mask
 
 
+def _members(mask: int) -> list[int]:
+    """The morphisms of a mask, in int order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _carrier(C: FinCategory, mask: int) -> frozenset[str]:
-    return frozenset(n for n, b in C._bit.items() if b & mask)
+    return frozenset(C._names(_members(mask)))
 
 
-def _principal_masks(C: FinCategory) -> dict[str, int]:
+def _principal_masks(C: FinCategory) -> list[int]:
     """For each morphism g, the mask of its principal ideal, the composites
     f∘g∘h.  f∘g∘h = f∘(g∘h), so it is the union over h of the masks of the
     f∘n with n = g∘h.  One dict per category, read by every ideal test,
     closure and enumeration."""
     def compute():
-        comp, bit, to, out = C._comp, C._bit, C._to, C._from
-        left = {}
-        for n in C.morphism_names:
+        compose, out, into = C._compose, C._out, C._into
+        left = []
+        for n, y in enumerate(C._cod):
             mask = 0
-            for f in out[C.cod(n)]:
-                mask |= bit[comp[f, n]]
-            left[n] = mask
-        principal = {}
-        for g in C.morphism_names:
+            for f in out[y]:
+                mask |= 1 << compose(f, n)
+            left.append(mask)
+        principal = []
+        for row, y in zip(C._rows, C._cod):
             mask = 0
-            for h in to[C.dom(g)]:
-                mask |= left[comp[g, h]]
-            principal[g] = mask
+            for h in set(row):
+                mask |= left[into[y][h]]
+            principal.append(mask)
         return principal
 
     return C._memo("principal_masks", compute)
 
 
-def _closed(C: FinCategory, carrier, mask: int | None) -> bool:
+def _closed(C: FinCategory, mask: int | None) -> bool:
     """Every member's principal ideal lies in the mask, i.e. f∘n∘h is in the
-    carrier for every member n; that is closure, since f∘n = f∘n∘1."""
+    ideal for every member n; that is closure, since f∘n = f∘n∘1."""
     if mask is None:
         return False
-    principal = _principal_masks(C)
-    return all(principal[n] | mask == mask for n in carrier)
+    return all(p | mask == mask for n, p in enumerate(_principal_masks(C)) if mask >> n & 1)
 
 
 def is_ideal(C: FinCategory, carrier: frozenset[str] | set[str]) -> bool:
-    return _closed(C, carrier, _mask(C, carrier))
+    return _closed(C, _mask(C, carrier))
 
 
 def ideal_closure(C: FinCategory, gens) -> Ideal:
@@ -141,22 +145,23 @@ def ideal_closure(C: FinCategory, gens) -> Ideal:
     for g in gens:
         if not C.has_morphism(g):
             raise ValueError(f"{g} is not a morphism of {C.name}")
-        mask |= principal[g]
-    carrier = _carrier(C, mask)
-    comp, bit = C._comp, C._bit
-    for n in carrier:
-        if not (all(bit[comp[f, n]] & mask for f in C._from[C.cod(n)])
-                and all(bit[comp[n, h]] & mask for h in C._to[C.dom(n)])):
-            raise IdealClosureViolation(f"closure misses a composite with {n}")
-    return Ideal(C, carrier)
+        mask |= principal[C._index[g]]
+    compose = C._compose
+    for n in _members(mask):
+        if not (all(mask >> compose(f, n) & 1 for f in C._out[C._cod[n]])
+                and all(mask >> compose(n, h) & 1 for h in C._into[C._dom[n]])):
+            raise IdealClosureViolation(
+                f"closure misses a composite with {C.morphism_names[n]}")
+    return Ideal(C, _carrier(C, mask))
 
 
-def _weak_kernels(C: FinCategory, mask: int, f: str,
-                  sieve: dict[str, int]) -> tuple[list[str], int]:
+def _weak_kernels(C: FinCategory, mask: int, f: int,
+                  sieve: list[int]) -> tuple[list[int], int]:
     """The weak kernels of f for the ideal of the mask, and the number of
-    candidates k, those with f∘k in the ideal (see kernels)."""
-    comp, bit = C._comp, C._bit
-    candidates = [k for k in C._to[C.dom(f)] if bit[comp[f, k]] & mask]
+    candidates k, those with f∘k in the ideal (see kernels), read off the
+    row of f."""
+    out = C._into[C._cod[f]]
+    candidates = [k for k, h in zip(C._into[C._dom[f]], C._rows[f]) if mask >> out[h] & 1]
     size = len(candidates)
     return [k for k in candidates if sieve[k] == size], size
 
@@ -177,10 +182,10 @@ def kernels(M: MultiPointedCategory, f: str, mode: str) -> list[str]:
     """
     C = M.cat
     _check_mode(mode)
-    weak, size = _weak_kernels(C, M.ideal.mask, f, _sieve_sizes(C))
-    if mode == WEAK:
-        return weak
-    return [k for k in weak if len(C._to[C.dom(k)]) == size]
+    weak, size = _weak_kernels(C, M.ideal.mask, C._index[f], _sieve_sizes(C))
+    if mode == STRICT:
+        weak = [k for k in weak if len(C._rows[k]) == size]
+    return list(C._names(weak))
 
 
 def _first_without_kernel(M: MultiPointedCategory, mode: str) -> str | None:
@@ -196,14 +201,14 @@ def _first_without_kernel(M: MultiPointedCategory, mode: str) -> str | None:
     mask = M.ideal.mask
 
     def compute():
-        to, sieve = C._to, _sieve_sizes(C)
+        rows, sieve, names = C._rows, _sieve_sizes(C), C.morphism_names
         no_kernel = None
-        for f in C.morphism_names:
+        for f in range(len(names)):
             weak, size = _weak_kernels(C, mask, f, sieve)
             if not weak:
-                return (f if no_kernel is None else no_kernel), f
-            if no_kernel is None and all(len(to[C.dom(k)]) != size for k in weak):
-                no_kernel = f
+                return (names[f] if no_kernel is None else no_kernel), names[f]
+            if no_kernel is None and all(len(rows[k]) != size for k in weak):
+                no_kernel = names[f]
         return no_kernel, None
 
     no_kernel, no_weak_kernel = C._memo(("kernel_gates", mask), compute)
@@ -229,14 +234,14 @@ def pointed_ideal(C: FinCategory) -> Ideal | None:
     def compute():
         if not C.objects:
             return frozenset()  # no hom-sets to meet
-        ends = C.hom(C.objects[0], C.objects[0])
+        ends, compose = C._homs[0, 0], C._compose
         zero = next((z for z in ends
-                     if all(C.compose(e, z) == z == C.compose(z, e) for e in ends)), None)
+                     if all(compose(e, z) == z == compose(z, e) for e in ends)), None)
         if zero is None:
             return None
-        carrier = ideal_closure(C, [zero]).carrier
-        homs = {(C.dom(n), C.cod(n)) for n in carrier}
-        return carrier if len(homs) == len(carrier) == len(C.objects) ** 2 else None
+        N = ideal_closure(C, [C.morphism_names[zero]])
+        homs = {(C._dom[n], C._cod[n]) for n in _members(N.mask)}
+        return N.carrier if len(homs) == len(N.carrier) == len(C.objects) ** 2 else None
 
     carrier = C._memo("pointed_ideal", compute)
     return None if carrier is None else Ideal(C, carrier)
@@ -282,12 +287,14 @@ def extend_ideal(W: CoverWitness, N: Ideal) -> Ideal:
         raise ValueError("ideal must live on the cover subcategory")
 
     def compute():
-        cover_epis_to = _cover_epis(W)
-        carrier = {f for f in C.morphism_names
-                   if any(C.compose(e2, n) == C.compose(f, e)
-                          for e in cover_epis_to[C.dom(f)]
-                          for n in N.carrier if C.dom(n) == C.dom(e)
-                          for e2 in cover_epis_to[C.cod(f)] if C.dom(e2) == C.cod(n))}
+        dom, cod, compose, index = C._dom, C._cod, C._compose, C._index
+        epis_to = [[index[e] for e in _cover_epis(W)[x]] for x in C.objects]
+        members = [index[n] for n in N.carrier]
+        carrier = {C.morphism_names[f] for f in range(len(dom))
+                   if any(compose(e2, n) == compose(f, e)
+                          for e in epis_to[dom[f]]
+                          for n in members if dom[n] == dom[e]
+                          for e2 in epis_to[cod[f]] if dom[e2] == cod[n])}
         if not is_ideal(C, carrier):
             raise IdealClosureViolation(
                 f"extension of {N.label()} along {W.cover.label} is not closed")
@@ -302,17 +309,18 @@ def is_projective_cover(W: CoverWitness) -> Report:
     C = W.cat
 
     def compute():
-        epis = regular_epis(C)
-        for p in W.cover.objects:
-            for e in C.morphism_names:
-                if e not in epis:
+        epis, homs, names = regular_epis(C), C._homs, C.morphism_names
+        for p in map(C._obj.get, W.cover.objects):
+            for e, (x, y) in enumerate(zip(C._dom, C._cod)):
+                if names[e] not in epis:
                     continue
-                x, y = C.dom(e), C.cod(e)
-                for g in C.hom(p, y):
-                    if not any(C.compose(e, h) == g for h in C.hom(p, x)):
+                lifts = {C._compose(e, h) for h in homs.get((p, x), ())}
+                for g in homs.get((p, y), ()):
+                    if g not in lifts:
                         return Report(
                             "projective-cover", FAIL,
-                            [f"cover object {p} has no lift of {g} along regular epi {e}"])
+                            [f"cover object {C.objects[p]} has no lift of {names[g]} "
+                             f"along regular epi {names[e]}"])
         cover_epis_to = _cover_epis(W)
         for x in C.objects:
             if not cover_epis_to[x]:
@@ -326,7 +334,7 @@ def is_projective_cover(W: CoverWitness) -> Report:
 def _atoms(C: FinCategory) -> list[int]:
     """The masks of the distinct principal ideals of C, in order of their
     first generator."""
-    return list(dict.fromkeys(_principal_masks(C).values()))
+    return list(dict.fromkeys(_principal_masks(C)))
 
 
 def _by_size(C: FinCategory, masks) -> list[frozenset[str]]:
@@ -340,9 +348,9 @@ def enumerate_ideals(C: FinCategory, bound: int | None = None) -> list[Ideal]:
     time: the unions of the first i + 1 are those of the first i, with and
     without the next."""
     limit = bound if bound is not None else DEFAULT_IDEAL_BOUND
-    if len(C.morphisms) > limit:
+    if len(C.morphism_names) > limit:
         raise BoundExceeded(
-            f"{C.name} has {len(C.morphisms)} morphisms; ideal enumeration bound is {limit}")
+            f"{C.name} has {len(C.morphism_names)} morphisms; ideal enumeration bound is {limit}")
 
     def compute():
         masks = {0}
@@ -413,7 +421,7 @@ def sample_ideals(C: FinCategory, cap: int = 64) -> list[Ideal]:
     """A deterministic sample of the ideal lattice for categories too large
     for full enumeration: bottom, top, every principal closure, and pairwise
     unions of principals up to the cap."""
-    top = (1 << len(C.morphisms)) - 1
+    top = (1 << len(C.morphism_names)) - 1
     atoms = [a for a in _atoms(C) if a != top]
     masks = {0, top, *atoms}
     for a, b in combinations(atoms, 2):
@@ -442,12 +450,12 @@ def verify_galois_and_iso(W: CoverWitness) -> Report:
     the report; the connections hold on any subsets, sampled or not.
     """
     C = W.cat
-    sub = W.cover.category
     if not is_regular_category(C).passed:
         return Report("galois", INAPPLICABLE, [f"{C.name} is not regular"])
     if not is_projective_cover(W).passed:
         return Report("galois", INAPPLICABLE,
                       [f"{W.cover.label} is not a projective cover"])
+    sub = W.cover.category
 
     sampled = False
     try:

@@ -75,15 +75,18 @@ def _check_mode(mode: str) -> None:
 
 def _cones_at(C: FinCategory, objects: list[str],
               equations: list[tuple[str, int, str, int]]):
-    """The function listing the legs of each cone at an apex, in hom order."""
-    comp = C._comp
+    """The function listing the legs of each cone at an apex, in hom order, as
+    ints; the two sides of an equation share a codomain, so rows compare them."""
+    homs, rows, pos, index = C._homs, C._rows, C._pos, C._index
+    xs = [C._obj[x] for x in objects]
+    eqs = [(rows[index[a]], i, rows[index[b]], j) for a, i, b, j in equations]
 
-    def cones_at(w: str) -> list[tuple[str, ...]]:
+    def cones_at(w: int) -> list[tuple[int, ...]]:
         stack = [()]
-        for x in objects:
-            stack = [legs + (m,) for legs in stack for m in C.hom(w, x)]
+        for x in xs:
+            stack = [legs + (m,) for legs in stack for m in homs.get((w, x), ())]
         return [legs for legs in stack
-                if all(comp[a, legs[i]] == comp[b, legs[j]] for a, i, b, j in equations)]
+                if all(a[pos[legs[i]]] == b[pos[legs[j]]] for a, i, b, j in eqs)]
     return cones_at
 
 
@@ -93,50 +96,49 @@ def _limit_cones(C: FinCategory, mode: str, cones_at, count_at=None) -> list[Con
     docstring.  count_at(w) counts the cones at w where the shape allows it
     without listing them; otherwise the cones of every apex are listed."""
     _check_mode(mode)
+    apexes = range(len(C.objects))
     if count_at is None:
-        listed = {w: cones_at(w) for w in C.objects}
+        listed = [cones_at(w) for w in apexes]
         cones_at, count_at = listed.__getitem__, lambda w: len(listed[w])
-    size = sum(map(count_at, C.objects))
-    comp, to, sieve = C._comp, C._to, _sieve_sizes(C)
+    size = sum(map(count_at, apexes))
+    rows, dom, sieve = C._rows, C._dom, _sieve_sizes(C)
     strict = mode == STRICT
     out = []
-    for w in C.objects:
-        into = to[w]
+    for w in apexes:
+        into = C._into[w]
         if not size or len(into) < size or (strict and len(into) != size):
             continue
-        column: dict[str, list[str]] = {}  # m -> the m∘u, u into w
         for legs in cones_at(w):
             if not legs:  # the cone is its apex, so c∘u is dom u
-                n = len({C.dom(u) for u in into})
+                n = len({dom[u] for u in into})
             else:
                 n = max(sieve[m] for m in legs)
                 if n < size and len(legs) > 1:
-                    for m in legs:
-                        if m not in column:
-                            column[m] = [comp[m, u] for u in into]
-                    n = len(set(zip(*[column[m] for m in legs])))
+                    n = len(set(zip(*[rows[m] for m in legs])))
             if n == size:
-                out.append(Cone(w, legs))
+                out.append(Cone(C.objects[w], C._names(legs)))
     return out
 
 
 def _product_count(C: FinCategory, x: str, y: str):
     """The number of cones at w over (x, y): |hom(w, x)|·|hom(w, y)|."""
-    return lambda w: len(C.hom(w, x)) * len(C.hom(w, y))
+    homs, x, y = C._homs, C._obj[x], C._obj[y]
+    return lambda w: len(homs.get((w, x), ())) * len(homs.get((w, y), ()))
 
 
 def _pullback_shape(C: FinCategory, f: str, g: str):
     """cones_at and count_at for the cospan f: X -> Z <- Y :g.  At w, the b
     in hom(w, Y) are grouped by g∘b, and each a in hom(w, X) is joined with
     the group of f∘a, in hom order."""
-    comp, x, y = C._comp, C.dom(f), C.dom(g)
+    f, g = C._index[f], C._index[g]
+    homs, pos, rf, rg, x, y = C._homs, C._pos, C._rows[f], C._rows[g], C._dom[f], C._dom[g]
 
-    def joined(w: str) -> list[list[str]]:
-        fibre: dict[str, list[str]] = {}
-        for b in C.hom(w, y):
-            fibre.setdefault(comp[g, b], []).append(b)
-        return [fibre.get(comp[f, a], []) for a in C.hom(w, x)]
-    return (lambda w: [(a, b) for a, bs in zip(C.hom(w, x), joined(w)) for b in bs],
+    def joined(w: int) -> list[list[int]]:
+        fibre: dict[int, list[int]] = {}
+        for b in homs.get((w, y), ()):
+            fibre.setdefault(rg[pos[b]], []).append(b)
+        return [fibre.get(rf[pos[a]], []) for a in homs.get((w, x), ())]
+    return (lambda w: [(a, b) for a, bs in zip(homs.get((w, x), ()), joined(w)) for b in bs],
             lambda w: sum(map(len, joined(w))))
 
 
@@ -231,10 +233,6 @@ def has_weak_finite_limits(C: FinCategory) -> bool:
     return is_regular_category(C).passed
 
 
-def coequalizes(C: FinCategory, g: str, p: ParallelPair) -> bool:
-    return C.compose(g, p.f1) == C.compose(g, p.f2)
-
-
 def coequalizers(C: FinCategory, p: ParallelPair) -> list[str]:
     """All coequalizers of p, in input order: the morphisms q out of cod p
     with q∘f1 = q∘f2 through which every such morphism factors exactly once.
@@ -243,9 +241,11 @@ def coequalizers(C: FinCategory, p: ParallelPair) -> list[str]:
     require_parallel(C, p)
 
     def compute():
-        candidates = [q for q in C._from[C.cod(p.f1)] if coequalizes(C, q, p)]
-        return [q for q in candidates
-                if len(C._from[C.cod(q)]) == len(candidates) and is_epi(C, q)]
+        f1, f2 = C._index[p.f1], C._index[p.f2]
+        rows, pos, out, cod = C._rows, C._pos, C._out, C._cod
+        candidates = [q for q in out[cod[f1]] if rows[q][pos[f1]] == rows[q][pos[f2]]]
+        return [C.morphism_names[q] for q in candidates
+                if len(out[cod[q]]) == len(candidates) and is_epi(C, C.morphism_names[q])]
 
     return C._memo(("coequalizers", p.f1, p.f2), compute)
 
@@ -266,8 +266,9 @@ def regular_epis(C: FinCategory) -> frozenset[str]:
     q maps from(cod q) onto from(dom q): 1_{dom q} = v∘q, so q∘v = 1 by
     thinness.  Each iso coequalizes (1, 1)."""
     def compute():
-        if len(C._hom) == len(C.morphisms):  # thin
-            return frozenset(q for q in C.morphism_names if C.hom(C.cod(q), C.dom(q)))
+        if C.thin:
+            return frozenset(C._names(q for q, ends in enumerate(zip(C._cod, C._dom))
+                                      if ends in C._homs))
         return frozenset(q for p in C.parallel_pairs() for q in coequalizers(C, p))
 
     return C._memo("regular_epis", compute)
@@ -280,15 +281,15 @@ def is_regular_epi(C: FinCategory, f: str) -> bool:
 def image_factorization(C: FinCategory, f: str) -> tuple[str, str] | None:
     """One factorization f = m∘e with e a regular epi and m a mono, if any."""
     def compute():
-        x, y = C.dom(f), C.cod(f)
-        epis = regular_epis(C)
-        for mid in C.objects:
-            for e in C.hom(x, mid):
-                if e not in epis:
+        i = C._index[f]
+        epis, homs, names = regular_epis(C), C._homs, C.morphism_names
+        for mid in range(len(C.objects)):
+            for e in homs.get((C._dom[i], mid), ()):
+                if names[e] not in epis:
                     continue
-                for m in C.hom(mid, y):
-                    if is_mono(C, m) and C.compose(m, e) == f:
-                        return (e, m)
+                for m in homs.get((mid, C._cod[i]), ()):
+                    if C._compose(m, e) == i and is_mono(C, names[m]):
+                        return (names[e], names[m])
         return None
 
     return C._memo(("image", f), compute)

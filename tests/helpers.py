@@ -1,7 +1,8 @@
-"""Constructions that only the tests use: joint monicity, equivalence of
-categories, an ideal carried onto a completion's cover, and the kernel of an
-extended ideal built through the cover.  The package decides its statements
-without them; the tests use them to cross-check what it decides."""
+"""Constructions that only the tests use: the composites of a category,
+joint monicity, equivalence of categories, an ideal carried onto a
+completion's cover, and the kernel of an extended ideal built through the
+cover.  The package decides its statements without them; the tests use them
+to cross-check what it decides."""
 from __future__ import annotations
 
 import itertools
@@ -12,6 +13,12 @@ from starkit import (STRICT, WEAK, Completion, CoverWitness, FinCategory, Ideal,
                      is_projective_cover, kernels, morphism_flags, pullback_cones)
 from starkit.core import require_parallel
 from starkit.ideals import _cover_epis
+
+
+def composites(C) -> list[tuple[str, str, str]]:
+    """(g, f, g∘f) for every composable pair, g in morphism order, then f
+    among the morphisms into dom g."""
+    return [(g, f, C.compose(g, f)) for g in C.morphism_names for f in C.morphisms_to(C.dom(g))]
 
 
 def is_jointly_monic(C: FinCategory, p: ParallelPair) -> bool:

@@ -26,10 +26,14 @@ in order, or the category it builds.  Reflexive graphs, listed from the
 sections of each leg, are compared with the triple loop over (d, c, e).
 Lemma A and the Galois connections, decided in closed form, are compared
 with the exhaustive evaluators they replace on every cover and pair of
-ideals."""
+ideals.  The integer-native category, with its rows, in- and out-lists and
+thinness, is compared with the name-keyed category it replaces, built by
+the old builders of enumerated, cover, validated and random tables, and
+canonical keys with the integer form they were read from."""
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 
 from starkit import (ERROR, FAIL, INAPPLICABLE, PASS, STRICT, WEAK,
@@ -48,15 +52,16 @@ from starkit import (ERROR, FAIL, INAPPLICABLE, PASS, STRICT, WEAK,
                      pullback_cones, reflexive_graphs_star_pi0,
                      regular_completion, regular_epis, restrict_ideal,
                      terminal_cones, verify_galois_and_iso, verify_lemma_a)
-from starkit.corpus import enumerate_categories, parse
+from starkit.corpus import (CategoryBlock, _canonical_key, _fill_tables, _random_category,
+                            _table_category, canonical_key, enumerate_categories, parse)
 from starkit.ideals import _first_without_kernel, sample_ideals
 from starkit.core import (FinCategory, Morphism, RawCategory, ReflexiveGraph, Violation,
                           identity_name, is_epi, validate_category)
 from starkit.limits import (Cone, _cones_at, _product_count, _pullback_shape,
-                            coequalizes, kernel_pair_cones)
+                            kernel_pair_cones)
 from starkit.stars import _pair_passes, _star
 from tests.conftest import load
-from tests.helpers import are_equivalent, is_jointly_monic, transport_ideal
+from tests.helpers import are_equivalent, composites, is_jointly_monic, transport_ideal
 
 SMALL = 5
 
@@ -323,8 +328,8 @@ def test_cone_counts_match_the_listed_cones():
     # cones only where a limit can sit; each count against the oracle's list.
     counts = Counter()
     for C in _categories():
-        def counted(count_at) -> int:
-            return sum(map(count_at, C.objects))
+        def counted(count_at) -> int:  # over the apexes, as object indices
+            return sum(map(count_at, range(len(C.objects))))
 
         assert len(C.objects) == len(_inline_cones(C, [], []))  # terminal: one per apex
         counts["terminal"] += 1
@@ -697,14 +702,15 @@ def _covers(C) -> list:
 
 
 def test_cover_tables_match_the_scan_of_the_parent_table():
-    # a cover's table is read off its kept morphisms' composable pairs, or is
-    # the parent's when every object is kept
+    # a cover's rows are the parent's, restricted to its kept morphisms, or
+    # are the parent's when every object is kept
     compared = 0
     for C in [*_categories(), *_fixtures(), *_completions("Arrow", 2)]:
         for cover in _covers(C):
             names = set(cover.category.morphism_names)
-            assert cover.category._comp == {(g, f): h for (g, f), h in C._comp.items()
-                                            if g in names and f in names}, (C.to_raw(), cover)
+            assert composites(cover.category) == [
+                (g, f, h) for g, f, h in composites(C) if g in names and f in names], \
+                (C.to_raw(), cover)
             compared += 1
     assert compared == 978
 
@@ -836,7 +842,7 @@ def oracle_star_regular(M: MultiPointedCategory) -> Report:
     failing: list[str] = []
     for f in sorted(regular_epis(C)):
         sw = kernel_star(M, f)
-        if not coequalizes(C, f, sw.star):
+        if C.compose(f, sw.star.f1) != C.compose(f, sw.star.f2):
             raise StarkitError(f"regular epi {f} does not coequalize its kernel star")
         if not is_coequalizer(C, f, sw.star):
             failing.append(f"regular epi {f} is not a coequalizer of its kernel star "
@@ -1342,11 +1348,205 @@ def test_transfer_checks_match_their_evaluators():
     }
 
 
+# The category is numbered once: morphisms are ints and composition is one
+# row per morphism.  The name-keyed category it replaces, which rebuilt its
+# composition map, hom-sets and bits by name, is the oracle below, with the
+# name-keyed builders of enumerated tables, cover tables and random tables
+# and the integer form that canonical keys were read from.
+
+class OracleCategory:
+    """The name-keyed category that the integer-native FinCategory replaces:
+    morphisms in input order, a composition map over composable pairs of
+    names, and hom-sets, in- and out-lists keyed by name."""
+
+    def __init__(self, name: str, objects, morphisms, comp: dict[tuple[str, str], str]):
+        self.name = name
+        self.objects: tuple[str, ...] = tuple(objects)
+        self.morphisms: tuple[Morphism, ...] = tuple(morphisms)
+        self.identity: dict[str, str] = {x: identity_name(x) for x in self.objects}
+        self._by_name = {m.name: m for m in self.morphisms}
+        self._comp = dict(comp)
+        self._hom: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._from: dict[str, tuple[str, ...]] = {x: () for x in self.objects}
+        self._to: dict[str, tuple[str, ...]] = {x: () for x in self.objects}
+        for m in self.morphisms:
+            key = (m.dom, m.cod)
+            self._hom[key] = self._hom.get(key, ()) + (m.name,)
+            self._from[m.dom] = self._from[m.dom] + (m.name,)
+            self._to[m.cod] = self._to[m.cod] + (m.name,)
+        self.morphism_names: tuple[str, ...] = tuple(m.name for m in self.morphisms)
+
+    def dom(self, name: str) -> str:
+        return self._by_name[name].dom
+
+    def cod(self, name: str) -> str:
+        return self._by_name[name].cod
+
+    def is_identity(self, name: str) -> bool:
+        m = self._by_name[name]
+        return m.dom == m.cod and name == self.identity[m.dom]
+
+    def hom(self, x: str, y: str) -> tuple[str, ...]:
+        return self._hom.get((x, y), ())
+
+    def morphisms_from(self, x: str) -> tuple[str, ...]:
+        return self._from[x]
+
+    def morphisms_to(self, x: str) -> tuple[str, ...]:
+        return self._to[x]
+
+    def composable(self, g: str, f: str) -> bool:
+        return self.cod(f) == self.dom(g)
+
+    def compose(self, g: str, f: str) -> str:
+        return self._comp[(g, f)]
+
+    def to_raw(self) -> RawCategory:
+        declared = [(m.name, m.dom, m.cod) for m in self.morphisms
+                    if not self.is_identity(m.name)]
+        rows = [(g, f, h) for (g, f), h in sorted(self._comp.items())
+                if not self.is_identity(g) and not self.is_identity(f)]
+        return RawCategory(self.name, list(self.objects), declared, rows)
+
+
+def oracle_table_category(name: str, k: int, types: tuple, table: dict) -> OracleCategory:
+    """An enumerated table, named as the enumerator names it, by name."""
+    objects = [f"X{i}" for i in range(k)]
+    morphisms = [Morphism(identity_name(x), x, x) for x in objects]
+    morphisms += [Morphism(f"f{j}", objects[a], objects[b]) for j, (a, b) in enumerate(types)]
+    names = [m.name for m in morphisms]
+    comp = {(names[g], names[f]): names[h] for (g, f), h in table.items()}
+    for m in morphisms:
+        comp[m.name, identity_name(m.dom)] = comp[identity_name(m.cod), m.name] = m.name
+    return OracleCategory(name, objects, morphisms, comp)
+
+
+def oracle_full_subcategory(parent: OracleCategory, objects) -> OracleCategory:
+    """The full subcategory on the objects, its map read off the parent's."""
+    keep = set(objects)
+    morphisms = [m for m in parent.morphisms if m.dom in keep and m.cod in keep]
+    names = {m.name for m in morphisms}
+    comp = {(g, f): h for (g, f), h in parent._comp.items() if g in names and f in names}
+    label = f"{parent.name}[{','.join(x for x in parent.objects if x in keep)}]"
+    return OracleCategory(label, [x for x in parent.objects if x in keep], morphisms, comp)
+
+
+def oracle_int_form(C: OracleCategory):
+    """(object count, non-identity types, composition table) in input order,
+    as canonical keys were read."""
+    obj_index = {x: i for i, x in enumerate(C.objects)}
+    nonids = [m for m in C.morphisms if not C.is_identity(m.name)]
+    mor_index: dict[str, int] = {}
+    for i, x in enumerate(C.objects):
+        mor_index[C.identity[x]] = i
+    for j, m in enumerate(nonids):
+        mor_index[m.name] = len(C.objects) + j
+    types = tuple((obj_index[m.dom], obj_index[m.cod]) for m in nonids)
+    table: dict[tuple[int, int], int] = {}
+    for g in nonids:
+        for f in nonids:
+            if f.cod == g.dom:
+                table[(mor_index[g.name], mor_index[f.name])] = \
+                    mor_index[C.compose(g.name, f.name)]
+    return len(C.objects), types, table
+
+
+def oracle_random_category(rng: random.Random, lo: int, hi: int, name: str):
+    """A random table, built unvalidated by name, then validated from its
+    raw form, as the counterexample search drew them."""
+    n = rng.randint(lo + 1, hi)
+    k = rng.randint(1, n)
+    types = tuple(sorted((rng.randrange(k), rng.randrange(k)) for _ in range(n - k)))
+    dom = list(range(k)) + [t[0] for t in types]
+    cod = list(range(k)) + [t[1] for t in types]
+    table = {}
+    for g, gt in enumerate(types, k):
+        for f, ft in enumerate(types, k):
+            if ft[1] != gt[0]:
+                continue
+            cands = [h for h in range(k + len(types)) if dom[h] == ft[0] and cod[h] == gt[1]]
+            if not cands:
+                return None
+            table[(g, f)] = rng.choice(cands)
+    try:
+        return validate_category(oracle_table_category(name, k, types, table).to_raw())
+    except StarkitError:
+        return None
+
+
+def compare_with_the_oracle(C: FinCategory, O: OracleCategory, key: bool = True) -> None:
+    """Assert that C and the name-keyed O agree on names, every hom-set,
+    in- and out-list in order, every composite, the raw form and thinness,
+    and, where key is set, that C's canonical key is the one read off O's
+    integer form."""
+    assert (C.name, C.objects, C.morphism_names, C.morphisms) == \
+        (O.name, O.objects, O.morphism_names, O.morphisms)
+    for x in C.objects:
+        assert C.morphisms_from(x) == O.morphisms_from(x), (C.name, x)
+        assert C.morphisms_to(x) == O.morphisms_to(x), (C.name, x)
+        for y in C.objects:
+            assert C.hom(x, y) == O.hom(x, y), (C.name, x, y)
+    assert composites(C) == composites(O), C.name
+    assert C.to_raw() == O.to_raw(), C.name
+    assert C.thin == _thin(O), C.name
+    if key:
+        assert canonical_key(C) == _canonical_key(*oracle_int_form(O)), C.name
+
+
+def _tables(max_morphisms: int):
+    """(k, types, table) of every enumerated table, in emission order."""
+    for n in range(1, max_morphisms + 1):
+        for k in range(1, n + 1):
+            type_space = list(itertools.product(range(k), repeat=2))
+            for types in itertools.combinations_with_replacement(type_space, n - k):
+                yield from ((k, types, table) for table in _fill_tables(k, types))
+
+
+def test_the_integer_core_matches_the_name_keyed_oracle():
+    from tests.test_truncations import pointed_set_table  # imports this module
+    pairs = []
+    for i, (k, types, table) in enumerate(_tables(SMALL), 1):
+        C = _table_category(f"C{i}", k, types, table)
+        O = oracle_table_category(f"C{i}", k, types, table)
+        pairs.append((C, O))
+        pairs += [(cover.category, oracle_full_subcategory(O, cover.objects))
+                  for cover in _covers(C)]
+    raws = [parse(KERNEL_PAIR_SQUARE)._named(CategoryBlock, "KP").raw, pointed_set_table(4),
+            *(load(f"{name.lower()}.fincat")._named(CategoryBlock, name).raw
+              for name in ("One", "Chain3", "PtSet2", "Arrow"))]
+    pairs += [(validate_category(raw), oracle_validate_category(raw)) for raw in raws]
+    # regular_completion builds its table inside, so the oracle reads the raw form
+    pairs += [(C, oracle_validate_category(C.to_raw()))
+              for C in [*_completions("Arrow", 2), *_completions("Chain3", 2)]]
+    for C, O in pairs:
+        # P4 has 64 endomorphisms, and Chain3's second completion 25
+        # objects: too many relabellings to key
+        compare_with_the_oracle(C, O, key=C.name not in ("PtSet4", "Chain3_reg_reg"))
+    # the sweep, its covers, KP, PtSet<=4, the fixtures and the completions
+    assert (len(pairs), sum(C.thin for C, _ in pairs)) == (399 + 823 + 6 + 4, 267)
+
+
+def test_random_categories_are_the_draws_of_the_name_keyed_builder():
+    # one generator per seed, as the property tests draw, and one generator
+    # for many draws in a row, as the search draws past the enumeration cap
+    streams = [(random.Random(seed), random.Random(seed), 5, 8, 1) for seed in range(300)]
+    streams.append((random.Random(0), random.Random(0), 6, 8, 300))
+    valid = 0
+    for new, old, lo, hi, draws in streams:
+        for i in range(draws):
+            C = _random_category(new, lo, hi, f"R{i}")
+            O = oracle_random_category(old, lo, hi, f"R{i}")
+            assert new.getstate() == old.getstate(), (lo, hi, i)
+            assert (C and _built(C)) == (O and _built(O)), (lo, hi, i)
+            valid += C is not None
+    assert valid == 291  # of 600 draws
+
+
 # Validation numbers the morphisms once and checks associativity one
 # composable pair at a time, by comparing rows; the name-keyed loops it
 # replaces are the oracle.
 
-def oracle_validate_category(raw: RawCategory) -> FinCategory:
+def oracle_validate_category(raw: RawCategory) -> OracleCategory:
     """The name-keyed validation that validate_category replaces.  The three
     category axioms are verified exhaustively: identity laws hold by
     construction (identity rows are generated, not declared), typing is
@@ -1431,7 +1631,7 @@ def oracle_validate_category(raw: RawCategory) -> FinCategory:
 
     types = {(m.dom, m.cod) for m in morphisms}
     if len(types) == len(morphisms):
-        return FinCategory(raw.name, objects, morphisms, comp)
+        return OracleCategory(raw.name, objects, morphisms, comp)
 
     for a in nonids:
         for b in nonids:
@@ -1450,17 +1650,22 @@ def oracle_validate_category(raw: RawCategory) -> FinCategory:
     if violations:
         raise InvalidCategory(violations)
 
-    return FinCategory(raw.name, objects, morphisms, comp)
+    return OracleCategory(raw.name, objects, morphisms, comp)
 
 
 def _validation(validate, raw: RawCategory):
     """The violations (kind, detail, in order) that validate raises on raw,
-    or the objects, morphisms and table (in insertion order) it builds."""
+    or the objects, morphisms and composites it builds."""
     try:
         C = validate(raw)
     except InvalidCategory as e:
         return [(v.kind, v.detail) for v in e.violations]
-    return C.name, C.objects, C.morphisms, list(C._comp.items())
+    return _built(C)
+
+
+def _built(C) -> tuple:
+    """The name, objects, morphisms and composites of C."""
+    return C.name, C.objects, C.morphisms, composites(C)
 
 
 def compare_validation(raw: RawCategory) -> bool:

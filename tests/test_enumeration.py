@@ -25,6 +25,7 @@ from starkit.core import enumerate_reflexive_graphs, validate_category
 from starkit.corpus import (CorpusFile, _canonical_key, _fill_tables,
                             _table_category, category_block, serialize)
 from tests.conftest import FIXTURES
+from tests.helpers import composites
 
 ORACLE_SIZE = 5
 
@@ -212,7 +213,7 @@ def test_enumerated_categories_equal_their_validated_tables(enumerated6):
     for C in enumerated6:
         D = validate_category(C.to_raw())
         assert (C.name, C.objects, C.morphisms) == (D.name, D.objects, D.morphisms)
-        assert C._comp == D._comp, C.name
+        assert composites(C) == composites(D), C.name
 
 
 def test_enumeration_matches_the_pinned_corpus_byte_for_byte(enumerated6):
