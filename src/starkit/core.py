@@ -12,7 +12,7 @@ the first witness, so results are deterministic for a fixed input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidCategory
 
@@ -33,15 +33,16 @@ class RawCategory:
     """An unvalidated composition table.
 
     ``morphisms`` lists declared (non-identity) morphisms as (name, dom, cod);
-    ``compositions`` lists rows (g, f, h) meaning g after f equals h.  Rows
-    for pairs involving an identity are rejected as redundant; the composite
-    h may be an identity.
+    ``compositions`` yields rows (g, f, h) meaning g after f equals h, and
+    validate_category reads it once, so a large table may make its rows on
+    demand.  Rows for pairs involving an identity are rejected as redundant;
+    the composite h may be an identity.
     """
 
     name: str
     objects: Sequence[str]
     morphisms: Sequence[tuple[str, str, str]]
-    compositions: Sequence[tuple[str, str, str]]
+    compositions: Iterable[tuple[str, str, str]]
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,7 @@ class FinCategory:
                                   [pos[i]] + [None] * (len(into[dom[i]]) - 1)
                                   for i in range(len(dom))]
         self._cache: dict = {}
+        self._hom_names = self._out_names = self._into_names = None
 
     def __repr__(self) -> str:
         return (f"FinCategory({self.name!r}, {len(self.objects)} objects, "
@@ -156,23 +158,41 @@ class FinCategory:
         return self._index[name] < len(self.objects)
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
-        return self._names(self._homs.get((self._obj.get(x), self._obj.get(y)), ()))
+        if self._hom_names is None:
+            self._name_views()
+        return self._hom_names.get((x, y), ())
 
     def morphisms_from(self, x: str) -> tuple[str, ...]:
-        return self._names(self._out[self._obj[x]])
+        if self._out_names is None:
+            self._name_views()
+        return self._out_names[x]
 
     def morphisms_to(self, x: str) -> tuple[str, ...]:
-        return self._names(self._into[self._obj[x]])
+        if self._into_names is None:
+            self._name_views()
+        return self._into_names[x]
+
+    def _name_views(self) -> None:
+        """The hom-sets and the lists out of and into each object, by name,
+        built on the first public lookup, so code on ints never pays for
+        them.  Their attributes exist from __init__ on: one added later
+        would slow every attribute read of the category."""
+        objects, names = self.objects, self._names
+        self._hom_names = {(objects[x], objects[y]): names(ms)
+                           for (x, y), ms in self._homs.items()}
+        self._out_names = dict(zip(objects, map(names, self._out)))
+        self._into_names = dict(zip(objects, map(names, self._into)))
 
     def composable(self, g: str, f: str) -> bool:
         return self._cod[self._index[f]] == self._dom[self._index[g]]
 
     def compose(self, g: str, f: str) -> str:
         """g after f.  Raises KeyError on a non-composable pair."""
-        gi, fi = self._index[g], self._index[f]
+        index = self._index
+        gi, fi = index[g], index[f]
         if self._cod[fi] != self._dom[gi]:
             raise KeyError((g, f))
-        return self.morphism_names[self._compose(gi, fi)]
+        return self.morphism_names[self._into[self._cod[gi]][self._rows[gi][self._pos[fi]]]]
 
     def parallel_pairs(self) -> Iterator[ParallelPair]:
         """All ordered pairs of parallel morphisms, in input order."""

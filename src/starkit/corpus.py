@@ -23,6 +23,7 @@ import itertools
 import os
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -47,6 +48,9 @@ _COMP = re.compile(r"comp\s+(\S+)\s+(\S+)\s*=\s*(\S+)\s*\Z")
 # _MOR and _COMP with _NAME and _REF groups; _syntax_error says why one fails
 _MOR_ROW = re.compile(r"mor\s+({0})\s*:\s*({0})\s*->\s*({0})\s*\Z".format(_NAME.pattern))
 _COMP_ROW = re.compile(r"comp\s+({0})\s+({0})\s*=\s*({0})\s*\Z".format(_REF.pattern))
+# per row keyword: its pattern, and what _syntax_error needs when it fails
+_ROWS = {"comp": (_COMP_ROW, _COMP, _REF, "comp <g> <f> = <h>"),
+         "mor": (_MOR_ROW, _MOR, _NAME, "mor <name> : <dom> -> <cod>")}
 _IDEAL = re.compile(r"ideal\s+(\S+)\s+on\s+(\S+)\s*=\s*\{(.*)\}\s*\Z")
 _COVER = re.compile(r"cover\s+(\S+)\s+on\s+(\S+)\s*=\s*\{(.*)\}\s*\Z")
 
@@ -184,6 +188,11 @@ def _syntax_error(form, name, usage: str, line: str, line_no: int) -> CorpusSynt
 
 
 def parse(text: str) -> CorpusFile:
+    """Read a corpus.  Each name is held once, however often it occurs:
+    object and row names are interned.  A mor or comp line is matched the
+    first time it occurs, and every later copy reuses its row tuple, so a
+    corpus of many small categories with the usual names (f0, X0, ...)
+    keeps one tuple per distinct line."""
     header: list[str] = []
     corpus = CorpusFile(header)
 
@@ -194,6 +203,7 @@ def parse(text: str) -> CorpusFile:
 
     current: RawCategory | None = None
     in_header = True
+    rows: dict[str, tuple[str, str, str]] = {}  # a mor or comp line -> its row
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -207,16 +217,15 @@ def parse(text: str) -> CorpusFile:
         word = line.split(None, 1)[0]
 
         if current is not None:
-            if word == "comp":
-                m = _COMP_ROW.match(line)
-                if not m:
-                    raise _syntax_error(_COMP, _REF, "comp <g> <f> = <h>", line, line_no)
-                current.compositions.append(m.groups())
-            elif word == "mor":
-                m = _MOR_ROW.match(line)
-                if not m:
-                    raise _syntax_error(_MOR, _NAME, "mor <name> : <dom> -> <cod>", line, line_no)
-                current.morphisms.append(m.groups())
+            if word in _ROWS:
+                row = rows.get(line)
+                if row is None:
+                    row_form, form, name, usage = _ROWS[word]
+                    m = row_form.match(line)
+                    if not m:
+                        raise _syntax_error(form, name, usage, line, line_no)
+                    row = rows[line] = tuple(map(sys.intern, m.groups()))
+                (current.compositions if word == "comp" else current.morphisms).append(row)
             elif word == "objects":
                 if current.morphisms or current.compositions:
                     raise CorpusSyntaxError("objects after morphisms", line_no)
@@ -227,7 +236,7 @@ def parse(text: str) -> CorpusFile:
                 for n in names:
                     if not _NAME.fullmatch(n):
                         raise CorpusSyntaxError(f"bad object name {n!r}", line_no)
-                current.objects.extend(names)
+                current.objects.extend(map(sys.intern, names))
             elif word == "end":
                 corpus._add(CategoryBlock(current))
                 current = None

@@ -50,6 +50,16 @@ class Ideal:
         return "{" + ", ".join(self.members()) + "}"
 
 
+def _ideal(C: FinCategory, mask: int) -> Ideal:
+    """The Ideal of a mask of C, named from the mask rather than resolving
+    its names back to a mask."""
+    N = object.__new__(Ideal)
+    object.__setattr__(N, "cat", C)
+    object.__setattr__(N, "carrier", _carrier(C, mask))
+    object.__setattr__(N, "mask", mask)
+    return N
+
+
 @dataclass(frozen=True)
 class MultiPointedCategory:
     cat: FinCategory
@@ -140,19 +150,27 @@ def ideal_closure(C: FinCategory, gens) -> Ideal:
     ideals, which is closed.  This is checked one composite at a time, f∘n
     and n∘h for every member n, without the principal masks, so a composite
     missing from one raises IdealClosureViolation."""
-    principal = _principal_masks(C)
-    mask = 0
+    ints = []
     for g in gens:
         if not C.has_morphism(g):
             raise ValueError(f"{g} is not a morphism of {C.name}")
-        mask |= principal[C._index[g]]
+        ints.append(C._index[g])
+    return _ideal(C, _closure(C, ints))
+
+
+def _closure(C: FinCategory, gens: list[int]) -> int:
+    """The mask of the ideal_closure of the generators."""
+    principal = _principal_masks(C)
+    mask = 0
+    for g in gens:
+        mask |= principal[g]
     compose = C._compose
     for n in _members(mask):
         if not (all(mask >> compose(f, n) & 1 for f in C._out[C._cod[n]])
                 and all(mask >> compose(n, h) & 1 for h in C._into[C._dom[n]])):
             raise IdealClosureViolation(
                 f"closure misses a composite with {C.morphism_names[n]}")
-    return Ideal(C, _carrier(C, mask))
+    return mask
 
 
 def _weak_kernels(C: FinCategory, mask: int, f: int,
@@ -188,31 +206,43 @@ def kernels(M: MultiPointedCategory, f: str, mode: str) -> list[str]:
     return list(C._names(weak))
 
 
+def _kernel_gates(C: FinCategory, mask: int) -> tuple[int | None, int | None]:
+    """The first morphism, in int order, without a kernel and the first
+    without a weak kernel for the ideal of the mask, None where there is
+    none.
+
+    One pass serves both modes; it stops at the first morphism without a
+    weak kernel, since every kernel is a weak one, so that morphism lacks a
+    kernel too.  The gates of every ideal live in one dict per category,
+    keyed by the mask.
+    """
+    gates = C._memo("kernel_gates", dict)
+    try:
+        return gates[mask]
+    except KeyError:
+        pass
+    rows, sieve = C._rows, _sieve_sizes(C)
+    no_kernel = no_weak_kernel = None
+    for f in range(len(rows)):
+        weak, size = _weak_kernels(C, mask, f, sieve)
+        if not weak:
+            no_weak_kernel = f
+            if no_kernel is None:
+                no_kernel = f
+            break
+        if no_kernel is None and all(len(rows[k]) != size for k in weak):
+            no_kernel = f
+    gates[mask] = no_kernel, no_weak_kernel
+    return no_kernel, no_weak_kernel
+
+
 def _first_without_kernel(M: MultiPointedCategory, mode: str) -> str | None:
     """The first morphism, in input order, without a (weak) kernel for the
-    ideal, or None if every morphism has one.
-
-    One memo entry per ideal holds both modes.  Its one pass stops at the
-    first morphism without a weak kernel: every kernel is a weak one, so
-    that morphism lacks a kernel too.
-    """
-    C = M.cat
+    ideal, or None if every morphism has one."""
     _check_mode(mode)
-    mask = M.ideal.mask
-
-    def compute():
-        rows, sieve, names = C._rows, _sieve_sizes(C), C.morphism_names
-        no_kernel = None
-        for f in range(len(names)):
-            weak, size = _weak_kernels(C, mask, f, sieve)
-            if not weak:
-                return (names[f] if no_kernel is None else no_kernel), names[f]
-            if no_kernel is None and all(len(rows[k]) != size for k in weak):
-                no_kernel = names[f]
-        return no_kernel, None
-
-    no_kernel, no_weak_kernel = C._memo(("kernel_gates", mask), compute)
-    return no_weak_kernel if mode == WEAK else no_kernel
+    no_kernel, no_weak_kernel = _kernel_gates(M.cat, M.ideal.mask)
+    f = no_weak_kernel if mode == WEAK else no_kernel
+    return None if f is None else M.cat.morphism_names[f]
 
 
 def has_all_kernels(M: MultiPointedCategory, mode: str) -> bool:
@@ -233,18 +263,19 @@ def pointed_ideal(C: FinCategory) -> Ideal | None:
     """
     def compute():
         if not C.objects:
-            return frozenset()  # no hom-sets to meet
+            return 0  # no hom-sets to meet
         ends, compose = C._homs[0, 0], C._compose
         zero = next((z for z in ends
                      if all(compose(e, z) == z == compose(z, e) for e in ends)), None)
         if zero is None:
             return None
-        N = ideal_closure(C, [C.morphism_names[zero]])
-        homs = {(C._dom[n], C._cod[n]) for n in _members(N.mask)}
-        return N.carrier if len(homs) == len(N.carrier) == len(C.objects) ** 2 else None
+        mask = _closure(C, [zero])
+        members = _members(mask)
+        homs = {(C._dom[n], C._cod[n]) for n in members}
+        return mask if len(homs) == len(members) == len(C.objects) ** 2 else None
 
-    carrier = C._memo("pointed_ideal", compute)
-    return None if carrier is None else Ideal(C, carrier)
+    mask = C._memo("pointed_ideal", compute)
+    return None if mask is None else _ideal(C, mask)
 
 
 def restrict_ideal(W: CoverWitness, N: Ideal) -> Ideal:
@@ -259,16 +290,16 @@ def restrict_ideal(W: CoverWitness, N: Ideal) -> Ideal:
     return Ideal(sub, frozenset(carrier))
 
 
-def _cover_epis(W: CoverWitness) -> dict[str, tuple[str, ...]]:
-    """The regular epis onto each object out of a cover object, in
+def _cover_epis(W: CoverWitness) -> list[list[int]]:
+    """For each object, the regular epis onto it out of a cover object, in
     morphisms_to order."""
     C = W.cat
 
     def compute():
-        epis = regular_epis(C)
-        cover_objs = set(W.cover.objects)
-        return {x: tuple(e for e in C.morphisms_to(x) if e in epis and C.dom(e) in cover_objs)
-                for x in C.objects}
+        epis, names = regular_epis(C), C.morphism_names
+        cover = {C._obj[x] for x in W.cover.objects}
+        return [[e for e in into if names[e] in epis and C._dom[e] in cover]
+                for into in C._into]
 
     return C._memo(("cover_epis", W.key), compute)
 
@@ -288,19 +319,19 @@ def extend_ideal(W: CoverWitness, N: Ideal) -> Ideal:
 
     def compute():
         dom, cod, compose, index = C._dom, C._cod, C._compose, C._index
-        epis_to = [[index[e] for e in _cover_epis(W)[x]] for x in C.objects]
+        epis_to = _cover_epis(W)
         members = [index[n] for n in N.carrier]
-        carrier = {C.morphism_names[f] for f in range(len(dom))
+        mask = sum(1 << f for f in range(len(dom))
                    if any(compose(e2, n) == compose(f, e)
                           for e in epis_to[dom[f]]
                           for n in members if dom[n] == dom[e]
-                          for e2 in epis_to[cod[f]] if dom[e2] == cod[n])}
-        if not is_ideal(C, carrier):
+                          for e2 in epis_to[cod[f]] if dom[e2] == cod[n]))
+        if not _closed(C, mask):
             raise IdealClosureViolation(
                 f"extension of {N.label()} along {W.cover.label} is not closed")
-        return frozenset(carrier)
+        return mask
 
-    return Ideal(C, C._memo(("extend", W.key, N.carrier), compute))
+    return _ideal(C, C._memo(("extend", W.key, N.mask), compute))
 
 
 def is_projective_cover(W: CoverWitness) -> Report:
@@ -321,9 +352,8 @@ def is_projective_cover(W: CoverWitness) -> Report:
                             "projective-cover", FAIL,
                             [f"cover object {C.objects[p]} has no lift of {names[g]} "
                              f"along regular epi {names[e]}"])
-        cover_epis_to = _cover_epis(W)
-        for x in C.objects:
-            if not cover_epis_to[x]:
+        for x, epis_to in zip(C.objects, _cover_epis(W)):
+            if not epis_to:
                 return Report("projective-cover", FAIL,
                               [f"object {x} admits no regular epi from the cover"])
         return Report("projective-cover", PASS, [])
@@ -337,9 +367,13 @@ def _atoms(C: FinCategory) -> list[int]:
     return list(dict.fromkeys(_principal_masks(C)))
 
 
-def _by_size(C: FinCategory, masks) -> list[frozenset[str]]:
-    carriers = [_carrier(C, m) for m in masks]
-    return sorted(carriers, key=lambda c: (len(c), tuple(sorted(c))))
+def _by_size(C: FinCategory, masks) -> list[int]:
+    """The masks ordered by (size, sorted member names)."""
+    def key(mask: int):
+        members = C._names(_members(mask))
+        return len(members), sorted(members)
+
+    return sorted(masks, key=key)
 
 
 def enumerate_ideals(C: FinCategory, bound: int | None = None) -> list[Ideal]:
@@ -347,6 +381,11 @@ def enumerate_ideals(C: FinCategory, bound: int | None = None) -> list[Ideal]:
     ordered by (size, members).  The unions grow one principal ideal at a
     time: the unions of the first i + 1 are those of the first i, with and
     without the next."""
+    return [_ideal(C, m) for m in _ideal_masks(C, bound)]
+
+
+def _ideal_masks(C: FinCategory, bound: int | None = None) -> list[int]:
+    """The masks of enumerate_ideals, in its order; one list per category."""
     limit = bound if bound is not None else DEFAULT_IDEAL_BOUND
     if len(C.morphism_names) > limit:
         raise BoundExceeded(
@@ -358,7 +397,7 @@ def enumerate_ideals(C: FinCategory, bound: int | None = None) -> list[Ideal]:
             masks |= {m | atom for m in masks}
         return _by_size(C, masks)
 
-    return [Ideal(C, c) for c in C._memo("all_ideals", compute)]
+    return C._memo("all_ideals", compute)
 
 
 def verify_lemma_a(W: CoverWitness, N_P: Ideal, N_C: Ideal) -> Report:
@@ -421,6 +460,11 @@ def sample_ideals(C: FinCategory, cap: int = 64) -> list[Ideal]:
     """A deterministic sample of the ideal lattice for categories too large
     for full enumeration: bottom, top, every principal closure, and pairwise
     unions of principals up to the cap."""
+    return [_ideal(C, m) for m in _sample_masks(C, cap)]
+
+
+def _sample_masks(C: FinCategory, cap: int = 64) -> list[int]:
+    """The masks of sample_ideals, in its order."""
     top = (1 << len(C.morphism_names)) - 1
     atoms = [a for a in _atoms(C) if a != top]
     masks = {0, top, *atoms}
@@ -428,7 +472,7 @@ def sample_ideals(C: FinCategory, cap: int = 64) -> list[Ideal]:
         if len(masks) >= cap:
             break
         masks.add(a | b)
-    return [Ideal(C, c) for c in _by_size(C, masks)]
+    return _by_size(C, masks)
 
 
 def verify_galois_and_iso(W: CoverWitness) -> Report:
@@ -459,15 +503,15 @@ def verify_galois_and_iso(W: CoverWitness) -> Report:
 
     sampled = False
     try:
-        ideals_C = enumerate_ideals(C)
-        ideals_P = enumerate_ideals(sub)
+        ideals_C = _ideal_masks(C)
+        ideals_P = _ideal_masks(sub)
     except BoundExceeded:
         sampled = True
-        ideals_C = sample_ideals(C)
-        ideals_P = sample_ideals(sub)
+        ideals_C = _sample_masks(C)
+        ideals_P = _sample_masks(sub)
 
-    I_k = sum(has_all_kernels(MultiPointedCategory(C, n), STRICT) for n in ideals_C)
-    I_wk = sum(has_all_kernels(MultiPointedCategory(sub, m), WEAK) for m in ideals_P)
+    I_k = sum(_kernel_gates(C, n)[0] is None for n in ideals_C)
+    I_wk = sum(_kernel_gates(sub, m)[1] is None for m in ideals_P)
     return Report("galois", PASS, [
         ("sampled " if sampled else "") +
         f"ideals: parent={len(ideals_C)} cover={len(ideals_P)}",

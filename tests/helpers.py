@@ -112,7 +112,7 @@ def nc_kernel_via_cover(W: CoverWitness, N: Ideal, f: str) -> str:
     if not is_projective_cover(W).passed:
         raise PreconditionFailed(f"{W.cover.label} is not a projective cover")
 
-    cover_epis_to = _cover_epis(W)
+    cover_epis_to = {x: C._names(epis) for x, epis in zip(C.objects, _cover_epis(W))}
     if not cover_epis_to[C.cod(f)]:
         raise PreconditionFailed(f"no cover epi onto {C.cod(f)}")
     r = cover_epis_to[C.cod(f)][0]

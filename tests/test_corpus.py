@@ -33,6 +33,20 @@ def test_parse_comp_row_text(chain3_corpus):
     assert C.compose("f12", "f01") == "f02"
 
 
+def test_equal_names_in_a_parsed_corpus_are_one_object():
+    text = ("category A\nobjects X0 X1\nmor f0 : X0 -> X1\nmor f1 : X1 -> X0\n"
+            "comp f0 f1 = 1_X1\ncomp f1 f0 = 1_X0\nend\n"
+            "category B\nobjects X0 X1\nmor f0 : X0 -> X1\nmor f1 : X1 -> X1\n"
+            "comp f1 f0 = f0\ncomp f1 f1 = f1\nend\n")
+    raws = [b.raw for b in parse(text).blocks]
+    first: dict[str, str] = {}
+    names = [name for raw in raws for rows in ([raw.objects], raw.morphisms, raw.compositions)
+             for row in rows for name in row]
+    assert len(names) == 2 * (2 + 2 * 3 + 2 * 3)
+    assert all(first.setdefault(name, name) is name for name in names)
+    assert raws[0].morphisms[0] is raws[1].morphisms[0]  # one row tuple per distinct line
+
+
 def test_parse_unknown_name_is_deferred_to_validation():
     cf = parse("category Bad\nobjects A\nmor f : A -> C\nend\n")
     with pytest.raises(Exception) as err:

@@ -7,11 +7,13 @@ import sys
 import pytest
 
 from starkit import (BoundExceeded, CoverWitness, Ideal, MultiPointedCategory,
-                     PASS, PreconditionFailed, STRICT, WEAK, enumerate_ideals,
-                     extend_ideal, full_subcategory, ideal_closure, is_ideal,
-                     is_projective_cover, kernels, morphism_flags,
-                     pointed_ideal, regular_completion, regular_epis,
-                     restrict_ideal, verify_galois_and_iso, verify_lemma_a)
+                     PASS, PreconditionFailed, STRICT, WEAK, check_corollary_b,
+                     check_corollary_d, check_theorem_a, enumerate_ideals,
+                     extend_ideal, full_subcategory, has_all_kernels,
+                     ideal_closure, is_ideal, is_projective_cover,
+                     is_star_regular, kernels, morphism_flags, pointed_ideal,
+                     regular_completion, regular_epis, restrict_ideal,
+                     validate_category, verify_galois_and_iso, verify_lemma_a)
 from starkit.corpus import enumerate_categories
 from tests.conftest import FIXTURES, subprocess_env
 from tests.helpers import nc_kernel_via_cover
@@ -24,6 +26,30 @@ def cover_all(C) -> CoverWitness:
 
 def cover_on(C, objs) -> CoverWitness:
     return CoverWitness(C, full_subcategory(C, objs))
+
+
+def test_ideal_caches_hold_ints_after_the_statement_checks(chain3, ptset2, one, arrow):
+    """The per-category caches of the ideal lattice, the pointed ideal and
+    the kernel gates hold masks and morphism numbers, never name sets."""
+    fresh = [validate_category(C.to_raw()) for C in (chain3, ptset2, one, arrow)]
+    for C in fresh:
+        for N in enumerate_ideals(C):
+            M = MultiPointedCategory(C, N)
+            check_theorem_a(M)
+            check_corollary_d(M)
+            if has_all_kernels(M, STRICT):
+                is_star_regular(M)
+        verify_galois_and_iso(cover_all(C))
+        check_corollary_b(C)
+        pointed_ideal(C)
+        cache = C._cache
+        assert all(type(m) is int for m in cache["all_ideals"])
+        assert cache["pointed_ideal"] is None or type(cache["pointed_ideal"]) is int
+        gates = cache["kernel_gates"]
+        assert len(gates) == len(cache["all_ideals"])
+        assert all(type(m) is int and all(f is None or type(f) is int for f in fs)
+                   for m, fs in gates.items())
+    assert [type(C._cache["pointed_ideal"]) for C in fresh] == [type(None), int, int, type(None)]
 
 
 def test_ideal_closure_basics(chain3):
