@@ -11,7 +11,8 @@ hom(X1, Y1) is non-empty.  The construction is validated after the fact
 against the characterisation it must satisfy (regular ambient, embedded
 projective cover, from which the monos into finite products of cover
 objects follow); a failed check raises ValidationFailed and must never be
-ignored.
+ignored.  The completion is thin, so that check searches no cones: the
+down-sets of its objects decide its limits, and its iso classes the cover.
 """
 from __future__ import annotations
 
@@ -50,10 +51,11 @@ def regular_completion(P: FinCategory) -> Completion:
         if not has_weak_finite_limits(P):
             raise PreconditionFailed(f"{P.name} lacks weak finite limits")
 
-        # P is thin, so hom(X1, Y1) is empty or one arrow's whole class.
+        # P is thin, so hom(X1, Y1) is empty or one arrow's whole class;
+        # names[f] maps each successor g of f, in order, to A_f -> A_g.
         objects = [_object_name(f) for f in P.morphism_names]
         mor = range(len(objects))
-        names: dict[tuple[int, int], str] = {}
+        names: list[dict[int, str]] = [{} for _ in mor]
         members_of: dict[str, tuple[str, ...]] = {}
         declared: list[tuple[str, str, str]] = []
         for f in mor:
@@ -66,18 +68,18 @@ def regular_completion(P: FinCategory) -> Completion:
                 else:
                     name = f"q{len(declared)}"
                     declared.append((name, objects[f], objects[g]))
-                names[f, g] = name
+                names[f][g] = name
                 members_of[name] = P._names(members)
 
-        rows = [(names[g, j], names[f, g], names[f, j])
-                for f in mor for g in mor if f != g and (f, g) in names
-                for j in mor if j != g and (g, j) in names]
+        rows = [(names[g][j], after_f[g], after_f[j])
+                for f, after_f in enumerate(names) for g in after_f if g != f
+                for j in names[g] if j != g]
         total = validate_category(RawCategory(f"{P.name}_reg", objects, declared, rows))
 
         # the identity of object x is the morphism x
         embed_objects = {x: objects[i] for i, x in enumerate(P.objects)}
-        embed_morphisms = {P.morphism_names[m]: names[ends]
-                           for m, ends in enumerate(zip(P._dom, P._cod))}
+        embed_morphisms = {P.morphism_names[m]: names[x][y]
+                           for m, (x, y) in enumerate(zip(P._dom, P._cod))}
 
         cover = CoverWitness(total, FullSubcategory(
             total, [embed_objects[x] for x in P.objects]))

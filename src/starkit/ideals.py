@@ -214,7 +214,8 @@ def _kernel_gates(C: FinCategory, mask: int) -> tuple[int | None, int | None]:
     One pass serves both modes; it stops at the first morphism without a
     weak kernel, since every kernel is a weak one, so that morphism lacks a
     kernel too.  The gates of every ideal live in one dict per category,
-    keyed by the mask.
+    keyed by the mask, and hold one tuple per distinct value, kept under
+    itself in a second dict: the values repeat, (0, 0) most of all.
     """
     gates = C._memo("kernel_gates", dict)
     try:
@@ -232,8 +233,9 @@ def _kernel_gates(C: FinCategory, mask: int) -> tuple[int | None, int | None]:
             break
         if no_kernel is None and all(len(rows[k]) != size for k in weak):
             no_kernel = f
-    gates[mask] = no_kernel, no_weak_kernel
-    return no_kernel, no_weak_kernel
+    value = no_kernel, no_weak_kernel
+    gates[mask] = value = C._memo("kernel_gate_values", dict).setdefault(value, value)
+    return value
 
 
 def _first_without_kernel(M: MultiPointedCategory, mode: str) -> str | None:
@@ -336,12 +338,16 @@ def extend_ideal(W: CoverWitness, N: Ideal) -> Ideal:
 
 def is_projective_cover(W: CoverWitness) -> Report:
     """(i) every cover object lifts along every regular epi; (ii) every
-    object of the parent is covered by a regular epi from the cover."""
+    object of the parent is covered by a regular epi from the cover.
+
+    A thin C is not searched for (i): there a regular epi e: x -> y is an
+    iso (regular_epis), so each g: p -> y lifts to e⁻¹∘g, and (ii) alone
+    decides: every object is isomorphic to a cover object."""
     C = W.cat
 
     def compute():
         epis, homs, names = regular_epis(C), C._homs, C.morphism_names
-        for p in map(C._obj.get, W.cover.objects):
+        for p in map(C._obj.get, () if C.thin else W.cover.objects):
             for e, (x, y) in enumerate(zip(C._dom, C._cod)):
                 if names[e] not in epis:
                     continue

@@ -35,7 +35,8 @@ CWM V.2, Prop. 3): if |hom(Z, y)| >= 2, the weak products y, y x y,
 finite category holds.  So on a finite table weakly lex, finitely complete
 and regular all mean a preorder with a top and binary meets, and the checks
 of those properties below look for a terminal object and binary products
-only.
+only.  On a thin table they search no cones: the down-set of each object,
+a mask of objects, decides both (_missing_finite_limit).
 """
 from __future__ import annotations
 
@@ -212,7 +213,25 @@ def _missing_finite_limit(C: FinCategory) -> str | None:
     """The first missing strict terminal object or binary product, as a
     witness line, or None when C has both, and with them all finite limits:
     such a C is thin by (F), so each parallel pair is (f, f), which the
-    identity equalizes."""
+    identity equalizes.
+
+    A thin C is decided from the down-set masks of its objects, down[x]
+    holding the w with hom(w, x) non-empty; every factorization there is
+    unique.  A terminal object is a t with down[t] all objects, and a
+    product of x and y a p with down[p] = down[x] & down[y]: p lies below
+    x and y, and so does every w below both.  Other tables search cones."""
+    if C.thin:
+        down = [0] * len(C.objects)
+        for w, x in C._homs:
+            down[x] |= 1 << w
+        meets = set(down)
+        if (1 << len(down)) - 1 not in meets:
+            return "no terminal object"
+        for i, (x, below_x) in enumerate(zip(C.objects, down)):
+            for y, below_y in zip(C.objects[i:], down[i:]):
+                if below_x & below_y not in meets:
+                    return f"no product {x} x {y}"
+        return None
     if not terminal_cones(C, STRICT):
         return "no terminal object"
     for i, x in enumerate(C.objects):
@@ -298,12 +317,14 @@ def image_factorization(C: FinCategory, f: str) -> tuple[str, str] | None:
 def is_regular_category(C: FinCategory) -> Report:
     """Finite limits, coequalizers of kernel pairs, pullback-stable regular epis.
 
-    Only the finite limits need a search.  Strict binary products are weak
-    ones, so a C that has them is thin by (F).  In a thin C the kernel pair
-    of f: X -> Y is (1_X, 1_X) up to iso, and 1_X coequalizes it.  A regular
-    epi of a thin C coequalizes a pair (u, u), so it is an iso, and a
-    pullback of an iso is an iso, hence a regular epi.  So every FAIL names a
-    missing terminal object or binary product.
+    Only the finite limits need a search, and on a thin C not even that:
+    the down-sets of its objects decide the terminal object and products.
+    Strict binary products are weak ones, so a C that has them is thin by
+    (F).  In a thin C the kernel pair of f: X -> Y is (1_X, 1_X) up to iso,
+    and 1_X coequalizes it.  A regular epi of a thin C coequalizes a pair
+    (u, u), so it is an iso, and a pullback of an iso is an iso, hence a
+    regular epi.  So every FAIL names a missing terminal object or binary
+    product.
     """
     def compute():
         missing = _missing_finite_limit(C)

@@ -9,7 +9,11 @@ mono and epi flags, read off sieve and cosieve sizes, against their inline
 definitions.  Regularity and weak finite limits, decided by a terminal
 object and binary products alone, are compared with their full
 definitions, and the finiteness theorems (F) and (K) that justify this are
-pinned over the sweep.
+pinned over the sweep.  On a thin category the terminal object and
+products, decided from down-sets, are compared with the strict cone search,
+and projective covers, decided without the lifting clause, with the lifting
+loop, over the thin categories of the sweep, the completions and seeded
+random preorders.
 Coequalizers and regular epis, decided by the same count, the pointed
 ideal, read off the zero of one endomorphism monoid, and regular
 completions, whose product clause (F) makes redundant, are compared with
@@ -54,11 +58,11 @@ from starkit import (ERROR, FAIL, INAPPLICABLE, PASS, STRICT, WEAK,
                      terminal_cones, verify_galois_and_iso, verify_lemma_a)
 from starkit.corpus import (CategoryBlock, _canonical_key, _fill_tables, _random_category,
                             _table_category, canonical_key, enumerate_categories, parse)
-from starkit.ideals import _first_without_kernel, sample_ideals
+from starkit.ideals import _cover_epis, _first_without_kernel, sample_ideals
 from starkit.core import (FinCategory, Morphism, RawCategory, ReflexiveGraph, Violation,
                           identity_name, is_epi, validate_category)
-from starkit.limits import (Cone, _cones_at, _product_count, _pullback_shape,
-                            kernel_pair_cones)
+from starkit.limits import (Cone, _cones_at, _missing_finite_limit, _product_count,
+                            _pullback_shape, kernel_pair_cones)
 from starkit.stars import _pair_passes, _star
 from tests.conftest import load
 from tests.helpers import are_equivalent, composites, is_jointly_monic, transport_ideal
@@ -783,6 +787,112 @@ def test_regular_epis_are_isos_and_pointed_ideals_zeros():
                 f"(F): {C.name} is pointed and regular, hence thin with every hom-set " \
                 "non-empty, so all its objects are isomorphic"
     assert (regular, pointed, pointed_regular) == (3, 135, 2)
+
+
+def oracle_cone_missing_finite_limit(C) -> str | None:
+    """The first missing strict terminal object or binary product by the
+    cone search, in the pair order of _missing_finite_limit."""
+    if not terminal_cones(C, STRICT):
+        return "no terminal object"
+    for i, x in enumerate(C.objects):
+        for y in C.objects[i:]:
+            if not product_cones(C, x, y, STRICT):
+                return f"no product {x} x {y}"
+    return None
+
+
+def oracle_is_projective_cover(W: CoverWitness) -> Report:
+    """is_projective_cover with the lifting clause (i) searched on every
+    parent, thin or not: every cover object p, regular epi e: x -> y and
+    g: p -> y, against the composites e∘h of the h: p -> x."""
+    C = W.cat
+    epis, homs, names = regular_epis(C), C._homs, C.morphism_names
+    for p in map(C._obj.get, W.cover.objects):
+        for e, (x, y) in enumerate(zip(C._dom, C._cod)):
+            if names[e] not in epis:
+                continue
+            lifts = {C._compose(e, h) for h in homs.get((p, x), ())}
+            for g in homs.get((p, y), ()):
+                if g not in lifts:
+                    return Report(
+                        "projective-cover", FAIL,
+                        [f"cover object {C.objects[p]} has no lift of {names[g]} "
+                         f"along regular epi {names[e]}"])
+    for x, epis_to in zip(C.objects, _cover_epis(W)):
+        if not epis_to:
+            return Report("projective-cover", FAIL,
+                          [f"object {x} admits no regular epi from the cover"])
+    return Report("projective-cover", PASS, [])
+
+
+def random_preorder(rng: random.Random, name: str) -> FinCategory:
+    """A preorder on 1-6 objects, the reflexive and transitive closure of
+    random edges, half of them with every object below the last, so that
+    more of them reach the product check; a cycle among the edges makes
+    isomorphic objects that are not equal."""
+    n, p, top = rng.randint(1, 6), rng.random(), rng.random() < 0.5
+    below = [[a == b or (top and b == n - 1) or rng.random() < p for b in range(n)]
+             for a in range(n)]
+    for k in range(n):
+        for a in range(n):
+            if below[a][k]:
+                below[a] = [u or v for u, v in zip(below[a], below[k])]
+    objects = [f"X{a}" for a in range(n)]
+    arrow = {(a, b): identity_name(objects[a]) if a == b else f"m{a}_{b}"
+             for a in range(n) for b in range(n) if below[a][b]}
+    declared = [(m, objects[a], objects[b]) for (a, b), m in arrow.items() if a != b]
+    rows = [(arrow[b, c], arrow[a, b], arrow[a, c])
+            for a, b in arrow if a != b for c in range(n) if c != b and below[b][c]]
+    return validate_category(RawCategory(name, objects, declared, rows))
+
+
+def _thin_covers(C) -> list:
+    """Every cover of C up to 7 objects; past that the single objects, the
+    prefixes of the object order (the embedded cover of a completion among
+    them) and the objects but one."""
+    if len(C.objects) <= 7:
+        return _covers(C)
+    n = len(C.objects)
+    picks = [*([x] for x in C.objects), *(C.objects[:r] for r in range(2, n + 1)),
+             *(C.objects[:i] + C.objects[i + 1:] for i in range(n))]
+    return [full_subcategory(C, objs) for objs in dict.fromkeys(map(tuple, picks))]
+
+
+def compare_thin_paths(C) -> tuple[int, int, int]:
+    """Assert that a thin C's finite limits, decided from down-sets, agree
+    with the strict cone search, and that is_projective_cover agrees with
+    the lifting loop on every cover of _thin_covers; return 1 if a limit is
+    missing, the number of covers compared and the number that fail."""
+    assert C.thin, C.to_raw()
+    missing = _missing_finite_limit(C)
+    assert missing == oracle_cone_missing_finite_limit(C), C.to_raw()
+    covers = failing = 0
+    for cover in _thin_covers(C):
+        W = CoverWitness(C, cover)
+        report, expected = is_projective_cover(W), oracle_is_projective_cover(W)
+        assert (report.verdict, report.witnesses) == (expected.verdict, expected.witnesses), \
+            (C.to_raw(), cover)
+        covers += 1
+        failing += not report.passed
+    return int(missing is not None), covers, failing
+
+
+def test_thin_limits_and_covers_match_the_cone_search_and_the_lifting_loop():
+    sweep = [C for C in enumerate_categories(SMALL) if C.thin]
+    completions = [*_completions("Arrow", 2), *_completions("Chain3", 2)]
+    preorders = [random_preorder(random.Random(seed), f"P{seed}") for seed in range(400)]
+    totals = [[sum(t) for t in zip(*map(compare_thin_paths, cats))]
+              for cats in (sweep, completions, preorders)]
+    assert [len(sweep), len(preorders)] == [12, 400]
+    assert [(len(C.objects), len(C.morphism_names)) for C in completions] == \
+        [(3, 7), (7, 43), (6, 25), (25, 493)]
+    # missing a limit, covers compared, covers failing
+    assert totals == [[9, 106, 90], [0, 270, 137], [90, 6966, 2560]]
+    no_product = [C for C in preorders if "product" in (_missing_finite_limit(C) or "")]
+    # preorders with isomorphic objects that are not equal
+    non_skeletal = [C for C in preorders if any((y, x) in C._homs for x, y in C._homs if x != y)]
+    assert (len(no_product), len(non_skeletal), len(set(no_product) & set(non_skeletal))) == \
+        (26, 203, 7)
 
 
 # The statement checks decide their verdicts in closed form once their gates

@@ -14,10 +14,12 @@ from starkit import (BoundExceeded, CoverWitness, Ideal, MultiPointedCategory,
                      is_star_regular, kernels, morphism_flags, pointed_ideal,
                      regular_completion, regular_epis, restrict_ideal,
                      validate_category, verify_galois_and_iso, verify_lemma_a)
-from starkit.corpus import enumerate_categories
+from starkit.corpus import enumerate_categories, parse
+from starkit.ideals import _ideal_masks, _kernel_gates
 from tests.conftest import FIXTURES, subprocess_env
 from tests.helpers import nc_kernel_via_cover
 from tests.test_differential import is_saturating
+from tests.test_limits import ISO_TOP
 
 
 def cover_all(C) -> CoverWitness:
@@ -234,6 +236,24 @@ def test_projective_cover_verdicts(chain3, ptset2):
     rep = is_projective_cover(cover_on(chain3, ["c1"]))
     assert rep.verdict == "FAIL"
     assert "no regular epi" in rep.witnesses[0]
+
+
+def test_a_thin_cover_must_meet_every_isomorphism_class():
+    # x and y are isomorphic under the top t: {y, t} meets both classes,
+    # {x, y} misses t's
+    C = parse(ISO_TOP).category("IsoTop")
+    assert C.thin
+    assert is_projective_cover(cover_on(C, ["y", "t"])).passed
+    rep = is_projective_cover(cover_on(C, ["x", "y"]))
+    assert (rep.verdict, rep.witnesses) == ("FAIL", ["object t admits no regular epi from the cover"])
+
+
+def test_equal_kernel_gates_are_one_object(chain3):
+    # Chain3's 14 ideals have two distinct gate values
+    C = validate_category(chain3.to_raw())
+    gates = [_kernel_gates(C, mask) for mask in _ideal_masks(C)]
+    assert len(gates) == 14
+    assert len({id(g) for g in gates}) == len(set(gates)) == 2
 
 
 def test_nc_kernel_against_direct_search(ptset2):

@@ -10,7 +10,7 @@ from starkit import (Diagram, ParallelPair, STRICT, WEAK, coequalizer,
                      is_regular_epi, kernel_pair_cones, kernel_pairs,
                      limit_cones, morphism_flags, product_cones,
                      pullback_cones, regular_epis, terminal_cones)
-from starkit.corpus import enumerate_categories
+from starkit.corpus import enumerate_categories, parse
 
 
 def test_strict_terminal_of_chain3(chain3):
@@ -134,6 +134,50 @@ def test_regularity_verdicts(one, chain3, ptset2):
     rep = is_regular_category(ptset2)
     assert rep.verdict == "FAIL"
     assert rep.witnesses == ["no product S x S"]
+
+
+# Thin tables, decided from the down-sets of their objects without a cone
+# search: two objects and no arrows; a top t over two incomparable objects;
+# two isomorphic objects x and y under a top t.
+DISCRETE = """
+category Two
+objects a b
+end
+"""
+
+VEE = """
+category Vee
+objects a b t
+mor p : a -> t
+mor q : b -> t
+end
+"""
+
+ISO_TOP = """
+category IsoTop
+objects x y t
+mor u : x -> y
+mor v : y -> x
+mor p : x -> t
+mor q : y -> t
+comp v u = 1_x
+comp u v = 1_y
+comp q u = p
+comp p v = q
+end
+"""
+
+
+@pytest.mark.parametrize("text, name, witnesses", [
+    (DISCRETE, "Two", ["no terminal object"]),
+    (VEE, "Vee", ["no product a x b"]),
+    (ISO_TOP, "IsoTop", []),
+])
+def test_regularity_witnesses_of_thin_tables(text, name, witnesses):
+    C = parse(text).category(name)
+    assert C.thin
+    rep = is_regular_category(C)
+    assert (rep.passed, rep.witnesses) == (not witnesses, witnesses)
 
 
 def test_pullback_in_regular_chain3(chain3):
