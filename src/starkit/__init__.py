@@ -21,11 +21,11 @@ from .ideals import (CoverWitness, Ideal, MultiPointedCategory,
                      ideal_closure, is_ideal, is_projective_cover,
                      kernels, pointed_ideal, restrict_ideal,
                      verify_galois_and_iso, verify_lemma_a)
-from .limits import (STRICT, WEAK, Cone, Diagram, coequalizer, coequalizers,
+from .limits import (STRICT, WEAK, Cone, coequalizer, coequalizers,
                      equalizer_cones, has_weak_finite_limits,
                      image_factorization, is_coequalizer, is_regular_category,
                      is_regular_epi, kernel_pair_cones, kernel_pairs,
-                     limit_cones, product_cones, pullback_cones, regular_epis,
+                     product_cones, pullback_cones, regular_epis,
                      terminal_cones)
 from .completion import (Completion, check_corollary_b, check_corollary_c,
                          check_theorem_c, is_regular_completion,

@@ -45,12 +45,9 @@ _CATEGORY = re.compile(r"category\s+(\S+)\s*\Z")
 _OBJECTS = re.compile(r"objects\s+(.*)\Z")
 _MOR = re.compile(r"mor\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\s*\Z")
 _COMP = re.compile(r"comp\s+(\S+)\s+(\S+)\s*=\s*(\S+)\s*\Z")
-# _MOR and _COMP with _NAME and _REF groups; _syntax_error says why one fails
-_MOR_ROW = re.compile(r"mor\s+({0})\s*:\s*({0})\s*->\s*({0})\s*\Z".format(_NAME.pattern))
-_COMP_ROW = re.compile(r"comp\s+({0})\s+({0})\s*=\s*({0})\s*\Z".format(_REF.pattern))
-# per row keyword: its pattern, and what _syntax_error needs when it fails
-_ROWS = {"comp": (_COMP_ROW, _COMP, _REF, "comp <g> <f> = <h>"),
-         "mor": (_MOR_ROW, _MOR, _NAME, "mor <name> : <dom> -> <cod>")}
+# per row keyword: its form, the pattern of its names and its usage line
+_ROWS = {"comp": (_COMP, _REF, "comp <g> <f> = <h>"),
+         "mor": (_MOR, _NAME, "mor <name> : <dom> -> <cod>")}
 _IDEAL = re.compile(r"ideal\s+(\S+)\s+on\s+(\S+)\s*=\s*\{(.*)\}\s*\Z")
 _COVER = re.compile(r"cover\s+(\S+)\s+on\s+(\S+)\s*=\s*\{(.*)\}\s*\Z")
 
@@ -167,24 +164,18 @@ class CorpusFile:
         return Ideal(target, carrier)
 
 
-def _split_members(text: str, line_no: int) -> list[str]:
+def _split_members(text: str, line_no: int, name: re.Pattern) -> list[str]:
+    """The members of an ideal (morphisms, _REF) or a cover (objects, _NAME)."""
     body = text.strip()
     if not body:
         return []
     members = [part.strip() for part in body.split(",")]
     for i, m in enumerate(members):
-        if not _REF.fullmatch(m):
+        if not name.fullmatch(m):
             raise CorpusSyntaxError(f"bad name {m!r}", line_no)
         if m in members[:i]:
             raise CorpusSyntaxError(f"member {m!r} is already used", line_no)
     return members
-
-
-def _syntax_error(form, name, usage: str, line: str, line_no: int) -> CorpusSyntaxError:
-    """The error for a mor or comp line that its row pattern rejects."""
-    m = form.match(line)
-    bad = [n for n in m.groups() if not name.fullmatch(n)] if m else []
-    return CorpusSyntaxError(f"bad name {bad[0]!r}" if bad else f"expected: {usage}", line_no)
 
 
 def parse(text: str) -> CorpusFile:
@@ -220,10 +211,13 @@ def parse(text: str) -> CorpusFile:
             if word in _ROWS:
                 row = rows.get(line)
                 if row is None:
-                    row_form, form, name, usage = _ROWS[word]
-                    m = row_form.match(line)
+                    form, name, usage = _ROWS[word]
+                    m = form.match(line)
                     if not m:
-                        raise _syntax_error(form, name, usage, line, line_no)
+                        raise CorpusSyntaxError(f"expected: {usage}", line_no)
+                    for n in m.groups():
+                        if not name.fullmatch(n):
+                            raise CorpusSyntaxError(f"bad name {n!r}", line_no)
                     row = rows[line] = tuple(map(sys.intern, m.groups()))
                 (current.compositions if word == "comp" else current.morphisms).append(row)
             elif word == "objects":
@@ -260,7 +254,7 @@ def parse(text: str) -> CorpusFile:
                     corpus._named(CoverBlock, target) is None:
                 raise CorpusSyntaxError(f"unknown target {target!r}", line_no)
             name = unused(IdealBlock, m.group(1), line_no)
-            corpus._add(IdealBlock(name, target, _split_members(m.group(3), line_no)))
+            corpus._add(IdealBlock(name, target, _split_members(m.group(3), line_no, _REF)))
         elif word == "cover":
             m = _COVER.match(line)
             if not m or not _NAME.fullmatch(m.group(1)):
@@ -268,7 +262,7 @@ def parse(text: str) -> CorpusFile:
             if corpus._named(CategoryBlock, m.group(2)) is None:
                 raise CorpusSyntaxError(f"unknown category {m.group(2)!r}", line_no)
             name = unused(CoverBlock, m.group(1), line_no)
-            corpus._add(CoverBlock(name, m.group(2), _split_members(m.group(3), line_no)))
+            corpus._add(CoverBlock(name, m.group(2), _split_members(m.group(3), line_no, _NAME)))
         else:
             raise CorpusSyntaxError(f"unexpected {word!r}", line_no)
 

@@ -8,26 +8,27 @@ at apex w and a morphism u: v -> w give the cone c∘u at v.  So the sieve of
 c, the cones c∘u over all u into w, lies inside S, and c is a weak limit,
 every cone being some c∘u, iff its sieve has |S| members.  It is a strict
 limit, each cone being c∘u for exactly one u, iff moreover u -> c∘u is
-injective, i.e. iff exactly |S| morphisms go into w.  So cones are listed
-only at apexes with at least |S| (weak) or exactly |S| (strict) morphisms
-into them, and |S| is counted without listing cones where the shape allows
-it.  The sieve of a cone with legs is the set of leg tuples, which has at
-least as many members as the sieve of each leg and at most |S|: the sieve
-size of a one-leg cone, or of a leg with |S| members, is read off
-core._sieve_sizes, and only otherwise are the tuples built.  A cone with no
-legs is its apex, so its sieve is the set of domains of the u.
+injective, i.e. iff exactly |S| morphisms go into w.  The sieve of a cone
+with legs is its set of leg tuples (l∘u, ...), read off the legs' rows; a
+cone with no legs is its apex, so its sieve is the set of domains of the u.
+
+A shape is a pair of functions of an apex w: cones_at(w) lists the legs of
+the cones at w in hom order, and count_at(w) counts them, without listing
+them where the shape allows.  _limit_cones sums the counts to |S| and lists
+cones only at apexes with at least |S| (weak) or exactly |S| (strict)
+morphisms into them.  The shapes are the terminal object (one empty cone
+per apex), the binary product, the equalizer (the k into dom f1 on which
+the rows of f1 and f2 agree, the dual of coequalizers) and the pullback;
+a kernel pair is the pullback of (f, f).  No general diagram engine is
+needed: every finite limit is an equalizer of two maps into a product
+(Mac Lane, CWM V.2, Thm. 1), and regularity and star-regularity ask only
+for these shapes.
 
 Coequalizers.  Dually, the morphisms Q = {q : q∘f1 = q∘f2} out of cod f1
 are closed under postcomposition, so q in Q is a coequalizer, each member
 of Q being u∘q for exactly one u, iff u -> u∘q maps the morphisms out of
 cod q one-to-one onto Q: iff q is epi (core.is_epi) and exactly |Q|
 morphisms go out of cod q.
-
-A limit shape is a list of objects, one leg each, plus equations (a, i, b, j)
-meaning a∘legs[i] == b∘legs[j]; unlabelled legs let a shape repeat an object
-(kernel pairs, X x X).  A leg the others determine, such as a pullback's leg
-to the shared codomain, is not listed.  A kernel pair is the pullback of a
-morphism along itself.
 
 (F) A finite category with weak binary products is thin (Freyd; Mac Lane,
 CWM V.2, Prop. 3): if |hom(Z, y)| >= 2, the weak products y, y x y,
@@ -42,8 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (FinCategory, ParallelPair, _sieve_sizes, is_epi, is_mono,
-                   require_parallel)
+from .core import FinCategory, ParallelPair, is_epi, is_mono, require_parallel
 from .report import FAIL, PASS, Report
 
 WEAK = "weak"
@@ -51,22 +51,9 @@ STRICT = "strict"
 
 
 @dataclass(frozen=True)
-class Diagram:
-    """A diagram carved out of C: a set of its objects and morphisms.
-
-    The shape is the selection itself, one leg per chosen object, so
-    limit_cones rejects an object chosen twice.  Limits of shapes that repeat
-    an object are reached through the wrappers below.
-    """
-
-    objects: tuple[str, ...]
-    morphisms: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class Cone:
     apex: str
-    legs: tuple[str, ...]  # one per object of the shape, in its order
+    legs: tuple[str, ...]  # one per leg of the shape, in its order
 
 
 def _check_mode(mode: str) -> None:
@@ -74,35 +61,22 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be {WEAK!r} or {STRICT!r}, got {mode!r}")
 
 
-def _cones_at(C: FinCategory, objects: list[str],
-              equations: list[tuple[str, int, str, int]]):
-    """The function listing the legs of each cone at an apex, in hom order, as
-    ints; the two sides of an equation share a codomain, so rows compare them."""
-    homs, rows, pos, index = C._homs, C._rows, C._pos, C._index
-    xs = [C._obj[x] for x in objects]
-    eqs = [(rows[index[a]], i, rows[index[b]], j) for a, i, b, j in equations]
-
-    def cones_at(w: int) -> list[tuple[int, ...]]:
-        stack = [()]
-        for x in xs:
-            stack = [legs + (m,) for legs in stack for m in homs.get((w, x), ())]
-        return [legs for legs in stack
-                if all(a[pos[legs[i]]] == b[pos[legs[j]]] for a, i, b, j in eqs)]
-    return cones_at
+def _ints(C: FinCategory, table: dict[str, int], names, kind: str) -> list[int]:
+    """The ints of names in C's table of objects or morphisms."""
+    for n in names:
+        if n not in table:
+            raise ValueError(f"{n} is not {kind} of {C.name}")
+    return [table[n] for n in names]
 
 
-def _limit_cones(C: FinCategory, mode: str, cones_at, count_at=None) -> list[Cone]:
-    """The (weak) limit cones of a shape whose cones at an apex w cones_at(w)
-    lists, in apex order, then hom order, by the counting rule of the module
-    docstring.  count_at(w) counts the cones at w where the shape allows it
-    without listing them; otherwise the cones of every apex are listed."""
+def _limit_cones(C: FinCategory, mode: str, shape) -> list[Cone]:
+    """The (weak) limit cones of a shape (cones_at, count_at), in apex
+    order, then hom order, by the counting rule of the module docstring."""
     _check_mode(mode)
+    cones_at, count_at = shape
     apexes = range(len(C.objects))
-    if count_at is None:
-        listed = [cones_at(w) for w in apexes]
-        cones_at, count_at = listed.__getitem__, lambda w: len(listed[w])
     size = sum(map(count_at, apexes))
-    rows, dom, sieve = C._rows, C._dom, _sieve_sizes(C)
+    rows, dom = C._rows, C._dom
     strict = mode == STRICT
     out = []
     for w in apexes:
@@ -110,28 +84,44 @@ def _limit_cones(C: FinCategory, mode: str, cones_at, count_at=None) -> list[Con
         if not size or len(into) < size or (strict and len(into) != size):
             continue
         for legs in cones_at(w):
-            if not legs:  # the cone is its apex, so c∘u is dom u
+            if legs:
+                n = len(set(zip(*[rows[m] for m in legs])))
+            else:  # the cone is its apex, so c∘u is dom u
                 n = len({dom[u] for u in into})
-            else:
-                n = max(sieve[m] for m in legs)
-                if n < size and len(legs) > 1:
-                    n = len(set(zip(*[rows[m] for m in legs])))
             if n == size:
                 out.append(Cone(C.objects[w], C._names(legs)))
     return out
 
 
-def _product_count(C: FinCategory, x: str, y: str):
-    """The number of cones at w over (x, y): |hom(w, x)|·|hom(w, y)|."""
-    homs, x, y = C._homs, C._obj[x], C._obj[y]
-    return lambda w: len(homs.get((w, x), ())) * len(homs.get((w, y), ()))
+# the terminal shape: one empty cone per apex
+_TERMINAL_SHAPE = (lambda w: [()]), (lambda w: 1)
+
+
+def _product_shape(C: FinCategory, x: str, y: str):
+    """The pairs of hom(w, x) x hom(w, y), |hom(w, x)|·|hom(w, y)| of them."""
+    homs, (x, y) = C._homs, _ints(C, C._obj, (x, y), "an object")
+    return (lambda w: [(a, b) for a in homs.get((w, x), ()) for b in homs.get((w, y), ())],
+            lambda w: len(homs.get((w, x), ())) * len(homs.get((w, y), ())))
+
+
+def _equalizer_shape(C: FinCategory, p: ParallelPair):
+    """The k: w -> dom f1 with f1∘k = f2∘k, on which the rows of f1 and f2
+    agree."""
+    f1, f2 = C._index[p.f1], C._index[p.f2]
+    homs, pos, r1, r2, x = C._homs, C._pos, C._rows[f1], C._rows[f2], C._dom[f1]
+
+    def cones_at(w: int) -> list[tuple[int]]:
+        return [(k,) for k in homs.get((w, x), ()) if r1[pos[k]] == r2[pos[k]]]
+    return cones_at, lambda w: len(cones_at(w))
 
 
 def _pullback_shape(C: FinCategory, f: str, g: str):
-    """cones_at and count_at for the cospan f: X -> Z <- Y :g.  At w, the b
-    in hom(w, Y) are grouped by g∘b, and each a in hom(w, X) is joined with
-    the group of f∘a, in hom order."""
-    f, g = C._index[f], C._index[g]
+    """The cospan f: X -> Z <- Y :g.  At w, the b in hom(w, Y) are grouped
+    by g∘b, and each a in hom(w, X) is joined with the group of f∘a, in hom
+    order."""
+    f, g = _ints(C, C._index, (f, g), "a morphism")
+    if C._cod[f] != C._cod[g]:
+        raise ValueError(f"({C.morphism_names[f]}, {C.morphism_names[g]}) is not a cospan")
     homs, pos, rf, rg, x, y = C._homs, C._pos, C._rows[f], C._rows[g], C._dom[f], C._dom[g]
 
     def joined(w: int) -> list[list[int]]:
@@ -143,41 +133,18 @@ def _pullback_shape(C: FinCategory, f: str, g: str):
             lambda w: sum(map(len, joined(w))))
 
 
-def limit_cones(C: FinCategory, diagram: Diagram, mode: str) -> list[Cone]:
-    """All (weak) limit cones of the diagram; empty list means none exists.
-
-    Weak mode keeps every cone through which all cones factor; strict mode
-    additionally requires each factorization to be unique.  The cones are
-    listed at every apex, to count them.
-    """
-    index: dict[str, int] = {}
-    for x in diagram.objects:
-        if x not in C.objects:
-            raise ValueError(f"{x} is not an object of {C.name}")
-        if x in index:
-            raise ValueError(f"diagram repeats the object {x}")
-        index[x] = len(index)
-    equations = []
-    for m in diagram.morphisms:
-        x, y = C.dom(m), C.cod(m)
-        if x not in index or y not in index:
-            raise ValueError(f"diagram morphism {m} has an endpoint outside the selection")
-        equations.append((m, index[x], C.identity[y], index[y]))
-    return _limit_cones(C, mode, _cones_at(C, list(diagram.objects), equations))
-
-
 def terminal_cones(C: FinCategory, mode: str) -> list[Cone]:
     """Terminal cones: one empty cone per apex, so |S| is the number of
     objects."""
     def compute():
-        return _limit_cones(C, mode, lambda w: [()], lambda w: 1)
+        return _limit_cones(C, mode, _TERMINAL_SHAPE)
     return C._memo(("terminal", mode), compute)
 
 
 def product_cones(C: FinCategory, x: str, y: str, mode: str) -> list[Cone]:
     """Binary product cones, legs to x and y."""
     def compute():
-        return _limit_cones(C, mode, _cones_at(C, [x, y], []), _product_count(C, x, y))
+        return _limit_cones(C, mode, _product_shape(C, x, y))
     return C._memo(("product", x, y, mode), compute)
 
 
@@ -186,17 +153,14 @@ def equalizer_cones(C: FinCategory, p: ParallelPair, mode: str) -> list[Cone]:
     require_parallel(C, p)
 
     def compute():
-        return _limit_cones(C, mode, _cones_at(C, [C.dom(p.f1)], [(p.f1, 0, p.f2, 0)]))
+        return _limit_cones(C, mode, _equalizer_shape(C, p))
     return C._memo(("equalizer", p.f1, p.f2, mode), compute)
 
 
 def pullback_cones(C: FinCategory, f: str, g: str, mode: str) -> list[Cone]:
     """Pullback cones of the cospan f: X -> Z <- Y :g, legs to X and Y."""
-    if C.cod(f) != C.cod(g):
-        raise ValueError(f"({f}, {g}) is not a cospan")
-
     def compute():
-        return _limit_cones(C, mode, *_pullback_shape(C, f, g))
+        return _limit_cones(C, mode, _pullback_shape(C, f, g))
     return C._memo(("pullback", f, g, mode), compute)
 
 

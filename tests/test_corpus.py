@@ -62,6 +62,10 @@ def test_parse_syntax_errors_carry_line():
         parse("ideal N on Missing = { }\n")
     with pytest.raises(CorpusSyntaxError):
         parse("category A\nobjects X\n")  # not closed
+    # cover members are object names, which never start with 1_
+    with pytest.raises(CorpusSyntaxError) as err:
+        parse("category A\nobjects X\nend\ncover P on A = { 1_X }\n")
+    assert str(err.value) == "line 4, col 1: bad name '1_X'"
 
 
 @pytest.mark.parametrize("row, message", [

@@ -3,8 +3,9 @@ category with at most 5 morphisms (plus hand-built ones the sweep lacks):
 terminal objects, products, kernel pairs, pullbacks and equalizers, decided
 by counting the cones per apex and comparing that count with the sieve of a
 cone, against an inline search of the node-and-edge definition that
-searches every leg and compares every pair of cones; the cone counts
-against the number of cones that search lists; and ideal kernels and the
+searches every leg and compares every pair of cones; the cones and count
+of each shape at every apex against the cones that search lists, also on
+PtSet<=3 (fixtures/ptset3.fincat); and ideal kernels and the
 mono and epi flags, read off sieve and cosieve sizes, against their inline
 definitions.  Regularity and weak finite limits, decided by a terminal
 object and binary products alone, are compared with their full
@@ -61,8 +62,8 @@ from starkit.corpus import (CategoryBlock, _canonical_key, _fill_tables, _random
 from starkit.ideals import _cover_epis, _first_without_kernel, sample_ideals
 from starkit.core import (FinCategory, Morphism, RawCategory, ReflexiveGraph, Violation,
                           identity_name, is_epi, validate_category)
-from starkit.limits import (Cone, _cones_at, _missing_finite_limit, _product_count,
-                            _pullback_shape, kernel_pair_cones)
+from starkit.limits import (Cone, _TERMINAL_SHAPE, _equalizer_shape, _missing_finite_limit,
+                            _product_shape, _pullback_shape, kernel_pair_cones)
 from starkit.stars import _pair_passes, _star
 from tests.conftest import load
 from tests.helpers import are_equivalent, composites, is_jointly_monic, transport_ideal
@@ -327,33 +328,46 @@ def test_terminals_and_products_match_their_diagrams():
     assert [c.apex for c in terminal_cones(retract, WEAK)] == ["T", "E"]
 
 
+def _ptset3():
+    return load("ptset3.fincat").category("PtSet3")
+
+
+def _compare_shape_cones(C) -> Counter:
+    """Each shape's cones_at(w) against the oracle's cones at w, and its
+    count_at(w) against their number, apex by apex; the shapes compared."""
+    counts = Counter()
+
+    def compare(shape, nodes, edges, legs_of, name) -> None:
+        cones_at, count_at = shape
+        listed = _inline_cones(C, nodes, edges)
+        for w, apex in enumerate(C.objects):
+            expected = [legs_of(legs) for a, legs in listed if a == apex]
+            assert [C._names(legs) for legs in cones_at(w)] == expected, (C.name, name, apex)
+            assert count_at(w) == len(expected), (C.name, name, apex)
+        counts[name] += 1
+
+    compare(_TERMINAL_SHAPE, [], [], tuple, "terminal")
+    for x in C.objects:
+        for y in C.objects:
+            compare(_product_shape(C, x, y), [x, y], [], tuple, "product")
+    for f in C.morphism_names:
+        for g in C.morphisms_to(C.cod(f)):
+            compare(_pullback_shape(C, f, g), [C.dom(f), C.cod(f), C.dom(g)],
+                    [(0, f, 1), (2, g, 1)], lambda legs: (legs[0], legs[2]), "pullback")
+    for p in C.parallel_pairs():
+        compare(_equalizer_shape(C, p), [C.dom(p.f1), C.cod(p.f1)],
+                [(0, p.f1, 1), (0, p.f2, 1)], lambda legs: legs[:1], "equalizer")
+    return counts
+
+
 def test_cone_counts_match_the_listed_cones():
     # The limit searches count the cones S over a shape per apex, listing
-    # cones only where a limit can sit; each count against the oracle's list.
-    counts = Counter()
-    for C in _categories():
-        def counted(count_at) -> int:  # over the apexes, as object indices
-            return sum(map(count_at, range(len(C.objects))))
-
-        assert len(C.objects) == len(_inline_cones(C, [], []))  # terminal: one per apex
-        counts["terminal"] += 1
-        for x in C.objects:
-            for y in C.objects:
-                assert counted(_product_count(C, x, y)) == \
-                    len(_inline_cones(C, [x, y], [])), (C.to_raw(), x, y)
-                counts["product"] += 1
-        for f in C.morphism_names:
-            for g in C.morphisms_to(C.cod(f)):
-                assert counted(_pullback_shape(C, f, g)[1]) == len(_inline_cones(
-                    C, [C.dom(f), C.cod(f), C.dom(g)], [(0, f, 1), (2, g, 1)])), \
-                    (C.to_raw(), f, g)
-                counts["pullback"] += 1
-        for p in C.parallel_pairs():
-            cones_at = _cones_at(C, [C.dom(p.f1)], [(p.f1, 0, p.f2, 0)])
-            assert counted(lambda w: len(cones_at(w))) == len(_inline_cones(
-                C, [C.dom(p.f1), C.cod(p.f1)], [(0, p.f1, 1), (0, p.f2, 1)])), (C.to_raw(), p)
-            counts["equalizer"] += 1
+    # cones only where a limit can sit; each shape's cones and counts at
+    # every apex against the oracle's list.
+    counts = sum(map(_compare_shape_cones, _categories()), Counter())
     assert counts == {"terminal": 400, "product": 975, "pullback": 7982, "equalizer": 7772}
+    assert _compare_shape_cones(_ptset3()) == \
+        {"terminal": 1, "product": 9, "pullback": 227, "equalizer": 115}
 
 
 def _fixtures() -> list:
@@ -368,6 +382,15 @@ def _completions(name: str, times: int) -> list:
         C = regular_completion(C).total
         out.append(C)
     return out
+
+
+def test_limits_of_pointed_sets_of_three_match_the_oracle():
+    # PtSet<=3 has limit cones with legs that no category of at most 5
+    # morphisms has, such as the strict products P1 x P3 at P3 with the
+    # second leg 1 or the swap of P3's two other points
+    C = _ptset3()
+    assert (len(C.morphisms), _compare_terminals_and_products(C), _compare_pullbacks(C),
+            _compare_equalizers(C)) == (23, 20, 454, 230)
 
 
 def test_limits_of_arrow_completions_match_the_oracle():

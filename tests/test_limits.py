@@ -4,11 +4,11 @@ import itertools
 
 import pytest
 
-from starkit import (Diagram, ParallelPair, STRICT, WEAK, coequalizer,
+from starkit import (ParallelPair, STRICT, WEAK, coequalizer,
                      equalizer_cones, has_weak_finite_limits,
                      image_factorization, is_coequalizer, is_regular_category,
                      is_regular_epi, kernel_pair_cones, kernel_pairs,
-                     limit_cones, morphism_flags, product_cones,
+                     morphism_flags, product_cones,
                      pullback_cones, regular_epis, terminal_cones)
 from starkit.corpus import enumerate_categories, parse
 
@@ -34,17 +34,20 @@ def test_weak_finite_limits(one, chain3, ptset2):
 
 
 def test_limit_cones_on_subset_diagram(chain3):
-    cones = limit_cones(chain3, Diagram(("c0", "c2"), ("f02",)), STRICT)
+    # the limit of c0 -f02-> c2 is c0, the pullback of f02 along 1_c2
+    cones = pullback_cones(chain3, "f02", "1_c2", STRICT)
     assert [c.apex for c in cones] == ["c0"]
 
 
-def test_limit_cones_rejects_a_repeated_object(chain3):
-    # a diagram is a set of objects; products of x with itself go through
-    # product_cones
-    with pytest.raises(ValueError, match="repeats the object c0"):
-        limit_cones(chain3, Diagram(("c0", "c0")), STRICT)
-    with pytest.raises(ValueError, match="c9 is not an object"):
-        limit_cones(chain3, Diagram(("c0", "c9")), STRICT)
+def test_limit_cones_reject_unknown_names(chain3):
+    with pytest.raises(ValueError, match="c9 is not an object of Chain3"):
+        product_cones(chain3, "c0", "c9", STRICT)
+    with pytest.raises(ValueError, match="f9 is not a morphism of Chain3"):
+        pullback_cones(chain3, "f01", "f9", STRICT)
+    with pytest.raises(ValueError, match="f9 is not a morphism of Chain3"):
+        kernel_pairs(chain3, "f9", WEAK)
+    with pytest.raises(ValueError, match=r"\(f01, f02\) is not a cospan"):
+        pullback_cones(chain3, "f01", "f02", STRICT)
 
 
 def test_coequalizer_of_equal_pair_is_identity(chain3, ptset2):

@@ -20,6 +20,8 @@ from starkit import (FAIL, STRICT, WEAK, MultiPointedCategory, ParallelPair,
                      RawCategory, coequalizers, enumerate_reflexive_graphs,
                      kernel_pairs, pointed_ideal, satisfies_star_pi0, star_of,
                      validate_category)
+from starkit.corpus import CorpusFile, category_block, serialize
+from tests.conftest import FIXTURES
 from tests.test_differential import (oracle_coequalizers, oracle_pullback,
                                      oracle_reflexive_graphs)
 
@@ -82,6 +84,21 @@ def test_pointed_sets_have_every_basepoint_preserving_map(ptset4):
     # b^(a-1) maps from a to b elements, summed over 1 <= a, b <= 4
     assert len(ptset4.morphisms) == 144
     assert [len(ptset4.hom("P3", y)) for y in ptset4.objects] == [1, 4, 9, 16]
+
+
+PTSET3_HEADER = ["# Pointed sets with at most three elements and every basepoint-preserving",
+                 "# map: pointed_set_table(3) of tests/test_truncations.py, validated and",
+                 "# serialized; test_ptset3_fixture_is_the_serialized_table rebuilds it."]
+
+
+def ptset3_text() -> str:
+    return serialize(CorpusFile(PTSET3_HEADER, [category_block(pointed_sets(3))]))
+
+
+def test_ptset3_fixture_is_the_serialized_table():
+    # fixtures/ptset3.fincat, 23 morphisms, gives the limit oracles of
+    # test_differential cones with legs
+    assert (FIXTURES / "ptset3.fincat").read_text(encoding="utf-8") == ptset3_text()
 
 
 def test_kernel_pairs_of_pointed_sets_match_the_oracle(ptset4):
