@@ -16,7 +16,7 @@ down-sets of its objects decide its limits, and its iso classes the cover.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (FinCategory, FullSubcategory, RawCategory, identity_name,
                    validate_category)
@@ -27,8 +27,7 @@ from .limits import STRICT, WEAK, has_weak_finite_limits, is_regular_category
 from .report import FAIL, INAPPLICABLE, PASS, Report
 
 
-@dataclass
-class Completion:
+class Completion(NamedTuple):
     base: FinCategory
     total: FinCategory
     embed_objects: dict[str, str]

@@ -11,8 +11,7 @@ the first witness, so results are deterministic for a fixed input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidCategory
 
@@ -21,22 +20,21 @@ def identity_name(obj: str) -> str:
     return f"1_{obj}"
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(NamedTuple):
     name: str
     dom: str
     cod: str
 
 
-@dataclass
-class RawCategory:
+class RawCategory(NamedTuple):
     """An unvalidated composition table.
 
     ``morphisms`` lists declared (non-identity) morphisms as (name, dom, cod);
     ``compositions`` yields rows (g, f, h) meaning g after f equals h, and
     validate_category reads it once, so a large table may make its rows on
     demand.  Rows for pairs involving an identity are rejected as redundant;
-    the composite h may be an identity.
+    the composite h may be an identity.  A NamedTuple: the fields are fixed
+    once made, and the corpus parser fills the lists it passes in.
     """
 
     name: str
@@ -45,8 +43,7 @@ class RawCategory:
     compositions: Iterable[tuple[str, str, str]]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     detail: str
 
@@ -54,16 +51,14 @@ class Violation:
         return f"{self.kind}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ParallelPair:
+class ParallelPair(NamedTuple):
     """An ordered pair of morphisms with common domain and codomain."""
 
     f1: str
     f2: str
 
 
-@dataclass(frozen=True)
-class ReflexiveGraph:
+class ReflexiveGraph(NamedTuple):
     """A parallel pair (d, c) with a common section e: d∘e = c∘e = identity."""
 
     d: str
@@ -71,13 +66,35 @@ class ReflexiveGraph:
     e: str
 
 
-@dataclass(frozen=True)
-class MorphismFlags:
+class MorphismFlags(NamedTuple):
     mono: bool
     epi: bool
     split_mono: bool
     split_epi: bool
     iso: bool
+
+
+class Record:
+    """A record that validates or caches, as a plain slotted class: ``==``,
+    ``hash`` and the repr read the fields named in ``_fields``, and a
+    mutable record sets ``__hash__ = None``."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class FinCategory:
@@ -215,9 +232,9 @@ class FinCategory:
         try:
             return self._cache[key]
         except KeyError:
-            value = fn()
-            self._cache[key] = value
-            return value
+            pass  # compute outside the handler: fn's errors carry no context
+        value = self._cache[key] = fn()
+        return value
 
 
 def validate_category(raw: RawCategory) -> FinCategory:

@@ -24,10 +24,9 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .core import (FinCategory, FullSubcategory, RawCategory, identity_name,
+from .core import (FinCategory, FullSubcategory, RawCategory, Record, identity_name,
                    validate_category)
 from .errors import BoundExceeded, CorpusSyntaxError, Exhausted, StarkitError
 from .ideals import CoverWitness, Ideal, is_ideal, pointed_ideal
@@ -70,8 +69,7 @@ class CorpusResolutionError(StarkitError):
     """A corpus block references a name that does not resolve."""
 
 
-@dataclass
-class CategoryBlock:
+class CategoryBlock(NamedTuple):
     raw: RawCategory
 
     @property
@@ -79,15 +77,13 @@ class CategoryBlock:
         return self.raw.name
 
 
-@dataclass
-class IdealBlock:
+class IdealBlock(NamedTuple):
     name: str
     on: str
     members: list[str]
 
 
-@dataclass
-class CoverBlock:
+class CoverBlock(NamedTuple):
     name: str
     on: str
     objects: list[str]
@@ -97,16 +93,14 @@ class CoverBlock:
 _NAMESPACE = {CategoryBlock: "target", CoverBlock: "target", IdealBlock: "ideal"}
 
 
-@dataclass
-class CorpusFile:
-    header: list[str] = field(default_factory=list)
-    blocks: list = field(default_factory=list)
-    _index: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _cats: dict = field(default_factory=dict, compare=False, repr=False)
-    _covers: dict = field(default_factory=dict, compare=False, repr=False)
+class CorpusFile(Record):
+    __slots__ = ("header", "blocks", "_index", "_cats", "_covers")
+    _fields = ("header", "blocks")
+    __hash__ = None
 
-    def __post_init__(self):
-        blocks, self.blocks = self.blocks, []
+    def __init__(self, header: list[str] | None = None, blocks=()):
+        self.header = [] if header is None else header
+        self.blocks, self._index, self._cats, self._covers = [], {}, {}, {}
         for b in blocks:
             self._add(b)
 

@@ -11,10 +11,9 @@ lattice isomorphisms (see verify_lemma_a).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import FinCategory, FullSubcategory, _sieve_sizes
+from .core import FinCategory, FullSubcategory, Record, _sieve_sizes
 from .errors import BoundExceeded, IdealClosureViolation, PreconditionFailed
 from .limits import STRICT, WEAK, _check_mode, is_regular_category, regular_epis
 from .report import FAIL, INAPPLICABLE, PASS, Report
@@ -22,26 +21,23 @@ from .report import FAIL, INAPPLICABLE, PASS, Report
 DEFAULT_IDEAL_BOUND = 12
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Record):
     """A composition-closed class of morphisms of a fixed category.
 
     ``mask`` is the carrier over the category's morphism bits, or None if
-    the carrier names something that is not a morphism of the category.
+    the carrier names something that is not a morphism of the category;
+    ``==``, ``hash`` and the repr read ``cat`` and ``carrier`` only.
     """
 
-    cat: FinCategory
-    carrier: frozenset[str]
-    mask: int | None = field(init=False, repr=False, compare=False)
+    __slots__ = ("cat", "carrier", "mask")
+    _fields = ("cat", "carrier")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mask", _mask(self.cat, self.carrier))
+    def __init__(self, cat: FinCategory, carrier: frozenset[str]):
+        self.cat, self.carrier = cat, carrier
+        self.mask: int | None = _mask(cat, carrier)
 
     def __contains__(self, name: str) -> bool:
         return name in self.carrier
-
-    def __le__(self, other: "Ideal") -> bool:
-        return self.carrier <= other.carrier
 
     def members(self) -> tuple[str, ...]:
         return tuple(sorted(self.carrier))
@@ -53,35 +49,31 @@ class Ideal:
 def _ideal(C: FinCategory, mask: int) -> Ideal:
     """The Ideal of a mask of C, named from the mask rather than resolving
     its names back to a mask."""
-    N = object.__new__(Ideal)
-    object.__setattr__(N, "cat", C)
-    object.__setattr__(N, "carrier", _carrier(C, mask))
-    object.__setattr__(N, "mask", mask)
+    N = Ideal.__new__(Ideal)
+    N.cat, N.carrier, N.mask = C, _carrier(C, mask), mask
     return N
 
 
-@dataclass(frozen=True)
-class MultiPointedCategory:
-    cat: FinCategory
-    ideal: Ideal
+class MultiPointedCategory(Record):
+    __slots__ = _fields = ("cat", "ideal")
 
-    def __post_init__(self):
-        if self.ideal.cat is not self.cat:
+    def __init__(self, cat: FinCategory, ideal: Ideal):
+        if ideal.cat is not cat:
             raise ValueError("ideal does not live on this category")
-        if not _closed(self.cat, self.ideal.mask):
-            raise ValueError(f"{self.ideal.label()} is not an ideal of {self.cat.name}")
+        if not _closed(cat, ideal.mask):
+            raise ValueError(f"{ideal.label()} is not an ideal of {cat.name}")
+        self.cat, self.ideal = cat, ideal
 
 
-@dataclass(frozen=True)
-class CoverWitness:
+class CoverWitness(Record):
     """A full subcategory claimed to be a projective cover of its parent."""
 
-    cat: FinCategory
-    cover: FullSubcategory
+    __slots__ = _fields = ("cat", "cover")
 
-    def __post_init__(self):
-        if self.cover.parent is not self.cat:
+    def __init__(self, cat: FinCategory, cover: FullSubcategory):
+        if cover.parent is not cat:
             raise ValueError("cover does not live on this category")
+        self.cat, self.cover = cat, cover
 
     @property
     def key(self) -> tuple[str, ...]:

@@ -41,7 +41,7 @@ a mask of objects, decides both (_missing_finite_limit).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import FinCategory, ParallelPair, is_epi, is_mono, require_parallel
 from .report import FAIL, PASS, Report
@@ -50,8 +50,7 @@ WEAK = "weak"
 STRICT = "strict"
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     apex: str
     legs: tuple[str, ...]  # one per leg of the shape, in its order
 

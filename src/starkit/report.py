@@ -7,7 +7,7 @@ time spent in a check is measured from outside the library.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .core import Record
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -17,17 +17,17 @@ ERROR = "ERROR"
 VERDICTS = (PASS, FAIL, INAPPLICABLE, ERROR)
 
 
-@dataclass
-class Report:
-    name: str
-    verdict: str
-    witnesses: list[str] = field(default_factory=list)
+class Report(Record):
+    __slots__ = _fields = ("name", "verdict", "witnesses")
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == FAIL and not self.witnesses:
-            raise ValueError(f"FAIL report {self.name!r} must carry a witness")
+    def __init__(self, name: str, verdict: str, witnesses: list[str] | None = None):
+        if verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        if verdict == FAIL and not witnesses:
+            raise ValueError(f"FAIL report {name!r} must carry a witness")
+        self.name, self.verdict = name, verdict
+        self.witnesses: list[str] = [] if witnesses is None else witnesses
 
     @property
     def passed(self) -> bool:

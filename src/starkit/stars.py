@@ -7,7 +7,7 @@ star's legs exactly when it merges the original pair's legs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (FinCategory, ParallelPair, enumerate_reflexive_graphs,
                    is_mono, require_parallel)
@@ -18,8 +18,7 @@ from .limits import STRICT, WEAK, coequalizer, is_regular_category, kernel_pairs
 from .report import FAIL, INAPPLICABLE, PASS, Report
 
 
-@dataclass(frozen=True)
-class StarWitness:
+class StarWitness(NamedTuple):
     pair: ParallelPair
     k: str
     star: ParallelPair

@@ -50,6 +50,13 @@ def test_limit_cones_reject_unknown_names(chain3):
         pullback_cones(chain3, "f01", "f02", STRICT)
 
 
+def test_a_memoised_search_raises_without_the_cache_miss_as_context(chain3):
+    # the computation runs after the memo's `except KeyError`, not inside it
+    with pytest.raises(ValueError, match="f9 is not a morphism") as info:
+        kernel_pairs(chain3, "f9", WEAK)
+    assert info.value.__context__ is None
+
+
 def test_coequalizer_of_equal_pair_is_identity(chain3, ptset2):
     for C in (chain3, ptset2):
         for f in C.morphism_names:
