@@ -35,7 +35,7 @@ from .corpus import (CorpusFile, are_isomorphic, canonical_key,
                      serialize)
 from .report import ERROR, FAIL, INAPPLICABLE, PASS, Report
 from .stars import (StarWitness, check_corollary_d, check_theorem_a,
-                    is_normal_category, is_star_regular, kernel_star,
-                    reflexive_graphs_star_pi0, satisfies_star_pi0, star_of)
+                    is_normal_category, is_star_regular, satisfies_star_pi0,
+                    star_of)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -380,19 +380,11 @@ def require_parallel(C: FinCategory, p: ParallelPair) -> None:
         raise ValueError(f"({p.f1}, {p.f2}) is not a parallel pair in {C.name}")
 
 
-def _sieve_sizes(C: FinCategory) -> list[int]:
-    """For each morphism k, the size of the sieve it generates: how many
-    distinct composites k∘u the morphisms u into dom k give, the distinct
-    cells of its row.  One list per category, since the kernels of every
-    ideal read it."""
-    return C._memo("sieve_sizes", lambda: [len(set(row)) for row in C._rows])
-
-
 def is_mono(C: FinCategory, f: str) -> bool:
     """f is mono iff u -> f∘u is injective on the morphisms into dom f, i.e.
-    iff its sieve has as many members as there are such u."""
-    i = C._index[f]
-    return _sieve_sizes(C)[i] == len(C._rows[i])
+    iff its row has no repeated cell."""
+    row = C._rows[C._index[f]]
+    return len(set(row)) == len(row)
 
 
 def is_epi(C: FinCategory, f: str) -> bool:

@@ -104,6 +104,10 @@ class CorpusFile(Record):
         for b in blocks:
             self._add(b)
 
+    def _key(self) -> tuple:
+        # blocks equal the plain tuples of their fields, so compare classes too
+        return self.header, [(type(b), b) for b in self.blocks]
+
     def _add(self, block) -> None:
         """Append a block; the first block of a name is the one lookups find."""
         self.blocks.append(block)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import FinCategory, FullSubcategory, Record, _sieve_sizes
+from .core import FinCategory, FullSubcategory, Record
 from .errors import BoundExceeded, IdealClosureViolation, PreconditionFailed
 from .limits import STRICT, WEAK, _check_mode, is_regular_category, regular_epis
 from .report import FAIL, INAPPLICABLE, PASS, Report
@@ -26,15 +26,22 @@ class Ideal(Record):
 
     ``mask`` is the carrier over the category's morphism bits, or None if
     the carrier names something that is not a morphism of the category;
-    ``==``, ``hash`` and the repr read ``cat`` and ``carrier`` only.
+    ``==``, ``hash`` and the repr read ``cat`` and ``carrier`` only.  An
+    ideal made from a mask builds its carrier on the first read.
     """
 
-    __slots__ = ("cat", "carrier", "mask")
+    __slots__ = ("cat", "_carrier", "mask")
     _fields = ("cat", "carrier")
 
     def __init__(self, cat: FinCategory, carrier: frozenset[str]):
-        self.cat, self.carrier = cat, carrier
+        self.cat, self._carrier = cat, carrier
         self.mask: int | None = _mask(cat, carrier)
+
+    @property
+    def carrier(self) -> frozenset[str]:
+        if self._carrier is None:
+            self._carrier = frozenset(self.cat._names(_members(self.mask)))
+        return self._carrier
 
     def __contains__(self, name: str) -> bool:
         return name in self.carrier
@@ -47,10 +54,9 @@ class Ideal(Record):
 
 
 def _ideal(C: FinCategory, mask: int) -> Ideal:
-    """The Ideal of a mask of C, named from the mask rather than resolving
-    its names back to a mask."""
+    """The Ideal of a mask of C, whose names are made only when read."""
     N = Ideal.__new__(Ideal)
-    N.cat, N.carrier, N.mask = C, _carrier(C, mask), mask
+    N.cat, N._carrier, N.mask = C, None, mask
     return N
 
 
@@ -95,10 +101,6 @@ def _mask(C: FinCategory, names) -> int | None:
 def _members(mask: int) -> list[int]:
     """The morphisms of a mask, in int order."""
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _carrier(C: FinCategory, mask: int) -> frozenset[str]:
-    return frozenset(C._names(_members(mask)))
 
 
 def _principal_masks(C: FinCategory) -> list[int]:
@@ -165,15 +167,30 @@ def _closure(C: FinCategory, gens: list[int]) -> int:
     return mask
 
 
-def _weak_kernels(C: FinCategory, mask: int, f: int,
-                  sieve: list[int]) -> tuple[list[int], int]:
-    """The weak kernels of f for the ideal of the mask, and the number of
-    candidates k, those with f∘k in the ideal (see kernels), read off the
-    row of f."""
-    out = C._into[C._cod[f]]
-    candidates = [k for k, h in zip(C._into[C._dom[f]], C._rows[f]) if mask >> out[h] & 1]
-    size = len(candidates)
-    return [k for k in candidates if sieve[k] == size], size
+def _sieves(C: FinCategory) -> dict[int, bool]:
+    """The mask of each sieve of C, with whether some morphism generating it
+    is mono.  The sieve of k, the composites k∘u over the u into dom k, holds
+    morphisms into cod k, so the masks of different objects are disjoint and
+    one dict serves every object; one per category, since the kernel gates
+    of every ideal read it."""
+    def compute():
+        table = {}
+        for row, y in zip(C._rows, C._cod):
+            cells, out = set(row), C._into[y]
+            s = sum(1 << out[h] for h in cells)
+            table[s] = table.get(s, False) or len(cells) == len(row)
+        return table
+
+    return C._memo("sieves", compute)
+
+
+def _candidates(C: FinCategory, mask: int, f: int) -> int:
+    """The mask of S, the k into dom f with f∘k in the ideal of the mask."""
+    out, S = C._into[C._cod[f]], 0
+    for k, h in zip(C._into[C._dom[f]], C._rows[f]):
+        if mask >> out[h] & 1:
+            S |= 1 << k
+    return S
 
 
 def kernels(M: MultiPointedCategory, f: str, mode: str) -> list[str]:
@@ -181,52 +198,59 @@ def kernels(M: MultiPointedCategory, f: str, mode: str) -> list[str]:
     f∘k in the ideal, through which every such morphism factors (uniquely in
     strict mode).  Empty list means none exist.
 
-    Decided by counting.  The candidates S = {k -> dom f : f∘k in N} are
-    closed under precomposition, since N is an ideal: f∘(k∘u) = (f∘k)∘u is in
-    N.  So for k in S the sieve {k∘u : u into dom k} is a subset of S, and
-    k is a weak kernel, every member of S being some k∘u, iff the sieve is
-    all of S, i.e. iff it has |S| members.  k is a strict kernel iff, in
-    addition, u -> k∘u is injective, i.e. iff exactly |S| morphisms go
-    into dom k.  The sieve size depends on k alone, so one table per
-    category serves every ideal, morphism and mode.
-    """
+    By the sieve criterion (see _kernel_gates) they are the k whose sieve
+    is S, mono in strict mode.  Such a k is in S, and S holds the sieve of
+    each of its members, so they are the k in S whose row has |S| distinct
+    cells, and in strict mode |S| cells."""
     C = M.cat
     _check_mode(mode)
-    weak, size = _weak_kernels(C, M.ideal.mask, C._index[f], _sieve_sizes(C))
-    if mode == STRICT:
-        weak = [k for k in weak if len(C._rows[k]) == size]
-    return list(C._names(weak))
+    i, rows = C._index[f], C._rows
+    S = _candidates(C, M.ideal.mask, i)
+    size = S.bit_count()
+    return [C.morphism_names[k] for k in C._into[C._dom[i]] if S >> k & 1
+            and (mode == WEAK or len(rows[k]) == size) and len(set(rows[k])) == size]
+
+
+_GATE_VALUES: dict = {}  # see _kernel_gates
 
 
 def _kernel_gates(C: FinCategory, mask: int) -> tuple[int | None, int | None]:
     """The first morphism, in int order, without a kernel and the first
-    without a weak kernel for the ideal of the mask, None where there is
+    without a weak kernel for the ideal N of the mask, None where there is
     none.
+
+    Sieve criterion.  Let S be the set of k into dom f with f∘k in N.  It is
+    closed under precomposition, since N is an ideal: f∘(k∘u) = (f∘k)∘u is
+    in N.  So for k in S the sieve {k∘u : u into dom k} lies inside S, and
+    k is a weak kernel, every member of S being some k∘u, iff its sieve is
+    all of S.  A k whose sieve is S lies in S, as k = k∘1.  So f has a weak
+    N-kernel iff S is the sieve of some k, and a strict one iff such a k is
+    also mono: then each member of S is k∘u for exactly one u, and a
+    strict kernel is mono, every k∘u lying in S.  So each morphism costs
+    the mask of S and one lookup in _sieves.
 
     One pass serves both modes; it stops at the first morphism without a
     weak kernel, since every kernel is a weak one, so that morphism lacks a
     kernel too.  The gates of every ideal live in one dict per category,
-    keyed by the mask, and hold one tuple per distinct value, kept under
-    itself in a second dict: the values repeat, (0, 0) most of all.
+    keyed by the mask.  Equal values are one tuple, since they repeat, (0, 0)
+    most of all: _GATE_VALUES keeps each under itself for every category,
+    and one of n morphisms adds at most (n + 1)² of them.
     """
     gates = C._memo("kernel_gates", dict)
     try:
         return gates[mask]
     except KeyError:
         pass
-    rows, sieve = C._rows, _sieve_sizes(C)
-    no_kernel = no_weak_kernel = None
-    for f in range(len(rows)):
-        weak, size = _weak_kernels(C, mask, f, sieve)
-        if not weak:
-            no_weak_kernel = f
-            if no_kernel is None:
-                no_kernel = f
-            break
-        if no_kernel is None and all(len(rows[k]) != size for k in weak):
+    sieves, no_kernel, no_weak_kernel = _sieves(C), None, None
+    for f in range(len(C._rows)):
+        mono = sieves.get(_candidates(C, mask, f))
+        if not mono and no_kernel is None:
             no_kernel = f
+        if mono is None:
+            no_weak_kernel = f
+            break
     value = no_kernel, no_weak_kernel
-    gates[mask] = value = C._memo("kernel_gate_values", dict).setdefault(value, value)
+    gates[mask] = value = _GATE_VALUES.setdefault(value, value)
     return value
 
 
@@ -365,13 +389,24 @@ def _atoms(C: FinCategory) -> list[int]:
     return list(dict.fromkeys(_principal_masks(C)))
 
 
-def _by_size(C: FinCategory, masks) -> list[int]:
-    """The masks ordered by (size, sorted member names)."""
-    def key(mask: int):
-        members = C._names(_members(mask))
-        return len(members), sorted(members)
+def _name_weights(C: FinCategory) -> list[int]:
+    """For each morphism, the bit n - 1 - r, r the rank of its name among
+    the n sorted names.  A set's weight is the sum over its members."""
+    bit = {x: 1 << r for r, x in enumerate(sorted(C.morphism_names, reverse=True))}
+    return [bit[x] for x in C.morphism_names]
 
-    return sorted(masks, key=key)
+
+def _by_size(weighted: dict[int, int]) -> list[int]:
+    """The masks of a {mask: weight} dict ordered by (size, sorted member
+    names), without making a name.
+
+    Let A != B have one size, and a be the first name, in sorted order, in
+    one of them only; say in A.  Their sorted names agree before a, and B's
+    next name comes after a, so A comes first.  Every member of B outside A
+    ranks after a, so its bits sum to less than a's bit, and weight(A) >
+    weight(B).  So the order is (popcount, -weight) ascending.
+    """
+    return sorted(weighted, key=lambda m: (weighted[m].bit_count(), -weighted[m]))
 
 
 def enumerate_ideals(C: FinCategory, bound: int | None = None) -> list[Ideal]:
@@ -390,10 +425,11 @@ def _ideal_masks(C: FinCategory, bound: int | None = None) -> list[int]:
             f"{C.name} has {len(C.morphism_names)} morphisms; ideal enumeration bound is {limit}")
 
     def compute():
-        masks = {0}
+        weights, masks = _name_weights(C), {0: 0}
         for atom in _atoms(C):
-            masks |= {m | atom for m in masks}
-        return _by_size(C, masks)
+            w = sum(weights[i] for i in _members(atom))
+            masks.update({m | atom: v | w for m, v in masks.items()})
+        return _by_size(masks)
 
     return C._memo("all_ideals", compute)
 
@@ -470,7 +506,8 @@ def _sample_masks(C: FinCategory, cap: int = 64) -> list[int]:
         if len(masks) >= cap:
             break
         masks.add(a | b)
-    return _by_size(C, masks)
+    weights = _name_weights(C)
+    return _by_size({m: sum(weights[i] for i in _members(m)) for m in masks})
 
 
 def verify_galois_and_iso(W: CoverWitness) -> Report:

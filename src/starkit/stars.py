@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import (FinCategory, ParallelPair, enumerate_reflexive_graphs,
-                   is_mono, require_parallel)
-from .errors import NoKernel, NoKernelPair
+from .core import FinCategory, ParallelPair, is_mono, require_parallel
 from .ideals import (MultiPointedCategory, _first_without_kernel, kernels,
                      pointed_ideal)
 from .limits import STRICT, WEAK, coequalizer, is_regular_category, kernel_pairs
@@ -61,23 +59,6 @@ def satisfies_star_pi0(M: MultiPointedCategory, p: ParallelPair,
                           [f"pair=({p.f1}, {p.f2})", f"kernel={witness.k}",
                            f"violating morphism g={C.morphism_names[g]}"])
     return Report("star-pi0", PASS, [])
-
-
-def _pair_passes(M: MultiPointedCategory, p: ParallelPair) -> bool:
-    r = satisfies_star_pi0(M, p)
-    if r.verdict == INAPPLICABLE:
-        raise NoKernel(f"star-pi0 not evaluable for ({p.f1}, {p.f2})")
-    return r.passed
-
-
-def reflexive_graphs_star_pi0(M: MultiPointedCategory) -> tuple[bool, str]:
-    """Whether every reflexive graph satisfies star-pi0, with the first
-    failing graph as witness.  Raises NoKernel if some graph is not
-    evaluable; callers gate on kernel existence first."""
-    for g in enumerate_reflexive_graphs(M.cat):
-        if not _pair_passes(M, ParallelPair(g.d, g.c)):
-            return False, f"graph ({g.d}, {g.c}, {g.e}) fails star-pi0"
-    return True, ""
 
 
 def check_theorem_a(M: MultiPointedCategory) -> Report:
@@ -134,20 +115,6 @@ def _kernel_pair_gates(C: FinCategory) -> tuple[str | None, str | None]:
         return None, no_coequalizer
 
     return C._memo("kernel_pair_gates", compute)
-
-
-def kernel_star(M: MultiPointedCategory, f: str) -> StarWitness:
-    """The star of the kernel pair of f: take the first strict kernel pair
-    and the first strict kernel of its first projection."""
-    C = M.cat
-    pairs = kernel_pairs(C, f, STRICT)
-    if not pairs:
-        raise NoKernelPair(f"{f} has no kernel pair in {C.name}")
-    p = pairs[0]
-    ks = kernels(M, p.f1, STRICT)
-    if not ks:
-        raise NoKernel(f"projection {p.f1} has no kernel for {M.ideal.label()}")
-    return StarWitness(p, ks[0], _star(C, p, ks[0]))
 
 
 def is_star_regular(M: MultiPointedCategory) -> Report:

@@ -1,18 +1,22 @@
 """Constructions that only the tests use: the composites of a category,
 joint monicity, equivalence of categories, an ideal carried onto a
-completion's cover, and the kernel of an extended ideal built through the
-cover.  The package decides its statements without them; the tests use them
+completion's cover, the kernel of an extended ideal built through the
+cover, the kernel star of a morphism and star-pi0 over every reflexive
+graph.  The package decides its statements without them; the tests use them
 to cross-check what it decides."""
 from __future__ import annotations
 
 import itertools
 
-from starkit import (STRICT, WEAK, Completion, CoverWitness, FinCategory, Ideal,
-                     IdealClosureViolation, MultiPointedCategory, ParallelPair,
-                     PreconditionFailed, image_factorization, is_ideal,
-                     is_projective_cover, kernels, morphism_flags, pullback_cones)
+from starkit import (INAPPLICABLE, STRICT, WEAK, Completion, CoverWitness, FinCategory,
+                     Ideal, IdealClosureViolation, MultiPointedCategory, NoKernel,
+                     NoKernelPair, ParallelPair, PreconditionFailed, StarWitness,
+                     enumerate_reflexive_graphs, image_factorization, is_ideal,
+                     is_projective_cover, kernel_pairs, kernels, morphism_flags,
+                     pullback_cones, satisfies_star_pi0)
 from starkit.core import require_parallel
 from starkit.ideals import _cover_epis
+from starkit.stars import _star
 
 
 def composites(C) -> list[tuple[str, str, str]]:
@@ -134,3 +138,34 @@ def nc_kernel_via_cover(W: CoverWitness, N: Ideal, f: str) -> str:
     if factored is None:
         raise PreconditionFailed(f"no image factorization of {p1qk}")
     return factored[1]
+
+
+def _pair_passes(M: MultiPointedCategory, p: ParallelPair) -> bool:
+    r = satisfies_star_pi0(M, p)
+    if r.verdict == INAPPLICABLE:
+        raise NoKernel(f"star-pi0 not evaluable for ({p.f1}, {p.f2})")
+    return r.passed
+
+
+def reflexive_graphs_star_pi0(M: MultiPointedCategory) -> tuple[bool, str]:
+    """Whether every reflexive graph satisfies star-pi0, with the first
+    failing graph as witness.  Raises NoKernel if some graph is not
+    evaluable; callers gate on kernel existence first."""
+    for g in enumerate_reflexive_graphs(M.cat):
+        if not _pair_passes(M, ParallelPair(g.d, g.c)):
+            return False, f"graph ({g.d}, {g.c}, {g.e}) fails star-pi0"
+    return True, ""
+
+
+def kernel_star(M: MultiPointedCategory, f: str) -> StarWitness:
+    """The star of the kernel pair of f: take the first strict kernel pair
+    and the first strict kernel of its first projection."""
+    C = M.cat
+    pairs = kernel_pairs(C, f, STRICT)
+    if not pairs:
+        raise NoKernelPair(f"{f} has no kernel pair in {C.name}")
+    p = pairs[0]
+    ks = kernels(M, p.f1, STRICT)
+    if not ks:
+        raise NoKernel(f"projection {p.f1} has no kernel for {M.ideal.label()}")
+    return StarWitness(p, ks[0], _star(C, p, ks[0]))

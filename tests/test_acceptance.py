@@ -18,15 +18,14 @@ from starkit import (CoverWitness, Exhausted, Ideal, MultiPointedCategory,
                      enumerate_ideals, extend_ideal, full_subcategory,
                      has_weak_finite_limits, is_coequalizer,
                      is_projective_cover, is_regular_category,
-                     is_regular_completion, is_star_regular, kernel_star,
-                     kernels, morphism_flags, pointed_ideal,
-                     reflexive_graphs_star_pi0, regular_completion,
+                     is_regular_completion, is_star_regular,
+                     kernels, morphism_flags, pointed_ideal, regular_completion,
                      regular_epis, restrict_ideal, satisfies_star_pi0,
                      star_of, verify_galois_and_iso, verify_lemma_a)
 from starkit.corpus import enumerate_categories, parse, search_counterexample, serialize
 from starkit.cli import run
 from tests.conftest import FIXTURES, FIXTURE_FILES
-from tests.helpers import nc_kernel_via_cover
+from tests.helpers import kernel_star, nc_kernel_via_cover, reflexive_graphs_star_pi0
 
 SWEEP_BOUND = 4
 

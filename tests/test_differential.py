@@ -5,9 +5,9 @@ by counting the cones per apex and comparing that count with the sieve of a
 cone, against an inline search of the node-and-edge definition that
 searches every leg and compares every pair of cones; the cones and count
 of each shape at every apex against the cones that search lists, also on
-PtSet<=3 (fixtures/ptset3.fincat); and ideal kernels and the
-mono and epi flags, read off sieve and cosieve sizes, against their inline
-definitions.  Regularity and weak finite limits, decided by a terminal
+PtSet<=3 (fixtures/ptset3.fincat); and ideal kernels, read off sieves, and
+the mono and epi flags, read off rows and cosieve sizes, against their
+inline definitions.  Regularity and weak finite limits, decided by a terminal
 object and binary products alone, are compared with their full
 definitions, and the finiteness theorems (F) and (K) that justify this are
 pinned over the sweep.  On a thin category the terminal object and
@@ -21,8 +21,10 @@ completions, whose product clause (F) makes redundant, are compared with
 the searches they replace.  The six statement checks, decided in closed
 form after their gates, are compared with the evaluators they replace.
 Ideal tests, closures and enumeration, done on masks over the morphisms'
-bits, and the per-ideal kernel gates are compared with the frozenset loops
-they replace, and the kernel pairs of a mono with their construction from
+bits, and the per-ideal kernel gates, one sieve lookup per morphism, are
+compared with the frozenset loops and candidate lists they replace, and
+the lattices' order, read off the ranks of the names, with the sort by
+names, and the kernel pairs of a mono with their construction from
 split epis or isos.  Regular epis of thin categories, read as the isos,
 are compared with the search too.  Validation, on a dense morphism index
 with associativity checked per composable pair by comparing rows, is
@@ -52,21 +54,22 @@ from starkit import (ERROR, FAIL, INAPPLICABLE, PASS, STRICT, WEAK,
                      has_all_kernels, has_weak_finite_limits, ideal_closure,
                      is_coequalizer, is_ideal, is_mono, is_projective_cover,
                      is_regular_category, is_regular_completion,
-                     is_star_regular, kernel_pairs, kernel_star, kernels,
+                     is_star_regular, kernel_pairs, kernels,
                      morphism_flags, pointed_ideal, product_cones,
-                     pullback_cones, reflexive_graphs_star_pi0,
-                     regular_completion, regular_epis, restrict_ideal,
+                     pullback_cones, regular_completion, regular_epis, restrict_ideal,
                      terminal_cones, verify_galois_and_iso, verify_lemma_a)
 from starkit.corpus import (CategoryBlock, _canonical_key, _fill_tables, _random_category,
                             _table_category, canonical_key, enumerate_categories, parse)
-from starkit.ideals import _cover_epis, _first_without_kernel, sample_ideals
+from starkit.ideals import (DEFAULT_IDEAL_BOUND, _cover_epis, _first_without_kernel,
+                            _ideal_masks, _kernel_gates, _sample_masks, sample_ideals)
 from starkit.core import (FinCategory, Morphism, RawCategory, ReflexiveGraph, Violation,
                           identity_name, is_epi, validate_category)
 from starkit.limits import (Cone, _TERMINAL_SHAPE, _equalizer_shape, _missing_finite_limit,
                             _product_shape, _pullback_shape, kernel_pair_cones)
-from starkit.stars import _pair_passes, _star
+from starkit.stars import _star
 from tests.conftest import load
-from tests.helpers import are_equivalent, composites, is_jointly_monic, transport_ideal
+from tests.helpers import (_pair_passes, are_equivalent, composites, is_jointly_monic,
+                           kernel_star, reflexive_graphs_star_pi0, transport_ideal)
 
 SMALL = 5
 
@@ -428,7 +431,7 @@ def _inline_epi(C, f: str) -> bool:
 
 
 def test_kernels_match_their_inline_definition():
-    # kernels and the mono flag both read the sieve sizes, the epi flag the
+    # kernels read the sieves, the mono flag the rows, the epi flag the
     # cosieve sizes
     compared = 0
     for C in [*_categories(), parse(RETRACT).category("Ret"), *_completions("Arrow", 1)]:
@@ -486,8 +489,82 @@ def oracle_enumerate_ideals(C) -> list[frozenset[str]]:
 
 
 def oracle_first_without_kernel(M: MultiPointedCategory, mode: str) -> str | None:
-    """The gate loop: the first morphism whose kernels list is empty."""
-    return next((f for f in M.cat.morphism_names if not kernels(M, f, mode)), None)
+    """The gate loop: the first morphism without an inline kernel."""
+    return next((f for f in M.cat.morphism_names if not _inline_kernels(M, f, mode)), None)
+
+
+def oracle_kernel_gates(C, mask: int) -> tuple[int | None, int | None]:
+    """The gate loop that sieve lookups replace: per morphism f, the list of
+    candidates k with f∘k in the ideal of the mask, and the weak kernels
+    among them, those whose sieve has as many members as there are
+    candidates; a strict one has as many cells, too."""
+    sieve = [len(set(row)) for row in C._rows]
+    no_kernel = no_weak_kernel = None
+    for f, row in enumerate(C._rows):
+        out = C._into[C._cod[f]]
+        candidates = [k for k, h in zip(C._into[C._dom[f]], row) if mask >> out[h] & 1]
+        weak = [k for k in candidates if sieve[k] == len(candidates)]
+        if not weak:
+            no_weak_kernel = f
+            if no_kernel is None:
+                no_kernel = f
+            break
+        if no_kernel is None and all(len(C._rows[k]) != len(candidates) for k in weak):
+            no_kernel = f
+    return no_kernel, no_weak_kernel
+
+
+def test_kernel_gates_match_the_candidate_lists(enumerated6):
+    # each gate pair holds the strict gate and the weak one
+    gated = 0
+    for C in enumerated6:
+        for mask in _ideal_masks(C):
+            assert _kernel_gates(C, mask) == oracle_kernel_gates(C, mask), (C.to_raw(), mask)
+            gated += 1
+    assert gated == 25404  # the ideals of the 3,257 categories with at most 6 morphisms
+
+
+def _renamed(C, ranks) -> FinCategory:
+    """C with morphism i named 1_<r>, r its rank in ranks, and an identity's
+    object named <r>: the names then sort in the order of their ranks."""
+    raw = C.to_raw()
+    name = {m: f"1_{r:03d}" for m, r in zip(C.morphism_names, ranks)}
+    obj = {x: name[C.identity[x]][2:] for x in C.objects}
+    return validate_category(RawCategory(
+        C.name, [obj[x] for x in raw.objects], [(name[m], obj[d], obj[c]) for m, d, c in raw.morphisms],
+        [tuple(map(name.get, row)) for row in raw.compositions]))
+
+
+def oracle_ideal_order(C, masks) -> list[int]:
+    """The masks sorted by (size, sorted member names)."""
+    def key(mask: int):
+        names = [n for i, n in enumerate(C.morphism_names) if mask >> i & 1]
+        return len(names), sorted(names)
+
+    return sorted(masks, key=key)
+
+
+def test_ideal_orders_match_the_sort_by_names():
+    # the lattices and samples are sorted by the ranks of the names; the
+    # benchmark's relabelling keeps the names' order, so here each table
+    # also comes with its names reversed and shuffled against its morphisms
+    rng = random.Random(26)
+    tables = []
+    for C in [*enumerate_categories(SMALL), *_fixtures(), *_completions("Chain3", 2)]:
+        n = len(C.morphism_names)
+        tables += [C, _renamed(C, range(n - 1, -1, -1)), _renamed(C, rng.sample(range(n), n))]
+    compared = Counter()
+    for C in tables:
+        compared["out of order"] += sorted(C.morphism_names) != list(C.morphism_names)
+        if len(C.morphism_names) <= DEFAULT_IDEAL_BOUND:
+            masks = _ideal_masks(C)
+            assert masks == oracle_ideal_order(C, masks), C.to_raw()
+            compared["lattices"] += 1
+        sample = _sample_masks(C)
+        assert sample == oracle_ideal_order(C, sample), C.to_raw()
+        compared["samples"] += 1
+    # 405 tables three ways; 6 lattices are past the bound, only sampled
+    assert compared == {"out of order": 801, "lattices": 1209, "samples": 1215}
 
 
 def test_ideals_match_their_frozenset_definitions():

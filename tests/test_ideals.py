@@ -15,7 +15,7 @@ from starkit import (BoundExceeded, CoverWitness, Ideal, MultiPointedCategory,
                      regular_completion, regular_epis, restrict_ideal,
                      validate_category, verify_galois_and_iso, verify_lemma_a)
 from starkit.corpus import enumerate_categories, parse
-from starkit.ideals import _ideal_masks, _kernel_gates
+from starkit.ideals import _ideal, _ideal_masks, _kernel_gates
 from tests.conftest import FIXTURES, subprocess_env
 from tests.helpers import nc_kernel_via_cover
 from tests.test_differential import is_saturating
@@ -249,11 +249,28 @@ def test_a_thin_cover_must_meet_every_isomorphism_class():
 
 
 def test_equal_kernel_gates_are_one_object(chain3):
-    # Chain3's 14 ideals have two distinct gate values
-    C = validate_category(chain3.to_raw())
+    # Chain3's 14 ideals have two distinct gate values, one object each,
+    # also across categories
+    C, D = (validate_category(chain3.to_raw()) for _ in range(2))
     gates = [_kernel_gates(C, mask) for mask in _ideal_masks(C)]
     assert len(gates) == 14
     assert len({id(g) for g in gates}) == len(set(gates)) == 2
+    assert all(_kernel_gates(D, mask) is g for mask, g in zip(_ideal_masks(D), gates))
+
+
+def test_enumerated_ideals_name_their_members_on_the_first_read(chain3, ptset2):
+    for C in (validate_category(chain3.to_raw()), validate_category(ptset2.to_raw())):
+        ideals = enumerate_ideals(C)
+        assert all(N._carrier is None for N in ideals)
+        for N in ideals:
+            eager = Ideal(C, frozenset(n for i, n in enumerate(C.morphism_names)
+                                       if N.mask >> i & 1))
+            assert hash(N) == hash(eager)
+            assert N == eager and repr(N) == repr(eager) and N.label() == eager.label()
+            assert type(N._carrier) is frozenset and N.carrier is N._carrier
+            assert all((n in N) == (n in eager.carrier) for n in C.morphism_names)
+        assert enumerate_ideals(C)[-1] == Ideal(C, frozenset(C.morphism_names))
+        assert _ideal(C, 0)._carrier is None and _ideal(C, 0) == Ideal(C, frozenset())
 
 
 def test_nc_kernel_against_direct_search(ptset2):

@@ -16,7 +16,7 @@ from starkit.completion import Completion
 from starkit.core import (FullSubcategory, Morphism, MorphismFlags, ParallelPair,
                           RawCategory, ReflexiveGraph, Violation, validate_category)
 from starkit.corpus import CategoryBlock, CorpusFile, CoverBlock, IdealBlock
-from starkit.ideals import CoverWitness, Ideal, MultiPointedCategory
+from starkit.ideals import CoverWitness, Ideal, MultiPointedCategory, _ideal
 from starkit.limits import Cone
 from starkit.report import FAIL, Report
 from starkit.stars import StarWitness
@@ -96,6 +96,7 @@ def test_records_keep_their_extra_members():
     assert CoverWitness(C, SUB).key == ("A",)
     assert Ideal(C, frozenset({"f"})).mask == 1 << C._index["f"]
     assert Ideal(C, frozenset({"g"})).mask is None
+    assert repr(_ideal(C, 1 << C._index["f"])) == IDEAL  # names made on the first read
 
 
 def test_validating_records_still_refuse_bad_fields():
@@ -105,8 +106,9 @@ def test_validating_records_still_refuse_bad_fields():
         Report("x", "MAYBE")
     with pytest.raises(ValueError, match="ideal does not live on this category"):
         MultiPointedCategory(C, Ideal(D, frozenset({"1_A"})))
-    with pytest.raises(ValueError, match=r"\{1_A\} is not an ideal of Arrow"):
-        MultiPointedCategory(C, Ideal(C, frozenset({"1_A"})))
+    for ideal in (Ideal(C, frozenset({"1_A"})), _ideal(C, 1 << C._index["1_A"])):
+        with pytest.raises(ValueError, match=r"\{1_A\} is not an ideal of Arrow"):
+            MultiPointedCategory(C, ideal)
     with pytest.raises(ValueError, match="cover does not live on this category"):
         CoverWitness(C, FullSubcategory(D, ["A"]))
 
@@ -117,6 +119,15 @@ def test_corpus_equality_ignores_its_caches():
     used.category("Arrow"), used.cover("P")
     assert used._cats and used._covers and not fresh._cats and not fresh._covers
     assert used == fresh and repr(used) == repr(fresh)
+
+
+def test_corpus_equality_tells_block_kinds_apart():
+    # the blocks equal the plain tuples of their fields, so an IdealBlock
+    # equals a CoverBlock, though one is an ideal and the other a cover
+    ideal, cover = IdealBlock("X", "C", ("a",)), CoverBlock("X", "C", ("a",))
+    assert ideal == cover
+    assert CorpusFile(None, [ideal]) != CorpusFile(None, [cover])
+    assert CorpusFile(None, [ideal]) == CorpusFile([], [IdealBlock("X", "C", ("a",))])
 
 
 def test_no_class_of_the_package_is_a_dataclass():

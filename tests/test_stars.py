@@ -5,12 +5,13 @@ import pytest
 from starkit import (Ideal, MultiPointedCategory, NoKernelPair, ParallelPair,
                      STRICT, WEAK, check_corollary_d, check_theorem_a,
                      coequalizer, is_normal_category, is_star_regular,
-                     kernel_star, kernel_pairs, pointed_ideal,
-                     satisfies_star_pi0, star_of)
+                     kernel_pairs, pointed_ideal, satisfies_star_pi0,
+                     star_of)
 from starkit.corpus import enumerate_categories
 from starkit.ideals import enumerate_ideals
 from starkit.core import morphism_flags
 from starkit.limits import is_coequalizer
+from tests.helpers import kernel_star
 
 
 def total_mpc(C) -> MultiPointedCategory:
