@@ -66,14 +66,6 @@ class ReflexiveGraph(NamedTuple):
     e: str
 
 
-class MorphismFlags(NamedTuple):
-    mono: bool
-    epi: bool
-    split_mono: bool
-    split_epi: bool
-    iso: bool
-
-
 class Record:
     """A record that validates or caches, as a plain slotted class: ``==``,
     ``hash`` and the repr read the fields named in ``_fields``, and a
@@ -157,10 +149,9 @@ class FinCategory:
 
     @property
     def morphisms(self) -> tuple[Morphism, ...]:
-        return tuple(map(self.morphism, self.morphism_names))
-
-    def morphism(self, name: str) -> Morphism:
-        return Morphism(name, self.dom(name), self.cod(name))
+        objects = self.objects
+        return tuple(Morphism(name, objects[x], objects[y])
+                     for name, x, y in zip(self.morphism_names, self._dom, self._cod))
 
     def has_morphism(self, name: str) -> bool:
         return name in self._index
@@ -393,22 +384,6 @@ def is_epi(C: FinCategory, f: str) -> bool:
     i = C._index[f]
     out = C._out[C._cod[i]]
     return len({C._compose(u, i) for u in out}) == len(out)
-
-
-def morphism_flags(C: FinCategory, f: str) -> MorphismFlags:
-    """Mono/epi/split/iso status of f, decided by exhaustive search (mono by
-    is_mono, epi by is_epi)."""
-    def compute():
-        i, compose = C._index[f], C._compose
-        x, y = C._dom[i], C._cod[i]  # the identities of x and y are x and y
-        back = C._homs.get((y, x), ())
-        mono, epi = is_mono(C, f), is_epi(C, f)
-        split_epi = any(compose(i, s) == y for s in back)
-        split_mono = any(compose(r, i) == x for r in back)
-        iso = any(compose(i, g) == y and compose(g, i) == x for g in back)
-        return MorphismFlags(mono, epi, split_mono, split_epi, iso)
-
-    return C._memo(("flags", f), compute)
 
 
 def enumerate_reflexive_graphs(C: FinCategory) -> tuple[ReflexiveGraph, ...]:

@@ -314,74 +314,6 @@ def cover_block(name: str, on: str, objects) -> CoverBlock:
     return CoverBlock(name, on, sorted(objects))
 
 
-# -- isomorphism --------------------------------------------------------------
-
-def _canonical_key(k: int, types: tuple, table: dict) -> tuple:
-    """Lexicographically smallest (k, types, table) over object relabellings
-    and type-preserving morphism relabellings, with prefix early-abort."""
-    m = len(types)
-    best_types: tuple | None = None
-    best_entries: tuple | None = None
-    for sigma in itertools.permutations(range(k)):
-        new_types = [(sigma[a], sigma[b]) for a, b in types]
-        order = sorted(range(m), key=lambda j: new_types[j])
-        sorted_types = tuple(new_types[j] for j in order)
-        if best_types is not None and sorted_types > best_types:
-            continue
-        if best_types is None or sorted_types < best_types:
-            best_types, best_entries = sorted_types, None
-        groups: list[list[int]] = []
-        for j in order:
-            if groups and new_types[groups[-1][0]] == new_types[j]:
-                groups[-1].append(j)
-            else:
-                groups.append([j])
-        # composable (g, f) positions are type-determined, so fixed per sigma
-        pair_positions = [(gp, fp) for gp in range(m) for fp in range(m)
-                          if sorted_types[fp][1] == sorted_types[gp][0]]
-        for perm_parts in itertools.product(*[itertools.permutations(g) for g in groups]):
-            old_order = [j for part in perm_parts for j in part]
-            new_of_old = list(sigma) + [0] * m
-            for pos, j in enumerate(old_order):
-                new_of_old[k + j] = k + pos
-            entries: list[int] = []
-            worse = False
-            for idx, (gp, fp) in enumerate(pair_positions):
-                old = table[(k + old_order[gp], k + old_order[fp])]
-                entry = new_of_old[old]
-                if best_entries is not None:
-                    ref = best_entries[idx]
-                    if entry > ref:
-                        worse = True
-                        break
-                    if entry < ref:
-                        best_entries = None  # strictly better prefix
-                entries.append(entry)
-            if worse:
-                continue
-            if best_entries is None:
-                best_entries = tuple(entries)
-    if best_types is None or best_entries is None:
-        raise StarkitError(f"no canonical form for a table on {k} objects")
-    return (k, best_types, best_entries)
-
-
-def canonical_key(C: FinCategory) -> tuple:
-    """A complete isomorphism invariant: the minimal relabelled table.  The
-    category's own numbering is the one ``_canonical_key`` reads: object i,
-    its identity i, and the j-th declared morphism k + j."""
-    def compute():
-        k, dom, cod, into = len(C.objects), C._dom, C._cod, C._into
-        table = {(g, f): into[cod[g]][h] for g in range(k, len(dom))
-                 for f, h in zip(into[dom[g]][1:], C._rows[g][1:])}
-        return _canonical_key(k, tuple(zip(dom[k:], cod[k:])), table)
-    return C._memo("canonical_key", compute)
-
-
-def are_isomorphic(C: FinCategory, D: FinCategory) -> bool:
-    return canonical_key(C) == canonical_key(D)
-
-
 # -- enumeration of small categories -----------------------------------------
 
 def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
@@ -423,9 +355,9 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
       identities to identities and each morphism to one of the image type,
       so it is one of these relabellings, and each class with this type
       vector has exactly one least table.
-    That table is ``_canonical_key(k, types, T)`` read as a pair vector
-    (the key minimises over the same relabellings once the type vector is
-    least).
+    That table is ``_canonical_key(k, types, T)`` of tests/helpers.py,
+    the brute-force oracle, read as a pair vector (the key minimises over
+    the same relabellings once the type vector is least).
 
     The walks are resumed, not restarted.  A walk that stops at an
     undecided cell, T[g, f] or the preimage cell it is compared with, waits
@@ -615,9 +547,9 @@ def enumerate_categories(max_morphisms: int) -> Iterator[FinCategory]:
     a smaller one, so every class is met only at its least type vector,
     the first of its vectors this loop reaches; there it yields exactly the
     least table of each class (see ``_fill_tables``), which is associative
-    by construction.  So each class is emitted once, by the table
-    ``_canonical_key`` returns for it, at the position where the first
-    table of the class appears in the loop."""
+    by construction.  So each class is emitted once, by the table the
+    oracle ``_canonical_key`` returns for it, at the position where the
+    first table of the class appears in the loop."""
     limit = _env_bound()
     if max_morphisms > limit:
         raise BoundExceeded(

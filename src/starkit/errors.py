@@ -33,14 +33,6 @@ class ValidationFailed(StarkitError):
     """A constructed completion failed its mandatory post-construction checks."""
 
 
-class NoKernelPair(StarkitError):
-    """The requested morphism has no kernel pair."""
-
-
-class NoKernel(StarkitError):
-    """The requested morphism has no kernel for the given ideal."""
-
-
 class Exhausted(StarkitError):
     """A counterexample search ran out of candidates without finding a witness."""
 

@@ -66,8 +66,7 @@ class MultiPointedCategory(Record):
     def __init__(self, cat: FinCategory, ideal: Ideal):
         if ideal.cat is not cat:
             raise ValueError("ideal does not live on this category")
-        if not _closed(cat, ideal.mask):
-            raise ValueError(f"{ideal.label()} is not an ideal of {cat.name}")
+        _require_ideal(ideal)
         self.cat, self.ideal = cat, ideal
 
 
@@ -137,6 +136,11 @@ def _closed(C: FinCategory, mask: int | None) -> bool:
 
 def is_ideal(C: FinCategory, carrier: frozenset[str] | set[str]) -> bool:
     return _closed(C, _mask(C, carrier))
+
+
+def _require_ideal(N: Ideal) -> None:
+    if not _closed(N.cat, N.mask):
+        raise ValueError(f"{N.label()} is not an ideal of {N.cat.name}")
 
 
 def ideal_closure(C: FinCategory, gens) -> Ideal:
@@ -297,15 +301,15 @@ def pointed_ideal(C: FinCategory) -> Ideal | None:
 
 
 def restrict_ideal(W: CoverWitness, N: Ideal) -> Ideal:
-    """The ideal of the cover subcategory obtained by intersection."""
+    """The ideal of the cover subcategory obtained by intersection.  N must
+    be an ideal of the parent, else ValueError.  The intersection is then
+    closed: the subcategory is full, so a composite f∘n∘h of its morphisms
+    lies in it, and in N when n does."""
     if N.cat is not W.cat:
         raise ValueError("ideal must live on the parent category")
+    _require_ideal(N)
     sub = W.cover.category
-    carrier = N.carrier & set(sub.morphism_names)
-    if not is_ideal(sub, carrier):
-        raise IdealClosureViolation(
-            f"restriction of {N.label()} to {W.cover.label} is not closed")
-    return Ideal(sub, frozenset(carrier))
+    return Ideal(sub, N.carrier & set(sub.morphism_names))
 
 
 def _cover_epis(W: CoverWitness) -> list[list[int]]:
@@ -326,14 +330,16 @@ def extend_ideal(W: CoverWitness, N: Ideal) -> Ideal:
     """The extension of an ideal of the cover along regular-epi squares.
 
     f: X -> Y belongs iff some square f∘e = e'∘n commutes with e, e' regular
-    epis out of cover objects and n in N.  The result of extending an ideal
-    along a projective cover is again an ideal; a closure failure raises
+    epis out of cover objects and n in N.  N must be an ideal of the cover,
+    else ValueError.  The result of extending an ideal along a projective
+    cover is again an ideal; a closure failure raises
     IdealClosureViolation and signals a bug, not a negative outcome.
     """
     C = W.cat
     sub = W.cover.category
     if N.cat is not sub:
         raise ValueError("ideal must live on the cover subcategory")
+    _require_ideal(N)
 
     def compute():
         dom, cod, compose, index = C._dom, C._cod, C._compose, C._index
@@ -490,15 +496,11 @@ def verify_lemma_a(W: CoverWitness, N_P: Ideal, N_C: Ideal) -> Report:
                                     "(d) holds: both sides True", "(e) holds"])
 
 
-def sample_ideals(C: FinCategory, cap: int = 64) -> list[Ideal]:
-    """A deterministic sample of the ideal lattice for categories too large
-    for full enumeration: bottom, top, every principal closure, and pairwise
-    unions of principals up to the cap."""
-    return [_ideal(C, m) for m in _sample_masks(C, cap)]
-
-
 def _sample_masks(C: FinCategory, cap: int = 64) -> list[int]:
-    """The masks of sample_ideals, in its order."""
+    """The masks of a deterministic sample of the ideal lattice for
+    categories too large for full enumeration: bottom, top, every principal
+    closure, and pairwise unions of principals up to the cap, ordered as
+    enumerate_ideals orders them."""
     top = (1 << len(C.morphism_names)) - 1
     atoms = [a for a in _atoms(C) if a != top]
     masks = {0, top, *atoms}

@@ -17,9 +17,10 @@ the cones at w in hom order, and count_at(w) counts them, without listing
 them where the shape allows.  _limit_cones sums the counts to |S| and lists
 cones only at apexes with at least |S| (weak) or exactly |S| (strict)
 morphisms into them.  The shapes are the terminal object (one empty cone
-per apex), the binary product, the equalizer (the k into dom f1 on which
-the rows of f1 and f2 agree, the dual of coequalizers) and the pullback;
-a kernel pair is the pullback of (f, f).  No general diagram engine is
+per apex), the binary product and the pullback; a kernel pair is the
+pullback of (f, f).  The equalizer shape (the k into dom f1 on which the
+rows of f1 and f2 agree, the dual of coequalizers), which no check needs,
+is a test oracle in tests/helpers.py.  No general diagram engine is
 needed: every finite limit is an equalizer of two maps into a product
 (Mac Lane, CWM V.2, Thm. 1), and regularity and star-regularity ask only
 for these shapes.
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import FinCategory, ParallelPair, is_epi, is_mono, require_parallel
+from .core import FinCategory, ParallelPair, is_epi, require_parallel
 from .report import FAIL, PASS, Report
 
 WEAK = "weak"
@@ -103,17 +104,6 @@ def _product_shape(C: FinCategory, x: str, y: str):
             lambda w: len(homs.get((w, x), ())) * len(homs.get((w, y), ())))
 
 
-def _equalizer_shape(C: FinCategory, p: ParallelPair):
-    """The k: w -> dom f1 with f1∘k = f2∘k, on which the rows of f1 and f2
-    agree."""
-    f1, f2 = C._index[p.f1], C._index[p.f2]
-    homs, pos, r1, r2, x = C._homs, C._pos, C._rows[f1], C._rows[f2], C._dom[f1]
-
-    def cones_at(w: int) -> list[tuple[int]]:
-        return [(k,) for k in homs.get((w, x), ()) if r1[pos[k]] == r2[pos[k]]]
-    return cones_at, lambda w: len(cones_at(w))
-
-
 def _pullback_shape(C: FinCategory, f: str, g: str):
     """The cospan f: X -> Z <- Y :g.  At w, the b in hom(w, Y) are grouped
     by g∘b, and each a in hom(w, X) is joined with the group of f∘a, in hom
@@ -147,15 +137,6 @@ def product_cones(C: FinCategory, x: str, y: str, mode: str) -> list[Cone]:
     return C._memo(("product", x, y, mode), compute)
 
 
-def equalizer_cones(C: FinCategory, p: ParallelPair, mode: str) -> list[Cone]:
-    """Equalizer cones of (f1, f2); the one leg is the equalizing morphism."""
-    require_parallel(C, p)
-
-    def compute():
-        return _limit_cones(C, mode, _equalizer_shape(C, p))
-    return C._memo(("equalizer", p.f1, p.f2, mode), compute)
-
-
 def pullback_cones(C: FinCategory, f: str, g: str, mode: str) -> list[Cone]:
     """Pullback cones of the cospan f: X -> Z <- Y :g, legs to X and Y."""
     def compute():
@@ -163,13 +144,8 @@ def pullback_cones(C: FinCategory, f: str, g: str, mode: str) -> list[Cone]:
     return C._memo(("pullback", f, g, mode), compute)
 
 
-def kernel_pair_cones(C: FinCategory, f: str, mode: str) -> list[Cone]:
-    """Kernel pair cones of f: the pullback cones of (f, f)."""
-    return pullback_cones(C, f, f, mode)
-
-
 def kernel_pairs(C: FinCategory, f: str, mode: str) -> list[ParallelPair]:
-    return [ParallelPair(*cone.legs) for cone in kernel_pair_cones(C, f, mode)]
+    return [ParallelPair(*cone.legs) for cone in pullback_cones(C, f, f, mode)]
 
 
 def _missing_finite_limit(C: FinCategory) -> str | None:
@@ -232,10 +208,6 @@ def coequalizers(C: FinCategory, p: ParallelPair) -> list[str]:
     return C._memo(("coequalizers", p.f1, p.f2), compute)
 
 
-def is_coequalizer(C: FinCategory, q: str, p: ParallelPair) -> bool:
-    return q in coequalizers(C, p)
-
-
 def coequalizer(C: FinCategory, p: ParallelPair) -> str | None:
     """The first morphism (in input order) that is a coequalizer of p."""
     return next(iter(coequalizers(C, p)), None)
@@ -254,27 +226,6 @@ def regular_epis(C: FinCategory) -> frozenset[str]:
         return frozenset(q for p in C.parallel_pairs() for q in coequalizers(C, p))
 
     return C._memo("regular_epis", compute)
-
-
-def is_regular_epi(C: FinCategory, f: str) -> bool:
-    return f in regular_epis(C)
-
-
-def image_factorization(C: FinCategory, f: str) -> tuple[str, str] | None:
-    """One factorization f = m∘e with e a regular epi and m a mono, if any."""
-    def compute():
-        i = C._index[f]
-        epis, homs, names = regular_epis(C), C._homs, C.morphism_names
-        for mid in range(len(C.objects)):
-            for e in homs.get((C._dom[i], mid), ()):
-                if names[e] not in epis:
-                    continue
-                for m in homs.get((mid, C._cod[i]), ()):
-                    if C._compose(m, e) == i and is_mono(C, names[m]):
-                        return (names[e], names[m])
-        return None
-
-    return C._memo(("image", f), compute)
 
 
 def is_regular_category(C: FinCategory) -> Report:

@@ -11,12 +11,12 @@ from starkit import (InvalidCategory, MultiPointedCategory, ParallelPair,
                      check_corollary_d, check_theorem_a, check_theorem_c,
                      enumerate_ideals, enumerate_reflexive_graphs,
                      full_subcategory, has_weak_finite_limits,
-                     is_normal_category, is_star_regular, morphism_flags,
+                     is_normal_category, is_star_regular,
                      regular_completion, validate_category)
 from starkit.core import RawCategory
-from starkit.corpus import are_isomorphic, enumerate_categories
+from starkit.corpus import enumerate_categories
 from tests.conftest import load
-from tests.helpers import is_jointly_monic
+from tests.helpers import are_isomorphic, is_jointly_monic, morphism_flags
 
 
 def test_one_is_valid(one):

@@ -16,11 +16,10 @@ from starkit import (CoverWitness, Ideal, MultiPointedCategory,
                      extend_ideal, full_subcategory, has_all_kernels,
                      has_weak_finite_limits, is_projective_cover,
                      is_regular_category, is_star_regular, kernels,
-                     morphism_flags, pointed_ideal, regular_completion,
+                     pointed_ideal, regular_completion,
                      restrict_ideal, verify_galois_and_iso, verify_lemma_a)
 from starkit.corpus import enumerate_categories, parse
-from starkit.ideals import sample_ideals
-from tests.helpers import nc_kernel_via_cover, transport_ideal
+from tests.helpers import morphism_flags, nc_kernel_via_cover, sample_ideals, transport_ideal
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

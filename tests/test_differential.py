@@ -50,26 +50,28 @@ from starkit import (ERROR, FAIL, INAPPLICABLE, PASS, STRICT, WEAK,
                      check_corollary_c, check_corollary_d, check_theorem_a,
                      check_theorem_c, coequalizer, coequalizers,
                      enumerate_ideals, enumerate_reflexive_graphs,
-                     equalizer_cones, extend_ideal, full_subcategory,
+                     extend_ideal, full_subcategory,
                      has_all_kernels, has_weak_finite_limits, ideal_closure,
-                     is_coequalizer, is_ideal, is_mono, is_projective_cover,
+                     is_ideal, is_mono, is_projective_cover,
                      is_regular_category, is_regular_completion,
                      is_star_regular, kernel_pairs, kernels,
-                     morphism_flags, pointed_ideal, product_cones,
+                     pointed_ideal, product_cones,
                      pullback_cones, regular_completion, regular_epis, restrict_ideal,
                      terminal_cones, verify_galois_and_iso, verify_lemma_a)
-from starkit.corpus import (CategoryBlock, _canonical_key, _fill_tables, _random_category,
-                            _table_category, canonical_key, enumerate_categories, parse)
+from starkit.corpus import (CategoryBlock, _fill_tables, _random_category,
+                            _table_category, enumerate_categories, parse)
 from starkit.ideals import (DEFAULT_IDEAL_BOUND, _cover_epis, _first_without_kernel,
-                            _ideal_masks, _kernel_gates, _sample_masks, sample_ideals)
+                            _ideal_masks, _kernel_gates, _sample_masks)
 from starkit.core import (FinCategory, Morphism, RawCategory, ReflexiveGraph, Violation,
                           identity_name, is_epi, validate_category)
-from starkit.limits import (Cone, _TERMINAL_SHAPE, _equalizer_shape, _missing_finite_limit,
-                            _product_shape, _pullback_shape, kernel_pair_cones)
+from starkit.limits import (Cone, _TERMINAL_SHAPE, _missing_finite_limit,
+                            _product_shape, _pullback_shape)
 from starkit.stars import _star
 from tests.conftest import load
-from tests.helpers import (_pair_passes, are_equivalent, composites, is_jointly_monic,
-                           kernel_star, reflexive_graphs_star_pi0, transport_ideal)
+from tests.helpers import (_canonical_key, _equalizer_shape, _pair_passes, are_equivalent,
+                           canonical_key, composites, equalizer_cones, is_jointly_monic,
+                           kernel_star, morphism_flags, reflexive_graphs_star_pi0,
+                           sample_ideals, transport_ideal)
 
 SMALL = 5
 
@@ -305,7 +307,7 @@ def test_kernel_pairs_of_monos_match_the_search():
             if not is_mono(C, f):
                 continue
             for mode in (WEAK, STRICT):
-                assert kernel_pair_cones(C, f, mode) == \
+                assert pullback_cones(C, f, f, mode) == \
                     oracle_mono_kernel_pairs(C, f, mode), (C.to_raw(), f, mode)
                 compared += 1
     assert compared == 2 * 836  # monos of the categories above, in both modes
@@ -828,7 +830,7 @@ def compare_coequalizers_and_pointed_ideal(C) -> tuple[int, int, int]:
         expected = oracle_coequalizers(C, p)
         assert coequalizers(C, p) == expected, (C.to_raw(), p)
         assert coequalizer(C, p) == (expected[0] if expected else None), (C.to_raw(), p)
-        assert [q for q in C.morphism_names if is_coequalizer(C, q, p)] == expected, \
+        assert [q for q in C.morphism_names if q in coequalizers(C, p)] == expected, \
             (C.to_raw(), p)
         pairs += 1
     assert regular_epis(C) == oracle_regular_epis(C), C.to_raw()
@@ -1054,7 +1056,7 @@ def oracle_star_regular(M: MultiPointedCategory) -> Report:
         sw = kernel_star(M, f)
         if C.compose(f, sw.star.f1) != C.compose(f, sw.star.f2):
             raise StarkitError(f"regular epi {f} does not coequalize its kernel star")
-        if not is_coequalizer(C, f, sw.star):
+        if f not in coequalizers(C, sw.star):
             failing.append(f"regular epi {f} is not a coequalizer of its kernel star "
                            f"({sw.star.f1}, {sw.star.f2})")
             break
@@ -1094,7 +1096,7 @@ def oracle_corollary_d(M: MultiPointedCategory) -> Report:
 
     lhs_wit = next((f"regular epi {f} coequalizes no weak kernel star"
                     for f in sorted(regular_epis(C))
-                    if not any(is_coequalizer(C, f, _star(C, p, k))
+                    if not any(f in coequalizers(C, _star(C, p, k))
                                for p in kernel_pairs(C, f, WEAK)
                                for k in kernels(M, p.f1, WEAK))), "")
     lhs = not lhs_wit

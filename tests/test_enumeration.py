@@ -22,10 +22,10 @@ from typing import Iterator
 import pytest
 
 from starkit.core import enumerate_reflexive_graphs, validate_category
-from starkit.corpus import (CorpusFile, _canonical_key, _fill_tables,
+from starkit.corpus import (CorpusFile, _fill_tables,
                             _table_category, category_block, serialize)
 from tests.conftest import FIXTURES
-from tests.helpers import composites
+from tests.helpers import _canonical_key, composites
 
 ORACLE_SIZE = 5
 

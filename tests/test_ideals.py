@@ -11,13 +11,13 @@ from starkit import (BoundExceeded, CoverWitness, Ideal, MultiPointedCategory,
                      check_corollary_d, check_theorem_a, enumerate_ideals,
                      extend_ideal, full_subcategory, has_all_kernels,
                      ideal_closure, is_ideal, is_projective_cover,
-                     is_star_regular, kernels, morphism_flags, pointed_ideal,
+                     is_star_regular, kernels, pointed_ideal,
                      regular_completion, regular_epis, restrict_ideal,
                      validate_category, verify_galois_and_iso, verify_lemma_a)
 from starkit.corpus import enumerate_categories, parse
 from starkit.ideals import _ideal, _ideal_masks, _kernel_gates
 from tests.conftest import FIXTURES, subprocess_env
-from tests.helpers import nc_kernel_via_cover
+from tests.helpers import morphism_flags, nc_kernel_via_cover
 from tests.test_differential import is_saturating
 from tests.test_limits import ISO_TOP
 
@@ -111,15 +111,14 @@ def test_pointed_ideals(one, chain3, ptset2):
 RESTRICT_NON_IDEAL = """
 import sys
 from pathlib import Path
-from starkit import (CoverWitness, Ideal, IdealClosureViolation,
-                     MultiPointedCategory, full_subcategory, is_ideal, parse,
-                     restrict_ideal)
+from starkit import (CoverWitness, Ideal, MultiPointedCategory,
+                     full_subcategory, is_ideal, parse, restrict_ideal)
 C = parse(Path(sys.argv[1]).read_text()).category("Chain3")
 W = CoverWitness(C, full_subcategory(C, C.objects))
 print(__debug__)
 try:
     restrict_ideal(W, Ideal(C, frozenset({"f01"})))
-except IdealClosureViolation:
+except ValueError:
     print("raised")
 for carrier in ({"f01"}, {"f02", "nope"}):
     try:
@@ -159,6 +158,20 @@ def test_extend_ideal_examples(ptset2, chain3):
     W3 = cover_all(chain3)
     for N in enumerate_ideals(W3.cover.category):
         assert extend_ideal(W3, N).carrier == N.carrier
+
+
+def test_transfer_maps_refuse_sets_that_are_not_ideals(ptset2):
+    # s is no morphism of the cover, {1_S} misses u∘1_S = u, and {s} misses
+    # t∘s = u; each used to give {} or a closure violation
+    W = cover_on(ptset2, ["S"])
+    sub = W.cover.category
+    for name in ("s", "1_S"):
+        with pytest.raises(ValueError, match=rf"^\{{{name}\}} is not an ideal of PtSet2\[S\]$"):
+            extend_ideal(W, Ideal(sub, frozenset({name})))
+    with pytest.raises(ValueError, match=r"^\{s\} is not an ideal of PtSet2$"):
+        restrict_ideal(W, Ideal(ptset2, frozenset({"s"})))
+    # no extension is cached under the mask None of a set naming a stranger
+    assert ("extend", ("S",), None) not in ptset2._cache
 
 
 def test_extend_total_cover_ideal_reaches_every_covered_morphism(ptset2):

@@ -4,13 +4,11 @@ import itertools
 
 import pytest
 
-from starkit import (ParallelPair, STRICT, WEAK, coequalizer,
-                     equalizer_cones, has_weak_finite_limits,
-                     image_factorization, is_coequalizer, is_regular_category,
-                     is_regular_epi, kernel_pair_cones, kernel_pairs,
-                     morphism_flags, product_cones,
-                     pullback_cones, regular_epis, terminal_cones)
+from starkit import (ParallelPair, STRICT, WEAK, coequalizer, coequalizers,
+                     has_weak_finite_limits, is_regular_category, kernel_pairs,
+                     product_cones, pullback_cones, regular_epis, terminal_cones)
 from starkit.corpus import enumerate_categories, parse
+from tests.helpers import equalizer_cones, image_factorization, morphism_flags
 
 
 def test_strict_terminal_of_chain3(chain3):
@@ -74,7 +72,7 @@ def test_coequalizer_of_identity_and_null(ptset2):
 
 def test_regular_epis(chain3, ptset2):
     # in a thin category the only regular epis are the isomorphisms
-    assert not is_regular_epi(chain3, "f01")
+    assert "f01" not in regular_epis(chain3)
     assert sorted(regular_epis(chain3)) == ["1_c0", "1_c1", "1_c2"]
     assert sorted(regular_epis(ptset2)) == ["1_S", "1_T", "s"]
 
@@ -109,8 +107,8 @@ def test_strict_cones_are_weak_cones(chain3, ptset2):
             assert set(equalizer_cones(C, p, STRICT)) <= \
                 set(equalizer_cones(C, p, WEAK))
         for f in C.morphism_names:
-            assert set(kernel_pair_cones(C, f, STRICT)) <= \
-                set(kernel_pair_cones(C, f, WEAK))
+            assert set(pullback_cones(C, f, f, STRICT)) <= \
+                set(pullback_cones(C, f, f, WEAK))
 
 
 def test_strict_limit_apexes_pairwise_isomorphic():
@@ -121,7 +119,7 @@ def test_strict_limit_apexes_pairwise_isomorphic():
                 for a, b in itertools.combinations(apexes, 2):
                     assert any(morphism_flags(C, i).iso for i in C.hom(a, b))
         for f in C.morphism_names:
-            apexes = [c.apex for c in kernel_pair_cones(C, f, STRICT)]
+            apexes = [c.apex for c in pullback_cones(C, f, f, STRICT)]
             for a, b in itertools.combinations(apexes, 2):
                 assert any(morphism_flags(C, i).iso for i in C.hom(a, b))
 
@@ -133,7 +131,7 @@ def test_coequalizers_unique_up_to_codomain_iso():
             if q is None:
                 continue
             for g in C.morphisms_from(C.dom(q)):
-                if g != q and is_coequalizer(C, g, p):
+                if g != q and g in coequalizers(C, p):
                     assert any(morphism_flags(C, i).iso
                                for i in C.hom(C.cod(q), C.cod(g)))
 

@@ -21,12 +21,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from starkit import (STRICT, WEAK, InvalidCategory, MultiPointedCategory,  # noqa: E402
-                     enumerate_ideals, equalizer_cones, ideal_closure, is_ideal,
+                     enumerate_ideals, ideal_closure, is_ideal,
                      kernels, pullback_cones)
 from starkit.core import RawCategory, identity_name, validate_category  # noqa: E402
 from starkit.corpus import (_COMP, _MOR, _NAME, _REF, CorpusFile,  # noqa: E402
-                            CorpusSyntaxError, _random_category, canonical_key,
+                            CorpusSyntaxError, _random_category,
                             category_block, parse, serialize)
+from tests.helpers import canonical_key, equalizer_cones  # noqa: E402
 from tests.test_differential import (_all_mono, _has_weak_kernel_pairs,  # noqa: E402
                                      _has_weak_products, _inline_kernels,
                                      _single_row_changes, _thin,
