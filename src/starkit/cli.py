@@ -19,7 +19,8 @@ from .corpus import (CorpusFile, CoverBlock, IdealBlock, category_block,
                      search_counterexample, serialize, PROPERTIES)
 from .errors import Exhausted, InvalidCategory, StarkitError
 from .ideals import (Ideal, MultiPointedCategory, extend_ideal,
-                     restrict_ideal, verify_galois_and_iso, verify_lemma_a)
+                     require_projective_cover, restrict_ideal,
+                     verify_galois_and_iso, verify_lemma_a)
 from .report import ERROR, FAIL, INAPPLICABLE, PASS, Report
 from .stars import (check_corollary_d, check_theorem_a, is_normal_category,
                     is_star_regular, satisfies_star_pi0)
@@ -109,9 +110,11 @@ def _check(corpus: CorpusFile, args) -> Report:
             raise UsageError("check theorem-c requires --ideal")
         return check_theorem_c(C, W.cover, _resolve_ideal(corpus, args.ideal, C))
 
-    # lemma-a: derive whichever of the two ideals was not given.
+    # lemma-a: derive whichever of the two ideals was not given, on a
+    # projective cover only, where restriction and extension are defined.
     if args.ideal_p is None and args.ideal_c is None:
         raise UsageError("check lemma-a requires --ideal-p and/or --ideal-c")
+    require_projective_cover(W)
     sub = W.cover.category
     N_P = N_C = None
     if args.ideal_p is not None:

@@ -89,6 +89,25 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+_LAYOUTS: dict = {}  # shape -> layout; see FinCategory
+
+
+def _layout(k: int, dom: tuple, cod: tuple) -> tuple:
+    """The layout of the shape (k, dom, cod), as FinCategory unpacks it."""
+    into: list[list[int]] = [[] for _ in range(k)]
+    out: list[list[int]] = [[] for _ in range(k)]
+    homs: dict[tuple[int, int], list[int]] = {}
+    pos: list[int] = []
+    for i, (x, y) in enumerate(zip(dom, cod)):
+        pos.append(len(into[y]))
+        into[y].append(i)
+        out[x].append(i)
+        homs.setdefault((x, y), []).append(i)
+    return (dom, cod, tuple(map(tuple, into)), tuple(map(tuple, out)),
+            {ends: tuple(ms) for ends, ms in homs.items()}, tuple(pos),
+            len(homs) == len(dom))
+
+
 class FinCategory:
     """A validated finite category on integers, with names at the boundary.
 
@@ -101,6 +120,16 @@ class FinCategory:
     of morphisms is an int mask, bit i for morphism i (ideals carry one), and
     ``thin`` says that no hom-set has two members.
 
+    ``_dom``, ``_cod``, ``_into``, ``_out``, ``_homs``, ``_pos`` and ``thin``
+    depend only on the shape: the object count and the dom and cod of each
+    morphism.  They are built on the first category of a shape and kept in
+    the module-level ``_LAYOUTS``, so every later category of that shape
+    shares them; they are tuples (``_homs`` a dict of tuples), so a stray
+    write raises instead of changing every category of the shape.
+    ``_LAYOUTS`` holds O(morphisms) ints per distinct shape, never rows or
+    a category.  A category owns only its names, its ``_rows`` and its
+    ``_cache``.
+
     Instances are immutable once built and hash by identity, which lets
     every expensive search cache its result per category.  Cached values
     never hold the category itself, so a category is freed without the
@@ -109,25 +138,21 @@ class FinCategory:
     """
 
     def __init__(self, name: str, objects: Sequence[str], index: dict[str, int],
-                 dom: list[int], cod: list[int]):
+                 dom: Sequence[int], cod: Sequence[int]):
         self.name = name
         self.objects: tuple[str, ...] = tuple(objects)
         self.morphism_names: tuple[str, ...] = tuple(index)
         self.identity: dict[str, str] = dict(zip(self.objects, self.morphism_names))
         self._obj = {x: i for i, x in enumerate(self.objects)}
         self._index = index
-        self._dom, self._cod = dom, cod
-        self._into: list[list[int]] = [[] for _ in self.objects]
-        self._out: list[list[int]] = [[] for _ in self.objects]
-        self._homs: dict[tuple[int, int], list[int]] = {}
-        self._pos: list[int] = []
-        for i, (x, y) in enumerate(zip(dom, cod)):
-            self._pos.append(len(self._into[y]))
-            self._into[y].append(i)
-            self._out[x].append(i)
-            self._homs.setdefault((x, y), []).append(i)
-        self.thin = len(self._homs) == len(dom)
-        k, into, pos = len(self.objects), self._into, self._pos
+        k = len(self.objects)
+        shape = (k, tuple(dom), tuple(cod))
+        layout = _LAYOUTS.get(shape)
+        if layout is None:
+            layout = _LAYOUTS[shape] = _layout(*shape)
+        (self._dom, self._cod, self._into, self._out, self._homs, self._pos,
+         self.thin) = layout
+        dom, into, pos = self._dom, self._into, self._pos
         self._rows: list[list] = [list(range(len(into[i]))) if i < k else
                                   [pos[i]] + [None] * (len(into[dom[i]]) - 1)
                                   for i in range(len(dom))]

@@ -518,17 +518,29 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
     yield from extend(0)
 
 
+_TABLE_NAMES: dict = {}  # (objects, morphisms) -> (objects, index); see _table_category
+
+
 def _table_category(name: str, k: int, types: tuple, table: dict) -> FinCategory:
     """The category of a composition table in ``_fill_tables`` form, built
     without ``validate_category``: objects ``X<i>``, identities ``1_X<i>``,
     non-identity morphisms ``f<j>``, numbered as in the table, and the rows
     that ``validate_category`` would fill from its cells.  The table must be
-    associative; ``_fill_tables`` makes it so by construction."""
-    objects = [f"X{i}" for i in range(k)]
-    index = {identity_name(x): i for i, x in enumerate(objects)}
-    index.update((f"f{j}", k + j) for j in range(len(types)))
-    C = FinCategory(name, objects, index, [*range(k), *(a for a, _ in types)],
-                    [*range(k), *(b for _, b in types)])
+    associative; ``_fill_tables`` makes it so by construction.
+
+    The names depend only on the object and morphism counts, so
+    ``_TABLE_NAMES`` keeps one ``objects`` tuple and one ``index`` dict per
+    pair of counts and every category with those counts shares them, as it
+    shares its layout with every category of its shape (see FinCategory)."""
+    n = k + len(types)
+    names = _TABLE_NAMES.get((k, n))
+    if names is None:
+        objects = tuple(f"X{i}" for i in range(k))
+        index = {identity_name(x): i for i, x in enumerate(objects)}
+        index.update((f"f{j}", k + j) for j in range(n - k))
+        names = _TABLE_NAMES[k, n] = objects, index
+    C = FinCategory(name, *names, (*range(k), *(a for a, _ in types)),
+                    (*range(k), *(b for _, b in types)))
     rows, pos = C._rows, C._pos
     for (g, f), h in table.items():
         rows[g][pos[f]] = pos[h]

@@ -440,6 +440,12 @@ def _ideal_masks(C: FinCategory, bound: int | None = None) -> list[int]:
     return C._memo("all_ideals", compute)
 
 
+def require_projective_cover(W: CoverWitness) -> None:
+    """Lemma A's precondition; raises PreconditionFailed when W fails it."""
+    if not is_projective_cover(W).passed:
+        raise PreconditionFailed(f"{W.cover.label} is not a projective cover of {W.cat.name}")
+
+
 def verify_lemma_a(W: CoverWitness, N_P: Ideal, N_C: Ideal) -> Report:
     """The five transfer laws between an ideal on a projective cover and an
     ideal on its parent category:
@@ -480,8 +486,7 @@ def verify_lemma_a(W: CoverWitness, N_P: Ideal, N_C: Ideal) -> Report:
         raise ValueError("N_P must live on the cover subcategory")
     if N_C.cat is not C:
         raise ValueError("N_C must live on the parent category")
-    if not is_projective_cover(W).passed:
-        raise PreconditionFailed(f"{W.cover.label} is not a projective cover of {C.name}")
+    require_projective_cover(W)
     if not is_regular_category(C).passed:
         return Report("lemma-a", INAPPLICABLE,
                       [f"{C.name} is not regular; the transfer laws presuppose "

@@ -12,8 +12,10 @@ its ``MorphismFlags`` record (mono, epi, split and iso by search);
 ``equalizer_cones`` with its shape, counted by the package's own
 ``_limit_cones``; ``image_factorization``; the brute-force canonical key
 ``_canonical_key`` with ``canonical_key`` and ``are_isomorphic``, which the
-enumerator's lex-leader pruning must agree with; and ``sample_ideals``, the
-ideals of ``starkit.ideals._sample_masks``.
+enumerator's lex-leader pruning must agree with; ``sample_ideals``, the
+ideals of ``starkit.ideals._sample_masks``; and ``oracle_layout``, the loop
+that built a category's layout for each category before layouts were
+shared per shape.
 
 The package decides its statements without any of these; the tests use them
 to cross-check what it decides."""
@@ -167,6 +169,22 @@ def canonical_key(C: FinCategory) -> tuple:
 
 def are_isomorphic(C: FinCategory, D: FinCategory) -> bool:
     return canonical_key(C) == canonical_key(D)
+
+
+def oracle_layout(k: int, dom, cod) -> tuple:
+    """``(_dom, _cod, _into, _out, _homs, _pos, thin)`` of a category with k
+    objects and these morphism ends, in lists, by the loop ``FinCategory``
+    ran for every category before layouts were shared per shape."""
+    into: list[list[int]] = [[] for _ in range(k)]
+    out: list[list[int]] = [[] for _ in range(k)]
+    homs: dict[tuple[int, int], list[int]] = {}
+    pos: list[int] = []
+    for i, (x, y) in enumerate(zip(dom, cod)):
+        pos.append(len(into[y]))
+        into[y].append(i)
+        out[x].append(i)
+        homs.setdefault((x, y), []).append(i)
+    return list(dom), list(cod), into, out, homs, pos, len(homs) == len(dom)
 
 
 def sample_ideals(C: FinCategory, cap: int = 64) -> list[Ideal]:

@@ -164,6 +164,19 @@ def test_check_lemma_a_derives_parent_ideal_from_cover_ideal(capsys):
     assert "PROPERTY lemma-a PASS" in out
 
 
+def test_check_lemma_a_refuses_a_cover_that_is_not_projective(capsys, tmp_path):
+    # the cover's ideal has no extension, and the precondition is reported
+    # before any extension is tried
+    path = tmp_path / "arrow.fincat"
+    path.write_text((FIXTURES / "arrow.fincat").read_text(encoding="utf-8")
+                    + "\ncover P on Arrow = { A }\n\nideal idA on P = { 1_A }\n",
+                    encoding="utf-8")
+    code, out = run_cli(capsys, "check", "lemma-a", "--file", str(path),
+                        "--category", "Arrow", "--cover", "P", "--ideal-p", "idA")
+    assert code == 2
+    assert out == "PROPERTY check ERROR\n  Arrow[A] is not a projective cover of Arrow\n"
+
+
 def test_check_star_pi0_inapplicable_on_empty_ideal(capsys):
     code, out = run_cli(capsys, "check", "star-pi0", "--file", ONE,
                         "--category", "One", "--ideal", "empty")
