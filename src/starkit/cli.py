@@ -110,8 +110,7 @@ def _check(corpus: CorpusFile, args) -> Report:
             raise UsageError("check theorem-c requires --ideal")
         return check_theorem_c(C, W.cover, _resolve_ideal(corpus, args.ideal, C))
 
-    # lemma-a: derive whichever of the two ideals was not given, on a
-    # projective cover only, where restriction and extension are defined.
+    # lemma-a: derive whichever of the two ideals was not given.
     if args.ideal_p is None and args.ideal_c is None:
         raise UsageError("check lemma-a requires --ideal-p and/or --ideal-c")
     require_projective_cover(W)

@@ -89,23 +89,7 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-_LAYOUTS: dict = {}  # shape -> layout; see FinCategory
-
-
-def _layout(k: int, dom: tuple, cod: tuple) -> tuple:
-    """The layout of the shape (k, dom, cod), as FinCategory unpacks it."""
-    into: list[list[int]] = [[] for _ in range(k)]
-    out: list[list[int]] = [[] for _ in range(k)]
-    homs: dict[tuple[int, int], list[int]] = {}
-    pos: list[int] = []
-    for i, (x, y) in enumerate(zip(dom, cod)):
-        pos.append(len(into[y]))
-        into[y].append(i)
-        out[x].append(i)
-        homs.setdefault((x, y), []).append(i)
-    return (dom, cod, tuple(map(tuple, into)), tuple(map(tuple, out)),
-            {ends: tuple(ms) for ends, ms in homs.items()}, tuple(pos),
-            len(homs) == len(dom))
+_LAYOUTS: dict = {}  # (k, dom, cod) -> the layout of that shape; see FinCategory
 
 
 class FinCategory:
@@ -120,15 +104,11 @@ class FinCategory:
     of morphisms is an int mask, bit i for morphism i (ideals carry one), and
     ``thin`` says that no hom-set has two members.
 
-    ``_dom``, ``_cod``, ``_into``, ``_out``, ``_homs``, ``_pos`` and ``thin``
-    depend only on the shape: the object count and the dom and cod of each
-    morphism.  They are built on the first category of a shape and kept in
-    the module-level ``_LAYOUTS``, so every later category of that shape
-    shares them; they are tuples (``_homs`` a dict of tuples), so a stray
-    write raises instead of changing every category of the shape.
-    ``_LAYOUTS`` holds O(morphisms) ints per distinct shape, never rows or
-    a category.  A category owns only its names, its ``_rows`` and its
-    ``_cache``.
+    All but the rows depend only on the shape (object count, dom, cod), so
+    they are built as tuples on the first category of a shape and shared
+    through ``_LAYOUTS``, which holds O(morphisms) ints per shape and never
+    a row or a category; a stray write raises instead of changing every
+    category of the shape.  A category owns its names, rows and cache.
 
     Instances are immutable once built and hash by identity, which lets
     every expensive search cache its result per category.  Cached values
@@ -149,7 +129,15 @@ class FinCategory:
         shape = (k, tuple(dom), tuple(cod))
         layout = _LAYOUTS.get(shape)
         if layout is None:
-            layout = _LAYOUTS[shape] = _layout(*shape)
+            into, out, homs, pos = [[] for _ in range(k)], [[] for _ in range(k)], {}, []
+            for i, (x, y) in enumerate(zip(dom, cod)):
+                pos.append(len(into[y]))
+                into[y].append(i)
+                out[x].append(i)
+                homs[x, y] = homs.get((x, y), ()) + (i,)
+            layout = _LAYOUTS[shape] = (*shape[1:], tuple(map(tuple, into)),
+                                        tuple(map(tuple, out)), homs, tuple(pos),
+                                        len(homs) == len(dom))
         (self._dom, self._cod, self._into, self._out, self._homs, self._pos,
          self.thin) = layout
         dom, into, pos = self._dom, self._into, self._pos

@@ -518,7 +518,7 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
     yield from extend(0)
 
 
-_TABLE_NAMES: dict = {}  # (objects, morphisms) -> (objects, index); see _table_category
+_TABLE_NAMES: dict = {}  # (k, n) -> (objects, index); see _table_category
 
 
 def _table_category(name: str, k: int, types: tuple, table: dict) -> FinCategory:
@@ -526,12 +526,9 @@ def _table_category(name: str, k: int, types: tuple, table: dict) -> FinCategory
     without ``validate_category``: objects ``X<i>``, identities ``1_X<i>``,
     non-identity morphisms ``f<j>``, numbered as in the table, and the rows
     that ``validate_category`` would fill from its cells.  The table must be
-    associative; ``_fill_tables`` makes it so by construction.
-
-    The names depend only on the object and morphism counts, so
-    ``_TABLE_NAMES`` keeps one ``objects`` tuple and one ``index`` dict per
-    pair of counts and every category with those counts shares them, as it
-    shares its layout with every category of its shape (see FinCategory)."""
+    associative; ``_fill_tables`` makes it so by construction.  The names
+    depend only on the two counts, so the categories with equal counts share
+    one ``objects`` tuple and one ``index`` dict from ``_TABLE_NAMES``."""
     n = k + len(types)
     names = _TABLE_NAMES.get((k, n))
     if names is None:
