@@ -527,8 +527,8 @@ def _table_category(name: str, k: int, types: tuple, table: dict) -> FinCategory
     non-identity morphisms ``f<j>``, numbered as in the table, and the rows
     that ``validate_category`` would fill from its cells.  The table must be
     associative; ``_fill_tables`` makes it so by construction.  The names
-    depend only on the two counts, so the categories with equal counts share
-    one ``objects`` tuple and one ``index`` dict from ``_TABLE_NAMES``."""
+    depend only on the object and morphism counts, so categories with equal
+    counts share one ``objects`` tuple and ``index`` dict (``_TABLE_NAMES``)."""
     n = k + len(types)
     names = _TABLE_NAMES.get((k, n))
     if names is None:
