@@ -41,52 +41,45 @@ def _object_name(morphism: str) -> str:
 
 
 def regular_completion(P: FinCategory) -> Completion:
-    """Construct and validate the regular completion of a weakly-lex P.
+    """Construct and validate the regular completion of a weakly-lex P."""
+    if not has_weak_finite_limits(P):
+        raise PreconditionFailed(f"{P.name} lacks weak finite limits")
 
-    The memo on P holds every field but the base, and a fresh Completion
-    wraps them on return, so no cached value refers back to P.
-    """
-    def compute():
-        if not has_weak_finite_limits(P):
-            raise PreconditionFailed(f"{P.name} lacks weak finite limits")
+    # P is thin, so hom(X1, Y1) is empty or one arrow's whole class;
+    # names[f] maps each successor g of f, in order, to A_f -> A_g.
+    objects = [_object_name(f) for f in P.morphism_names]
+    mor = range(len(objects))
+    names: list[dict[int, str]] = [{} for _ in mor]
+    members_of: dict[str, tuple[str, ...]] = {}
+    declared: list[tuple[str, str, str]] = []
+    for f in mor:
+        for g in mor:
+            members = P._homs.get((P._dom[f], P._dom[g]))
+            if not members:
+                continue
+            if f == g:
+                name = identity_name(objects[f])
+            else:
+                name = f"q{len(declared)}"
+                declared.append((name, objects[f], objects[g]))
+            names[f][g] = name
+            members_of[name] = P._names(members)
 
-        # P is thin, so hom(X1, Y1) is empty or one arrow's whole class;
-        # names[f] maps each successor g of f, in order, to A_f -> A_g.
-        objects = [_object_name(f) for f in P.morphism_names]
-        mor = range(len(objects))
-        names: list[dict[int, str]] = [{} for _ in mor]
-        members_of: dict[str, tuple[str, ...]] = {}
-        declared: list[tuple[str, str, str]] = []
-        for f in mor:
-            for g in mor:
-                members = P._homs.get((P._dom[f], P._dom[g]))
-                if not members:
-                    continue
-                if f == g:
-                    name = identity_name(objects[f])
-                else:
-                    name = f"q{len(declared)}"
-                    declared.append((name, objects[f], objects[g]))
-                names[f][g] = name
-                members_of[name] = P._names(members)
+    rows = [(names[g][j], after_f[g], after_f[j])
+            for f, after_f in enumerate(names) for g in after_f if g != f
+            for j in names[g] if j != g]
+    total = validate_category(RawCategory(f"{P.name}_reg", objects, declared, rows))
 
-        rows = [(names[g][j], after_f[g], after_f[j])
-                for f, after_f in enumerate(names) for g in after_f if g != f
-                for j in names[g] if j != g]
-        total = validate_category(RawCategory(f"{P.name}_reg", objects, declared, rows))
+    # the identity of object x is the morphism x
+    embed_objects = {x: objects[i] for i, x in enumerate(P.objects)}
+    embed_morphisms = {P.morphism_names[m]: names[x][y]
+                       for m, (x, y) in enumerate(zip(P._dom, P._cod))}
 
-        # the identity of object x is the morphism x
-        embed_objects = {x: objects[i] for i, x in enumerate(P.objects)}
-        embed_morphisms = {P.morphism_names[m]: names[x][y]
-                           for m, (x, y) in enumerate(zip(P._dom, P._cod))}
-
-        cover = CoverWitness(total, FullSubcategory(
-            total, [embed_objects[x] for x in P.objects]))
-        fields = (total, embed_objects, embed_morphisms, cover, members_of)
-        _validate_completion(Completion(P, *fields))
-        return fields
-
-    return Completion(P, *P._memo("regular_completion", compute))
+    cover = CoverWitness(total, FullSubcategory(
+        total, [embed_objects[x] for x in P.objects]))
+    compl = Completion(P, total, embed_objects, embed_morphisms, cover, members_of)
+    _validate_completion(compl)
+    return compl
 
 
 def _validate_completion(compl: Completion) -> None:

@@ -376,25 +376,32 @@ def full_subcategory(parent: FinCategory, objects: Sequence[str]) -> FullSubcate
     return FullSubcategory(parent, objects)
 
 
+def _morphism(C: FinCategory, name: str) -> int:
+    """The int of a morphism name of C; ValueError if C has none of that
+    name."""
+    i = C._index.get(name)
+    if i is None:
+        raise ValueError(f"{name} is not a morphism of {C.name}")
+    return i
+
+
 def require_parallel(C: FinCategory, p: ParallelPair) -> None:
-    for f in (p.f1, p.f2):
-        if not C.has_morphism(f):
-            raise ValueError(f"{f} is not a morphism of {C.name}")
-    if C.dom(p.f1) != C.dom(p.f2) or C.cod(p.f1) != C.cod(p.f2):
+    f1, f2 = _morphism(C, p.f1), _morphism(C, p.f2)
+    if C._dom[f1] != C._dom[f2] or C._cod[f1] != C._cod[f2]:
         raise ValueError(f"({p.f1}, {p.f2}) is not a parallel pair in {C.name}")
 
 
 def is_mono(C: FinCategory, f: str) -> bool:
     """f is mono iff u -> f∘u is injective on the morphisms into dom f, i.e.
     iff its row has no repeated cell."""
-    row = C._rows[C._index[f]]
+    row = C._rows[_morphism(C, f)]
     return len(set(row)) == len(row)
 
 
 def is_epi(C: FinCategory, f: str) -> bool:
     """f is epi iff u -> u∘f is injective on the morphisms out of cod f, i.e.
     iff its cosieve has as many members as there are such u."""
-    i = C._index[f]
+    i = _morphism(C, f)
     out = C._out[C._cod[i]]
     return len({C._compose(u, i) for u in out}) == len(out)
 

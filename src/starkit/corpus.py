@@ -376,9 +376,6 @@ def _fill_tables(k: int, types: tuple) -> Iterator[dict]:
         if image == types:
             symmetries.append(perm)
     m = len(types)
-    if m == 0:
-        yield {}
-        return
     dom = list(range(k)) + [t[0] for t in types]
     cod = list(range(k)) + [t[1] for t in types]
     nonids = list(range(k, k + m))

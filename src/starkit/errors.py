@@ -38,9 +38,8 @@ class Exhausted(StarkitError):
 
 
 class CorpusSyntaxError(StarkitError):
-    """Corpus text could not be parsed; carries line and column."""
+    """Corpus text could not be parsed; carries the line."""
 
-    def __init__(self, message, line, column=1):
+    def __init__(self, message, line):
         self.line = line
-        self.column = column
-        super().__init__(f"line {line}, col {column}: {message}")
+        super().__init__(f"line {line}, col 1: {message}")

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import FinCategory, FullSubcategory, Record
+from .core import FinCategory, FullSubcategory, Record, _morphism
 from .errors import BoundExceeded, IdealClosureViolation, PreconditionFailed
 from .limits import STRICT, WEAK, _check_mode, is_regular_category, regular_epis
 from .report import FAIL, INAPPLICABLE, PASS, Report
 
-DEFAULT_IDEAL_BOUND = 12
+IDEAL_CAP = 1 << 12  # the most ideals of a table of at most 12 morphisms
 
 
 class Ideal(Record):
@@ -148,12 +148,7 @@ def ideal_closure(C: FinCategory, gens) -> Ideal:
     ideals, which is closed.  This is checked one composite at a time, f∘n
     and n∘h for every member n, without the principal masks, so a composite
     missing from one raises IdealClosureViolation."""
-    ints = []
-    for g in gens:
-        if not C.has_morphism(g):
-            raise ValueError(f"{g} is not a morphism of {C.name}")
-        ints.append(C._index[g])
-    return _ideal(C, _closure(C, ints))
+    return _ideal(C, _closure(C, [_morphism(C, g) for g in gens]))
 
 
 def _closure(C: FinCategory, gens: list[int]) -> int:
@@ -208,7 +203,7 @@ def kernels(M: MultiPointedCategory, f: str, mode: str) -> list[str]:
     cells, and in strict mode |S| cells."""
     C = M.cat
     _check_mode(mode)
-    i, rows = C._index[f], C._rows
+    i, rows = _morphism(C, f), C._rows
     S = _candidates(C, M.ideal.mask, i)
     size = S.bit_count()
     return [C.morphism_names[k] for k in C._into[C._dom[i]] if S >> k & 1
@@ -415,29 +410,31 @@ def _by_size(weighted: dict[int, int]) -> list[int]:
     return sorted(weighted, key=lambda m: (weighted[m].bit_count(), -weighted[m]))
 
 
-def enumerate_ideals(C: FinCategory, bound: int | None = None) -> list[Ideal]:
+def enumerate_ideals(C: FinCategory) -> list[Ideal]:
     """All ideals of C, as unions of principal ideals, deduplicated and
     ordered by (size, members).  The unions grow one principal ideal at a
     time: the unions of the first i + 1 are those of the first i, with and
-    without the next."""
-    return [_ideal(C, m) for m in _ideal_masks(C, bound)]
+    without the next.  Past IDEAL_CAP unions it raises BoundExceeded."""
+    return [_ideal(C, m) for m in _ideal_masks(C)]
 
 
-def _ideal_masks(C: FinCategory, bound: int | None = None) -> list[int]:
-    """The masks of enumerate_ideals, in its order; one list per category."""
-    limit = bound if bound is not None else DEFAULT_IDEAL_BOUND
-    if len(C.morphism_names) > limit:
-        raise BoundExceeded(
-            f"{C.name} has {len(C.morphism_names)} morphisms; ideal enumeration bound is {limit}")
-
+def _ideal_masks(C: FinCategory) -> list[int]:
+    """The masks of enumerate_ideals, in its order; one list per category.
+    Each step at most doubles the unions, so a refused lattice costs at
+    most 2 * IDEAL_CAP of them; the refusal is cached as None."""
     def compute():
         weights, masks = _name_weights(C), {0: 0}
         for atom in _atoms(C):
             w = sum(weights[i] for i in _members(atom))
             masks.update({m | atom: v | w for m, v in masks.items()})
+            if len(masks) > IDEAL_CAP:
+                return None
         return _by_size(masks)
 
-    return C._memo("all_ideals", compute)
+    masks = C._memo("all_ideals", compute)
+    if masks is None:
+        raise BoundExceeded(f"{C.name} has more than {IDEAL_CAP} ideals, the enumeration cap")
+    return masks
 
 
 def require_projective_cover(W: CoverWitness) -> None:
@@ -531,9 +528,10 @@ def verify_galois_and_iso(W: CoverWitness) -> Report:
     is I_k; both maps are monotone and land in the stated sublattices; each
     is left adjoint to the other, so both orientations of each connection
     hold; and both round trips are identities.  The witness lines count the
-    lattices and the kernel sublattices.  Past the ideal-enumeration bound
-    they are counted on a deterministic sample of each lattice, noted in
-    the report; the connections hold on any subsets, sampled or not.
+    lattices and the kernel sublattices.  A lattice of more than IDEAL_CAP
+    ideals is not listed (_ideal_masks); then both are counted on a
+    deterministic sample, noted as "sampled" in the report; the connections
+    hold on any subsets, sampled or not.
     """
     C = W.cat
     if not is_regular_category(C).passed:

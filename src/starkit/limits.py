@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import FinCategory, ParallelPair, is_epi, require_parallel
+from .core import FinCategory, ParallelPair, _morphism, is_epi, require_parallel
 from .report import FAIL, PASS, Report
 
 WEAK = "weak"
@@ -59,14 +59,6 @@ class Cone(NamedTuple):
 def _check_mode(mode: str) -> None:
     if mode not in (WEAK, STRICT):
         raise ValueError(f"mode must be {WEAK!r} or {STRICT!r}, got {mode!r}")
-
-
-def _ints(C: FinCategory, table: dict[str, int], names, kind: str) -> list[int]:
-    """The ints of names in C's table of objects or morphisms."""
-    for n in names:
-        if n not in table:
-            raise ValueError(f"{n} is not {kind} of {C.name}")
-    return [table[n] for n in names]
 
 
 def _limit_cones(C: FinCategory, mode: str, shape) -> list[Cone]:
@@ -99,7 +91,10 @@ _TERMINAL_SHAPE = (lambda w: [()]), (lambda w: 1)
 
 def _product_shape(C: FinCategory, x: str, y: str):
     """The pairs of hom(w, x) x hom(w, y), |hom(w, x)|·|hom(w, y)| of them."""
-    homs, (x, y) = C._homs, _ints(C, C._obj, (x, y), "an object")
+    for n in (x, y):
+        if n not in C._obj:
+            raise ValueError(f"{n} is not an object of {C.name}")
+    homs, x, y = C._homs, C._obj[x], C._obj[y]
     return (lambda w: [(a, b) for a in homs.get((w, x), ()) for b in homs.get((w, y), ())],
             lambda w: len(homs.get((w, x), ())) * len(homs.get((w, y), ())))
 
@@ -108,7 +103,7 @@ def _pullback_shape(C: FinCategory, f: str, g: str):
     """The cospan f: X -> Z <- Y :g.  At w, the b in hom(w, Y) are grouped
     by g∘b, and each a in hom(w, X) is joined with the group of f∘a, in hom
     order."""
-    f, g = _ints(C, C._index, (f, g), "a morphism")
+    f, g = _morphism(C, f), _morphism(C, g)
     if C._cod[f] != C._cod[g]:
         raise ValueError(f"({C.morphism_names[f]}, {C.morphism_names[g]}) is not a cospan")
     homs, pos, rf, rg, x, y = C._homs, C._pos, C._rows[f], C._rows[g], C._dom[f], C._dom[g]

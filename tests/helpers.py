@@ -1,9 +1,10 @@
 """Definitions that only the tests use, beside the package they check.
 
-Constructions: the composites of a category, joint monicity, equivalence
-of categories, an ideal carried onto a completion's cover, the kernel of an
-extended ideal built through the cover, the kernel star of a morphism and
-star-pi0 over every reflexive graph.
+Constructions: the thin category of a partial order (chains, discrete
+categories, Boolean lattices), the composites of a category, joint
+monicity, equivalence of categories, an ideal carried onto a completion's
+cover, the kernel of an extended ideal built through the cover, the kernel
+star of a morphism and star-pi0 over every reflexive graph.
 
 Reference implementations, moved out of ``src/starkit`` with their bodies
 unchanged, since no command, statement check or benchmark workload reaches
@@ -26,10 +27,10 @@ from typing import NamedTuple
 
 from starkit import (INAPPLICABLE, STRICT, WEAK, Completion, Cone, CoverWitness, FinCategory,
                      Ideal, IdealClosureViolation, MultiPointedCategory, ParallelPair,
-                     PreconditionFailed, StarkitError, StarWitness,
-                     enumerate_reflexive_graphs, is_epi, is_ideal, is_mono,
+                     PreconditionFailed, RawCategory, StarkitError, StarWitness,
+                     enumerate_reflexive_graphs, identity_name, is_epi, is_ideal, is_mono,
                      is_projective_cover, kernel_pairs, kernels, pullback_cones,
-                     regular_epis, satisfies_star_pi0)
+                     regular_epis, satisfies_star_pi0, validate_category)
 from starkit.core import require_parallel
 from starkit.ideals import _cover_epis, _ideal, _sample_masks
 from starkit.limits import _limit_cones
@@ -192,6 +193,34 @@ def sample_ideals(C: FinCategory, cap: int = 64) -> list[Ideal]:
     for full enumeration: bottom, top, every principal closure, and pairwise
     unions of principals up to the cap."""
     return [_ideal(C, m) for m in _sample_masks(C, cap)]
+
+
+def preorder(name: str, objects, leq) -> FinCategory:
+    """The thin category of a partial order on the objects: one morphism
+    x -> y, named <x>_<y>, for each x != y with leq(x, y)."""
+    arrows = [(x, y) for x in objects for y in objects if x != y and leq(x, y)]
+    mor = {(x, y): f"{x}_{y}" for x, y in arrows}
+    mor.update(((x, x), identity_name(x)) for x in objects)
+    rows = [(mor[y, z], mor[x, y], mor[x, z]) for x, y in arrows
+            for y2, z in arrows if y2 == y]
+    return validate_category(RawCategory(name, list(objects),
+                                         [(mor[a], *a) for a in arrows], rows))
+
+
+def chain(n: int) -> FinCategory:
+    """The total order c0 < ... < c<n-1>, n(n+1)/2 morphisms."""
+    return preorder(f"Chain{n}", [f"c{i}" for i in range(n)], lambda x, y: x <= y)
+
+
+def discrete(n: int) -> FinCategory:
+    """n objects and their identities alone."""
+    return preorder(f"Discrete{n}", [f"x{i}" for i in range(n)], lambda x, y: False)
+
+
+def boolean(k: int) -> FinCategory:
+    """The subsets of a k-element set under inclusion, 3^k morphisms."""
+    return preorder(f"Boolean{k}", ["s" + format(i, f"0{k}b") for i in range(1 << k)],
+                    lambda x, y: all(a <= b for a, b in zip(x[1:], y[1:])))
 
 
 def composites(C) -> list[tuple[str, str, str]]:

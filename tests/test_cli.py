@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from starkit.cli import run
-from starkit.corpus import parse
+from starkit.corpus import CorpusFile, category_block, cover_block, parse, serialize
 from tests.conftest import FIXTURES, subprocess_env
+from tests.helpers import boolean, chain
 from tests.test_cli_golden import GOLDEN, ROOT
 
 ONE = str(FIXTURES / "one.fincat")
@@ -297,6 +298,20 @@ def test_corpus_enumerate(capsys):
     body = out.split("\n\n", 1)[1]
     cf = parse(body)
     assert len(cf.category_names()) == 4
+
+
+def test_check_galois_samples_only_past_the_ideal_cap(capsys, tmp_path):
+    # Chain7 has Catalan(8) = 1,430 ideals, within the cap of 4,096;
+    # Chain8 has 4,862 and Boolean 2^3 15,936
+    for C, first in ((chain(7), "ideals: parent=1430 cover=1430"),
+                     (chain(8), "sampled ideals: parent=64 cover=64"),
+                     (boolean(3), "sampled ideals: parent=64 cover=64")):
+        path = tmp_path / f"{C.name}.fincat"
+        path.write_text(serialize(CorpusFile([], [category_block(C),
+                                                  cover_block("all", C.name, C.objects)])))
+        code, out = run_cli(capsys, "check", "galois", "--file", str(path),
+                            "--category", C.name, "--cover", "all")
+        assert (code, out.splitlines()[:2]) == (0, ["PROPERTY galois PASS", f"  {first}"])
 
 
 def test_output_is_deterministic(capsys):

@@ -6,13 +6,14 @@ import weakref
 
 import pytest
 
-from starkit import (InvalidCategory, MultiPointedCategory, ParallelPair,
+from starkit import (WEAK, Ideal, InvalidCategory, MultiPointedCategory, ParallelPair,
                      ReflexiveGraph, check_corollary_b, check_corollary_c,
                      check_corollary_d, check_theorem_a, check_theorem_c,
-                     enumerate_ideals, enumerate_reflexive_graphs,
-                     full_subcategory, has_weak_finite_limits,
-                     is_normal_category, is_star_regular,
-                     regular_completion, validate_category)
+                     coequalizers, enumerate_ideals, enumerate_reflexive_graphs,
+                     full_subcategory, has_weak_finite_limits, ideal_closure,
+                     is_epi, is_mono, is_normal_category, is_star_regular,
+                     kernel_pairs, kernels, regular_completion, star_of,
+                     validate_category)
 from starkit.core import RawCategory
 from starkit.corpus import enumerate_categories
 from tests.conftest import load
@@ -152,6 +153,25 @@ def test_full_subcategory_restriction(ptset2):
     assert sub.objects == ("S",)
     assert sub.morphism_names == ("1_S", "u")
     assert sub.compose("u", "u") == "u"
+
+
+def _null(C) -> MultiPointedCategory:
+    return MultiPointedCategory(C, Ideal(C, frozenset()))
+
+
+@pytest.mark.parametrize("call", [
+    lambda C: kernels(_null(C), "nope", WEAK),
+    lambda C: is_mono(C, "nope"),
+    lambda C: is_epi(C, "nope"),
+    lambda C: kernel_pairs(C, "nope", WEAK),
+    lambda C: coequalizers(C, ParallelPair("f01", "nope")),
+    lambda C: star_of(_null(C), ParallelPair("nope", "f01"), WEAK),
+    lambda C: ideal_closure(C, ["f01", "nope"]),
+], ids=["kernels", "is_mono", "is_epi", "kernel_pairs", "coequalizers", "star_of",
+        "ideal_closure"])
+def test_an_unknown_morphism_name_is_named(chain3, call):
+    with pytest.raises(ValueError, match="^nope is not a morphism of Chain3$"):
+        call(chain3)
 
 
 def _checked_category(name: str) -> weakref.ref:

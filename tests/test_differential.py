@@ -39,12 +39,13 @@ the old builders of enumerated, cover, validated and random tables, and
 canonical keys with the integer form they were read from."""
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
 
 from starkit import (ERROR, FAIL, INAPPLICABLE, PASS, STRICT, WEAK,
-                     BoundExceeded, CoverWitness, Ideal, InvalidCategory,
+                     BoundExceeded, Completion, CoverWitness, Ideal, InvalidCategory,
                      MultiPointedCategory, ParallelPair, PreconditionFailed,
                      Report, StarkitError, check_corollary_b,
                      check_corollary_c, check_corollary_d, check_theorem_a,
@@ -60,7 +61,7 @@ from starkit import (ERROR, FAIL, INAPPLICABLE, PASS, STRICT, WEAK,
                      terminal_cones, verify_galois_and_iso, verify_lemma_a)
 from starkit.corpus import (CategoryBlock, _fill_tables, _random_category,
                             _table_category, enumerate_categories, parse)
-from starkit.ideals import (DEFAULT_IDEAL_BOUND, _cover_epis, _first_without_kernel,
+from starkit.ideals import (_cover_epis, _first_without_kernel,
                             _ideal_masks, _kernel_gates, _sample_masks)
 from starkit.core import (FinCategory, Morphism, RawCategory, ReflexiveGraph, Violation,
                           identity_name, is_epi, validate_category)
@@ -69,9 +70,9 @@ from starkit.limits import (Cone, _TERMINAL_SHAPE, _missing_finite_limit,
 from starkit.stars import _star
 from tests.conftest import load
 from tests.helpers import (_canonical_key, _equalizer_shape, _pair_passes, are_equivalent,
-                           canonical_key, composites, equalizer_cones, is_jointly_monic,
-                           kernel_star, morphism_flags, reflexive_graphs_star_pi0,
-                           sample_ideals, transport_ideal)
+                           boolean, canonical_key, chain, composites, equalizer_cones,
+                           is_jointly_monic, kernel_star, morphism_flags,
+                           reflexive_graphs_star_pi0, sample_ideals, transport_ideal)
 
 SMALL = 5
 
@@ -558,15 +559,14 @@ def test_ideal_orders_match_the_sort_by_names():
     compared = Counter()
     for C in tables:
         compared["out of order"] += sorted(C.morphism_names) != list(C.morphism_names)
-        if len(C.morphism_names) <= DEFAULT_IDEAL_BOUND:
-            masks = _ideal_masks(C)
-            assert masks == oracle_ideal_order(C, masks), C.to_raw()
-            compared["lattices"] += 1
+        masks = _ideal_masks(C)
+        assert masks == oracle_ideal_order(C, masks), C.to_raw()
+        compared["lattices"] += 1
         sample = _sample_masks(C)
         assert sample == oracle_ideal_order(C, sample), C.to_raw()
         compared["samples"] += 1
-    # 405 tables three ways; 6 lattices are past the bound, only sampled
-    assert compared == {"out of order": 801, "lattices": 1209, "samples": 1215}
+    # 405 tables three ways, each lattice listed and sampled
+    assert compared == {"out of order": 801, "lattices": 1215, "samples": 1215}
 
 
 def test_ideals_match_their_frozenset_definitions():
@@ -597,7 +597,7 @@ def test_ideals_match_their_frozenset_definitions():
     enumerated = []
     for C in [*_categories(), parse(RETRACT).category("Ret"), parse(ZERO_TWICE).category("ZT"),
               *_fixtures(), *_completions("Arrow", 2), *_completions("Chain3", 1)]:
-        ideals = enumerate_ideals(C, bound=len(C.morphisms))
+        ideals = enumerate_ideals(C)
         assert [N.carrier for N in ideals] == oracle_enumerate_ideals(C), C.to_raw()
         enumerated.append(len(ideals))
     # the 2,529 ideals of test_statement_checks_match_their_evaluators
@@ -1145,6 +1145,13 @@ def oracle_theorem_c(C, cover, N) -> Report:
                                       f"regular completion={completion}"])
 
 
+@functools.lru_cache(maxsize=1)
+def _completion(P) -> Completion:
+    """regular_completion(P) for the last P asked: the oracles below ask for
+    it once per ideal of P, and one completion's caches then serve them all."""
+    return regular_completion(P)
+
+
 def oracle_corollary_c(P, N) -> Report:
     if N.cat is not P:
         raise ValueError("ideal must live on the base category")
@@ -1155,7 +1162,7 @@ def oracle_corollary_c(P, N) -> Report:
         return Report("corollary-c", INAPPLICABLE,
                       ["the ideal does not admit weak kernels"])
 
-    compl = regular_completion(P)
+    compl = _completion(P)
     extended = extend_ideal(compl.cover, transport_ideal(compl, N))
     left_report = oracle_star_regular(MultiPointedCategory(compl.total, extended))
     if left_report.verdict == ERROR:
@@ -1180,7 +1187,7 @@ def oracle_corollary_b(P) -> Report:
     if not has_weak_finite_limits(P):
         return Report("corollary-b", INAPPLICABLE, [f"{P.name} lacks weak finite limits"])
 
-    compl = regular_completion(P)
+    compl = _completion(P)
     failures: list[str] = []
 
     normal_report = oracle_normal(compl.total)
@@ -1226,7 +1233,7 @@ def compare_statement_checks(C) -> Counter:
         counts[got.name, got.verdict] += 1
 
     covers = _covers(C)
-    for N in enumerate_ideals(C, bound=len(C.morphisms)):
+    for N in enumerate_ideals(C):
         M = MultiPointedCategory(C, N)
         compare(check_theorem_a(M), oracle_theorem_a(M), "mono", N.members())
         compare(check_corollary_d(M), oracle_corollary_d(M), "mono", N.members())
@@ -1402,8 +1409,8 @@ def oracle_galois(W: CoverWitness) -> Report:
 
     The adjunction orientation is detected empirically and reported, not
     hard-coded; ideals mapped outside the stated sublattices are failures.
-    Past the ideal-enumeration bound the checks run on a deterministic sample
-    of generator closures instead of the full lattice, noted in the report.
+    Past the ideal cap the checks run on a deterministic sample of generator
+    closures instead of the full lattice, noted in the report.
     """
     C = W.cat
     sub = W.cover.category
@@ -1504,14 +1511,6 @@ def oracle_galois(W: CoverWitness) -> Report:
     return Report("galois", PASS, witnesses)
 
 
-def _transfer_ideals(C) -> list:
-    """Every ideal of C, or a sample of eight past the enumeration bound."""
-    try:
-        return enumerate_ideals(C)
-    except BoundExceeded:
-        return sample_ideals(C, cap=8)
-
-
 def _outcome(check, *args) -> tuple:
     try:
         report = check(*args)
@@ -1527,7 +1526,7 @@ def compare_transfer_checks(C) -> Counter:
     for the extension of N_P is the cover's weak-kernel gate, which (b)
     states.  Return the evaluations by (statement, verdict)."""
     counts: Counter = Counter()
-    ideals_C = _transfer_ideals(C)
+    ideals_C = enumerate_ideals(C)
     for cover in _covers(C):
         W = CoverWitness(C, cover)
         got = _outcome(verify_galois_and_iso, W)
@@ -1535,7 +1534,7 @@ def compare_transfer_checks(C) -> Counter:
         counts["galois", got[0]] += 1
         counts["galois sampled"] += got[1][0].startswith("sampled")
         sub = cover.category
-        for N_P in _transfer_ideals(sub):
+        for N_P in enumerate_ideals(sub):
             for N_C in ideals_C:
                 got = _outcome(verify_lemma_a, W, N_P, N_C)
                 assert got == _outcome(oracle_lemma_a, W, N_P, N_C), \
@@ -1554,10 +1553,19 @@ def test_transfer_checks_match_their_evaluators():
             *_completions("Chain3", 1)]
     totals = sum(map(compare_transfer_checks, cats), Counter())
     assert dict(totals) == {
-        ("galois", PASS): 95, ("galois", INAPPLICABLE): 946, "galois sampled": 84,
-        ("lemma-a", PASS): 3980, ("lemma-a", INAPPLICABLE): 19022,
-        ("lemma-a", "PreconditionFailed"): 25073,
-    }
+        ("galois", PASS): 95, ("galois", INAPPLICABLE): 946,
+        ("lemma-a", PASS): 6032, ("lemma-a", INAPPLICABLE): 19022,
+        ("lemma-a", "PreconditionFailed"): 26135,
+    }  # every lattice is within the ideal cap, so none is sampled
+
+
+def test_sampled_galois_matches_its_evaluator():
+    # past the ideal cap both count the same deterministic sample
+    for C in (chain(8), boolean(3)):
+        W = CoverWitness(C, full_subcategory(C, C.objects))
+        got = _outcome(verify_galois_and_iso, W)
+        assert got == _outcome(oracle_galois, W), C.name
+        assert got[1][0] == "sampled ideals: parent=64 cover=64", C.name
 
 
 # The category is numbered once: morphisms are ints and composition is one

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -15,9 +17,9 @@ from starkit import (BoundExceeded, CoverWitness, Ideal, MultiPointedCategory,
                      regular_completion, regular_epis, restrict_ideal,
                      validate_category, verify_galois_and_iso, verify_lemma_a)
 from starkit.corpus import enumerate_categories, parse
-from starkit.ideals import _ideal, _ideal_masks, _kernel_gates
+from starkit.ideals import IDEAL_CAP, _ideal, _ideal_masks, _kernel_gates
 from tests.conftest import FIXTURES, subprocess_env
-from tests.helpers import morphism_flags, nc_kernel_via_cover
+from tests.helpers import boolean, chain, discrete, morphism_flags, nc_kernel_via_cover
 from tests.test_differential import is_saturating
 from tests.test_limits import ISO_TOP
 
@@ -202,14 +204,49 @@ def test_enumerate_ideals_counts(one, arrow, chain3, ptset2):
     assert len(enumerate_ideals(ptset2)) == 3
 
 
-def test_enumerate_ideals_bound(chain3):
+def test_enumerate_ideals_bound():
+    # the discrete category on n objects has 2^n ideals: the cap lists 2^12
+    # and refuses 2^13 with the cap in the message
+    assert len(enumerate_ideals(discrete(12))) == IDEAL_CAP == 4096
+    with pytest.raises(BoundExceeded, match="Discrete13 has more than 4096 ideals"):
+        enumerate_ideals(discrete(13))
+
+
+def test_chain_ideals_are_catalan_numbers():
+    # an ideal of the chain on n objects is a set of its intervals [i, j]
+    # closed under widening; its border through the staircase of intervals
+    # is a Dyck path of semilength n + 1, so there are Catalan(n + 1)
+    counts = [len(enumerate_ideals(chain(n))) for n in range(1, 8)]
+    assert counts == [math.comb(2 * n + 2, n + 1) // (n + 2) for n in range(1, 8)]
+    assert counts[2::4] == [14, 1430]
+
+
+def test_the_cap_bounds_the_work_not_the_morphisms():
+    # Boolean 2^4 has 81 morphisms and far more ideals than the cap; each
+    # union of one more principal ideal at most doubles the count, so the
+    # refusal comes after at most 2 * 4096 unions, and is cached
+    C = boolean(4)
+    start = time.perf_counter()
     with pytest.raises(BoundExceeded):
-        enumerate_ideals(chain3, bound=3)
+        _ideal_masks(C)
+    assert time.perf_counter() - start < 1.0
+    assert C._cache["all_ideals"] is None
+    with pytest.raises(BoundExceeded):
+        _ideal_masks(C)
+
+
+def test_galois_lists_the_equal_lattices_of_chain3_and_its_completions(chain3):
+    # a completion is equivalent to its base, so it has the base's lattice
+    first = regular_completion(chain3)
+    second = regular_completion(first.total)
+    for W in (cover_all(chain3), first.cover, second.cover):
+        assert verify_galois_and_iso(W).witnesses[0] == "ideals: parent=14 cover=14"
+    assert [len(W.cat.morphism_names) for W in (first.cover, second.cover)] == [25, 493]
 
 
 def test_env_cap_leaves_ideal_enumeration_unsampled(arrow, monkeypatch):
     # STARKIT_MAX_MORPHISMS caps category enumeration only; the completion of
-    # Arrow has 7 morphisms, within the ideal bound, so every ideal is listed
+    # Arrow has 5 ideals, within the ideal cap, so every ideal is listed
     monkeypatch.setenv("STARKIT_MAX_MORPHISMS", "6")
     report = verify_galois_and_iso(regular_completion(arrow).cover)
     assert report.verdict == PASS

@@ -16,10 +16,10 @@ from collections import Counter
 
 import pytest
 
-from starkit import (FAIL, STRICT, WEAK, MultiPointedCategory, ParallelPair,
-                     RawCategory, coequalizers, enumerate_reflexive_graphs,
-                     kernel_pairs, pointed_ideal, satisfies_star_pi0, star_of,
-                     validate_category)
+from starkit import (FAIL, INAPPLICABLE, STRICT, WEAK, Ideal, MultiPointedCategory,
+                     ParallelPair, RawCategory, check_corollary_d, check_theorem_a,
+                     coequalizers, enumerate_reflexive_graphs, is_mono, kernel_pairs,
+                     pointed_ideal, satisfies_star_pi0, star_of, validate_category)
 from starkit.corpus import CorpusFile, category_block, serialize
 from tests.conftest import FIXTURES
 from tests.test_differential import (oracle_coequalizers, oracle_pullback,
@@ -264,3 +264,25 @@ def test_star_pi0_on_the_reflexive_graphs_of_finite_groups():
         ("V4toC2_0110", "V4toC2_0011", "C2toV4_02"), ("V4toC2_0110", "V4toC2_0101", "C2toV4_01")]
     verdicts = Counter(satisfies_star_pi0(M, ParallelPair(d, c)).verdict for d, c, _ in graphs)
     assert verdicts == {"PASS": 6}
+
+
+def test_kernel_pair_gates_ask_for_coequalizers(ptset4):
+    """The second gates of Theorem A and Corollary D walk the morphisms that
+    are not mono up to the first without a weak kernel pair; Corollary D's
+    asks each one on the way for a coequalizer of its first weak kernel
+    pair.  No category of at most 6 morphisms has such a morphism on the
+    way; PtSet<=4 and the groups do, from p21_00 and C2toC1_00 on, and each
+    has its coequalizer, so both gates stop at the same morphism."""
+    asked = {}
+    for C, stop in ((ptset4, "p31_000"), (validate_category(group_table()), "C3toC1_000")):
+        M = MultiPointedCategory(C, Ideal(C, frozenset(C.morphism_names)))
+        for report in (check_theorem_a(M), check_corollary_d(M)):
+            assert (report.verdict, report.witnesses) == \
+                (INAPPLICABLE, [f"no weak kernel pair for {stop}"]), report.name
+        on_the_way = [f for f in C.morphism_names[:C.morphism_names.index(stop)]
+                      if not is_mono(C, f)]
+        for f in on_the_way:
+            p = kernel_pairs(C, f, WEAK)[0]
+            assert coequalizers(C, p) == oracle_coequalizers(C, p) != [], (f, p)
+        asked[C.name] = on_the_way[0], len(on_the_way)
+    assert asked == {"PtSet4": ("p21_00", 4), "Groups": ("C2toC1_00", 8)}
