@@ -7,19 +7,18 @@ h' identified when g∘h = g∘h' (Carboni and Vitale, "Regular and exact
 completions", JPAA 125, 1998).  A finite base with weak finite limits is thin
 (limits, (F)), so every h satisfies the condition and forms a class of its
 own: the completion is the preorder on the base's morphisms with f <= g iff
-hom(X1, Y1) is non-empty.  The construction is validated after the fact
-against the characterisation it must satisfy (regular ambient, embedded
-projective cover, from which the monos into finite products of cover
-objects follow); a failed check raises ValidationFailed and must never be
-ignored.  The completion is thin, so that check searches no cones: the
-down-sets of its objects decide its limits, and its iso classes the cover.
+hom(X1, Y1) is non-empty.  Its table is built by construction (_preorder),
+then validated against the characterisation it must satisfy (regular
+ambient, embedded projective cover); a failed check raises ValidationFailed
+and must never be ignored.  The completion is thin, so that check searches
+no cones: the down-sets of its objects decide its limits, and its iso
+classes the cover.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import (FinCategory, FullSubcategory, RawCategory, identity_name,
-                   validate_category)
+from .core import FinCategory, FullSubcategory, identity_name
 from .errors import PreconditionFailed, ValidationFailed
 from .ideals import (CoverWitness, Ideal, MultiPointedCategory, has_all_kernels,
                      is_projective_cover, pointed_ideal)
@@ -36,47 +35,48 @@ class Completion(NamedTuple):
     classes: dict[str, tuple[str, ...]]  # total morphism -> base representatives
 
 
-def _object_name(morphism: str) -> str:
-    return f"A_{morphism}"
+def _preorder(name: str, objects: list[str], arrows: list[tuple[int, int]]) -> FinCategory:
+    """The thin category on the objects with an arrow q<j> for the j-th
+    (dom, cod) pair of arrows, numbered as validate_category would: the
+    identities in object order, then the q's.  Row g holds, for each u into
+    dom g, the place of the one member of hom(dom u, cod g), so each cell is
+    written once and typed, and both bracketings of a triple lie in one such
+    hom-set (validate_category's thin skip).  ValidationFailed if a name
+    repeats, a hom-set has two members or a composite's hom-set is empty."""
+    k = len(objects)
+    index = {identity_name(x): i for i, x in enumerate(objects)}
+    index.update((f"q{j}", k + j) for j in range(len(arrows)))
+    dom, cod = [*range(k), *(x for x, _ in arrows)], [*range(k), *(y for _, y in arrows)]
+    C = FinCategory(name, objects, index, dom, cod)
+    if len(index) != len(dom) or not C.thin:
+        raise ValidationFailed(f"{name} repeats a morphism name or a hom-set member")
+    at = [{dom[u]: C._pos[u] for u in into_y} for into_y in C._into]  # source -> place
+    for g in range(k, len(dom)):
+        at_g = at[cod[g]]
+        try:
+            C._rows[g] = [at_g[dom[u]] for u in C._into[dom[g]]]
+        except KeyError as e:
+            raise ValidationFailed(f"{name} has no morphism {objects[e.args[0]]} -> "
+                                   f"{objects[cod[g]]}") from None
+    return C
 
 
 def regular_completion(P: FinCategory) -> Completion:
     """Construct and validate the regular completion of a weakly-lex P."""
     if not has_weak_finite_limits(P):
         raise PreconditionFailed(f"{P.name} lacks weak finite limits")
-
-    # P is thin, so hom(X1, Y1) is empty or one arrow's whole class;
-    # names[f] maps each successor g of f, in order, to A_f -> A_g.
-    objects = [_object_name(f) for f in P.morphism_names]
-    mor = range(len(objects))
-    names: list[dict[int, str]] = [{} for _ in mor]
-    members_of: dict[str, tuple[str, ...]] = {}
-    declared: list[tuple[str, str, str]] = []
-    for f in mor:
-        for g in mor:
-            members = P._homs.get((P._dom[f], P._dom[g]))
-            if not members:
-                continue
-            if f == g:
-                name = identity_name(objects[f])
-            else:
-                name = f"q{len(declared)}"
-                declared.append((name, objects[f], objects[g]))
-            names[f][g] = name
-            members_of[name] = P._names(members)
-
-    rows = [(names[g][j], after_f[g], after_f[j])
-            for f, after_f in enumerate(names) for g in after_f if g != f
-            for j in names[g] if j != g]
-    total = validate_category(RawCategory(f"{P.name}_reg", objects, declared, rows))
-
-    # the identity of object x is the morphism x
-    embed_objects = {x: objects[i] for i, x in enumerate(P.objects)}
-    embed_morphisms = {P.morphism_names[m]: names[x][y]
+    # P is thin: hom(X1, Y1) is empty or one class; A_1_x, object x, embeds x
+    objects = [f"A_{f}" for f in P.morphism_names]
+    mor, pdom, phoms = range(len(objects)), P._dom, P._homs
+    total = _preorder(f"{P.name}_reg", objects, [(f, g) for f in mor for g in mor
+                                                 if f != g and (pdom[f], pdom[g]) in phoms])
+    names = total.morphism_names
+    members_of = {names[i]: P._names(phoms[pdom[f], pdom[g]])
+                  for i, (f, g) in enumerate(zip(total._dom, total._cod))}
+    embed_objects = dict(zip(P.objects, objects))
+    embed_morphisms = {P.morphism_names[m]: names[total._homs[x, y][0]]
                        for m, (x, y) in enumerate(zip(P._dom, P._cod))}
-
-    cover = CoverWitness(total, FullSubcategory(
-        total, [embed_objects[x] for x in P.objects]))
+    cover = CoverWitness(total, FullSubcategory(total, list(embed_objects.values())))
     compl = Completion(P, total, embed_objects, embed_morphisms, cover, members_of)
     _validate_completion(compl)
     return compl

@@ -114,7 +114,7 @@ class FinCategory:
     every expensive search cache its result per category.  Cached values
     never hold the category itself, so a category is freed without the
     cycle collector.  Do not build directly; go through validate_category,
-    the corpus loaders or full subcategories.
+    the corpus loaders, full subcategories or regular_completion.
     """
 
     def __init__(self, name: str, objects: Sequence[str], index: dict[str, int],

@@ -11,7 +11,7 @@ lattice isomorphisms (see verify_lemma_a).
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .core import FinCategory, FullSubcategory, Record, _morphism
 from .errors import BoundExceeded, IdealClosureViolation, PreconditionFailed
@@ -499,17 +499,17 @@ def verify_lemma_a(W: CoverWitness, N_P: Ideal, N_C: Ideal) -> Report:
 
 
 def _sample_masks(C: FinCategory, cap: int = 64) -> list[int]:
-    """The masks of a deterministic sample of the ideal lattice for
-    categories too large for full enumeration: bottom, top, every principal
-    closure, and pairwise unions of principals up to the cap, ordered as
-    enumerate_ideals orders them."""
+    """The masks of a deterministic sample of at most cap ideals, for
+    lattices too large for full enumeration: bottom and top, then the
+    distinct principal ideals and pairwise unions of them, in that order,
+    until the cap; ordered as enumerate_ideals orders them."""
     top = (1 << len(C.morphism_names)) - 1
     atoms = [a for a in _atoms(C) if a != top]
-    masks = {0, top, *atoms}
-    for a, b in combinations(atoms, 2):
+    masks = {0, top}
+    for m in chain(atoms, (a | b for a, b in combinations(atoms, 2))):
         if len(masks) >= cap:
             break
-        masks.add(a | b)
+        masks.add(m)
     weights = _name_weights(C)
     return _by_size({m: sum(weights[i] for i in _members(m)) for m in masks})
 

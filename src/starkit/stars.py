@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import FinCategory, ParallelPair, is_mono, require_parallel
+from .core import FinCategory, ParallelPair, _morphism, is_mono, require_parallel
 from .ideals import (MultiPointedCategory, _first_without_kernel, kernels,
                      pointed_ideal)
 from .limits import STRICT, WEAK, coequalizer, is_regular_category, kernel_pairs
@@ -50,7 +50,7 @@ def satisfies_star_pi0(M: MultiPointedCategory, p: ParallelPair,
         if not stars:
             return Report("star-pi0", INAPPLICABLE, [f"no weak kernel of {p.f1}"])
         witness = stars[0]
-    f1, f2, s1, s2 = (C._pos[C._index[m]]
+    f1, f2, s1, s2 = (C._pos[_morphism(C, m)]
                       for m in (p.f1, p.f2, witness.star.f1, witness.star.f2))
     for g in C._out[C._cod[C._index[p.f1]]]:
         row = C._rows[g]

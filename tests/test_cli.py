@@ -302,10 +302,12 @@ def test_corpus_enumerate(capsys):
 
 def test_check_galois_samples_only_past_the_ideal_cap(capsys, tmp_path):
     # Chain7 has Catalan(8) = 1,430 ideals, within the cap of 4,096;
-    # Chain8 has 4,862 and Boolean 2^3 15,936
+    # Chain8 has 4,862 and Boolean 2^3 15,936; Boolean 2^4 has 81 distinct
+    # principal ideals, more than the sample's cap of 64 holds
     for C, first in ((chain(7), "ideals: parent=1430 cover=1430"),
                      (chain(8), "sampled ideals: parent=64 cover=64"),
-                     (boolean(3), "sampled ideals: parent=64 cover=64")):
+                     (boolean(3), "sampled ideals: parent=64 cover=64"),
+                     (boolean(4), "sampled ideals: parent=64 cover=64")):
         path = tmp_path / f"{C.name}.fincat"
         path.write_text(serialize(CorpusFile([], [category_block(C),
                                                   cover_block("all", C.name, C.objects)])))

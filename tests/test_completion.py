@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from starkit import (Ideal, PreconditionFailed, WEAK, check_corollary_b,
-                     check_corollary_c, check_theorem_c, full_subcategory,
-                     has_weak_finite_limits, is_projective_cover,
+from starkit import (Ideal, PreconditionFailed, ValidationFailed, WEAK,
+                     check_corollary_b, check_corollary_c, check_theorem_c,
+                     full_subcategory, has_weak_finite_limits, is_projective_cover,
                      is_regular_category, is_regular_completion, kernel_pairs,
-                     pointed_ideal, regular_completion)
+                     pointed_ideal, regular_completion, validate_category)
+from starkit.completion import _preorder
 from starkit.core import identity_name
 from starkit.corpus import enumerate_categories
 from tests.helpers import are_equivalent
@@ -157,7 +158,8 @@ def _non_associative_triples(C) -> int:
 def test_completion_matches_the_general_construction(arrow, chain3):
     # every weakly lex category with at most 5 morphisms, then Arrow
     # 3 -> 7 -> 43 and Chain3 6 -> 25 -> 493; each completion is thin, so
-    # validate_category accepted it without the associativity loop
+    # its table is built without validate_category, which must accept it
+    # and fill the same cells
     bases = [C for C in enumerate_categories(5) if has_weak_finite_limits(C)]
     sizes = []
     for P in [*bases, arrow, regular_completion(arrow).total, chain3,
@@ -168,11 +170,32 @@ def test_completion_matches_the_general_construction(arrow, chain3):
                 compl.embed_objects, compl.embed_morphisms, compl.classes) == \
             _general_completion(P), P.to_raw()
         C = compl.total
+        again = validate_category(raw)
+        assert (again.morphism_names, again._dom, again._cod, again._rows) == \
+            (C.morphism_names, C._dom, C._cod, C._rows), P.to_raw()
         assert all(len(C.hom(x, y)) <= 1 for x in C.objects for y in C.objects)
         assert _non_associative_triples(C) == 0, P.to_raw()
         sizes.append((len(P.morphisms), len(C.morphisms)))
     assert sizes[len(bases):] == [(3, 7), (7, 43), (6, 25), (25, 493)]
     assert len(bases) == 3
+
+
+@pytest.mark.parametrize("arrows, message", [
+    ([(0, 1), (0, 1)], "^T repeats a morphism name or a hom-set member$"),
+    ([(1, 1)], "^T repeats a morphism name or a hom-set member$"),
+    ([(0, 1), (1, 2)], "^T has no morphism a -> c$"),
+    ([(0, 1), (1, 2), (2, 0), (0, 2), (1, 0)], "^T has no morphism c -> b$"),
+], ids=["parallel", "endomorphism", "not transitive", "cycle"])
+def test_preorder_builder_refuses_what_is_not_a_preorder(arrows, message):
+    with pytest.raises(ValidationFailed, match=message):
+        _preorder("T", ["a", "b", "c"], arrows)
+
+
+def test_preorder_builder_accepts_a_transitive_relation():
+    C = _preorder("T", ["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
+    assert C.morphism_names == ("1_a", "1_b", "1_c", "q0", "q1", "q2")
+    assert C.compose("q1", "q0") == "q2" and C.compose("q2", "1_a") == "q2"
+    assert validate_category(C.to_raw())._rows == C._rows
 
 
 def test_is_regular_completion_negative(ptset2):

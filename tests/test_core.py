@@ -7,13 +7,13 @@ import weakref
 import pytest
 
 from starkit import (WEAK, Ideal, InvalidCategory, MultiPointedCategory, ParallelPair,
-                     ReflexiveGraph, check_corollary_b, check_corollary_c,
+                     ReflexiveGraph, StarWitness, check_corollary_b, check_corollary_c,
                      check_corollary_d, check_theorem_a, check_theorem_c,
                      coequalizers, enumerate_ideals, enumerate_reflexive_graphs,
                      full_subcategory, has_weak_finite_limits, ideal_closure,
                      is_epi, is_mono, is_normal_category, is_star_regular,
-                     kernel_pairs, kernels, regular_completion, star_of,
-                     validate_category)
+                     kernel_pairs, kernels, regular_completion, satisfies_star_pi0,
+                     star_of, validate_category)
 from starkit.core import RawCategory
 from starkit.corpus import enumerate_categories
 from tests.conftest import load
@@ -167,8 +167,10 @@ def _null(C) -> MultiPointedCategory:
     lambda C: coequalizers(C, ParallelPair("f01", "nope")),
     lambda C: star_of(_null(C), ParallelPair("nope", "f01"), WEAK),
     lambda C: ideal_closure(C, ["f01", "nope"]),
+    lambda C: satisfies_star_pi0(_null(C), ParallelPair("f01", "f01"), StarWitness(
+        ParallelPair("f01", "f01"), "nope", ParallelPair("nope", "nope"))),
 ], ids=["kernels", "is_mono", "is_epi", "kernel_pairs", "coequalizers", "star_of",
-        "ideal_closure"])
+        "ideal_closure", "satisfies_star_pi0"])
 def test_an_unknown_morphism_name_is_named(chain3, call):
     with pytest.raises(ValueError, match="^nope is not a morphism of Chain3$"):
         call(chain3)
