@@ -3,7 +3,8 @@
 Every check prints ``PROPERTY <name> <verdict>`` followed by indented witness
 lines.  Exit codes: 0 when everything is PASS or INAPPLICABLE, 1 when any
 check FAILs (witness printed), 2 on validation or usage errors.  Output is
-deterministic for fixed inputs and seed.
+deterministic for fixed inputs.  ``search`` examines the enumerated
+categories in order; a ``--max`` past the enumeration cap is an error.
 """
 from __future__ import annotations
 
@@ -167,8 +168,7 @@ def _cmd_complete(args) -> tuple[Report, str | None]:
 
 def _cmd_search(args) -> tuple[Report, str | None]:
     try:
-        witness = search_counterexample(args.property, args.max,
-                                        budget=args.budget, seed=args.seed)
+        witness = search_counterexample(args.property, args.max, budget=args.budget)
     except Exhausted as e:
         return Report(f"search:{args.property}", INAPPLICABLE, [str(e)]), None
     return (Report(f"search:{args.property}", PASS, witness.header),
@@ -208,7 +208,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for a category with a named property")
     p.add_argument("--property", required=True, choices=sorted(PROPERTIES))
     p.add_argument("--max", type=_count, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=_count, default=None)
 
     p = sub.add_parser("corpus", help="enumerate small categories to stdout")

@@ -41,16 +41,20 @@ def satisfies_star_pi0(M: MultiPointedCategory, p: ParallelPair,
     Evaluated on one weak star (the first found, or the given witness); any
     two weak stars give the same verdict, which the test suite asserts.  When
     f1 has no weak kernel the condition is not evaluable and the verdict is
-    INAPPLICABLE, never a silent pass or fail.
+    INAPPLICABLE, never a silent pass or fail.  A given witness must be one
+    that ``star_of(M, p, WEAK)`` returns, else ValueError.
     """
     C = M.cat
-    require_parallel(C, p)
+    stars = star_of(M, p, WEAK)
     if witness is None:
-        stars = star_of(M, p, WEAK)
         if not stars:
             return Report("star-pi0", INAPPLICABLE, [f"no weak kernel of {p.f1}"])
         witness = stars[0]
-    f1, f2, s1, s2 = (C._pos[_morphism(C, m)]
+    elif witness not in stars:
+        for m in (*witness.pair, witness.k, *witness.star):
+            _morphism(C, m)  # an unknown name is named first
+        raise ValueError(f"{witness!r} is not a weak star of ({p.f1}, {p.f2}) in {C.name}")
+    f1, f2, s1, s2 = (C._pos[C._index[m]]
                       for m in (p.f1, p.f2, witness.star.f1, witness.star.f2))
     for g in C._out[C._cod[C._index[p.f1]]]:
         row = C._rows[g]

@@ -1,10 +1,12 @@
 """Definitions that only the tests use, beside the package they check.
 
 Constructions: the thin category of a partial order (chains, discrete
-categories, Boolean lattices), the composites of a category, joint
-monicity, equivalence of categories, an ideal carried onto a completion's
-cover, the kernel of an extended ideal built through the cover, the kernel
-star of a morphism and star-pi0 over every reflexive graph.
+categories, Boolean lattices), the category of listed maps between finite
+sets (truncations of pointed sets and groups), the composites of a
+category, joint monicity, equivalence of categories, an ideal carried onto
+a completion's cover, the kernel of an extended ideal built through the
+cover, the kernel star of a morphism and star-pi0 over every reflexive
+graph.
 
 Reference implementations, moved out of ``src/starkit`` with their bodies
 unchanged, since no command, statement check or benchmark workload reaches
@@ -221,6 +223,43 @@ def boolean(k: int) -> FinCategory:
     """The subsets of a k-element set under inclusion, 3^k morphisms."""
     return preorder(f"Boolean{k}", ["s" + format(i, f"0{k}b") for i in range(1 << k)],
                     lambda x, y: all(a <= b for a, b in zip(x[1:], y[1:])))
+
+
+def concrete_category(name: str, objects: dict[str, int], maps_of) -> FinCategory:
+    """The category whose object x is the set {0, ..., objects[x] - 1} and
+    whose morphisms x -> y are the maps that ``maps_of(x, y)`` yields as
+    (name, values), values[i] the image of i.  The identity of x is 1_<x>;
+    a yielded identity map is skipped.  Morphisms are numbered as
+    validate_category numbers a table: identities in object order, then
+    the maps in the order yielded, for (x, y) in product order.
+
+    Composition of functions is associative and has the identities as
+    units, so no axiom is left to check: each row is filled by composing
+    value tuples, and only a composite that is not a listed map, or a name
+    listed twice, raises ValueError."""
+    names = list(objects)
+    values = [tuple(range(objects[x])) for x in names]
+    index = {identity_name(x): i for i, x in enumerate(names)}
+    dom, cod = list(range(len(names))), list(range(len(names)))
+    for (a, x), (b, y) in itertools.product(enumerate(names), repeat=2):
+        for m, v in maps_of(x, y):
+            if a == b and v == values[a]:
+                continue
+            if index.setdefault(m, len(values)) != len(values):
+                raise ValueError(f"map {m} listed twice")
+            values.append(v)
+            dom.append(a)
+            cod.append(b)
+    C = FinCategory(name, names, index, dom, cod)
+    at = {(dom[i], cod[i], v): C._pos[i] for i, v in enumerate(values)}
+    for g in range(len(names), len(values)):
+        gv, y = values[g], cod[g]
+        try:
+            C._rows[g] = [at[dom[u], y, tuple(map(gv.__getitem__, values[u]))]
+                          for u in C._into[dom[g]]]
+        except KeyError as e:
+            raise ValueError(f"a composite of {C.morphism_names[g]} is not listed: {e}") from None
+    return C
 
 
 def composites(C) -> list[tuple[str, str, str]]:

@@ -217,8 +217,7 @@ def test_criterion_9_negative_direction_witness():
     # outcome means the full search space was swept
     budget = 4000
     try:
-        witness = search_counterexample("pi0-cover-not-star-regular", 6,
-                                        budget=budget, seed=0)
+        witness = search_counterexample("pi0-cover-not-star-regular", 6, budget=budget)
     except Exhausted as e:
         message = str(e)
         assert "examined=3257 (search space exhausted)" in message

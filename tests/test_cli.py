@@ -291,6 +291,51 @@ def test_search_exhausted_is_loud_and_exit_zero(capsys):
     assert "examined=4" in out
 
 
+def _watched_search(capsys, monkeypatch, *argv):
+    """Run ``search`` with the enumerator the search reads at call time
+    wrapped, as perfbench/run.py wraps it: (exit code, stdout, the
+    categories pulled)."""
+    import starkit.corpus
+    enumerate_categories, pulled = starkit.corpus.enumerate_categories, []
+
+    def watched(max_morphisms):
+        for C in enumerate_categories(max_morphisms):
+            pulled.append(C)
+            yield C
+
+    monkeypatch.setattr(starkit.corpus, "enumerate_categories", watched)
+    return (*run_cli(capsys, "search", *argv), pulled)
+
+
+def test_search_past_the_cap_exits_2_before_examining(capsys, monkeypatch):
+    monkeypatch.delenv("STARKIT_MAX_MORPHISMS", raising=False)
+    code, out, pulled = _watched_search(capsys, monkeypatch,
+                                        "--property", "pointed", "--max", "7")
+    assert (code, out, pulled) == (2, "PROPERTY search ERROR\n  requested 7 morphisms; "
+                                   "enumeration cap is 6, set by STARKIT_MAX_MORPHISMS\n", [])
+
+
+def test_search_has_no_seed_option(capsys):
+    code = run(["search", "--property", "pointed", "--max", "1", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "unrecognized arguments: --seed 1" in captured.err
+
+
+def test_search_past_six_morphisms_enumerates_when_the_cap_is_raised(capsys, monkeypatch):
+    # 3,257 categories have at most 6 morphisms, so the last 43 examined have
+    # 7; the 3,301st category is pulled, and only then is the budget reached
+    monkeypatch.setenv("STARKIT_MAX_MORPHISMS", "7")
+    code, out, pulled = _watched_search(capsys, monkeypatch, "--property",
+                                        "pointed-regular-not-normal", "--max", "7",
+                                        "--budget", "3300")
+    assert (code, out) == (0, "PROPERTY search:pointed-regular-not-normal INAPPLICABLE\n"
+                           "  no witness for pointed-regular-not-normal: examined=3300 "
+                           "(budget reached) max_morphisms=7 budget=3300 seed=0\n")
+    sizes = [len(C.morphism_names) for C in pulled[:3300]]
+    assert (len(pulled), max(sizes[:3257]), set(sizes[3257:])) == (3301, 6, {7})
+
+
 def test_corpus_enumerate(capsys):
     code, out = run_cli(capsys, "corpus", "--enumerate", "2")
     assert code == 0

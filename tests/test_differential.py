@@ -35,8 +35,9 @@ Lemma A and the Galois connections, decided in closed form, are compared
 with the exhaustive evaluators they replace on every cover and pair of
 ideals.  The integer-native category, with its rows, in- and out-lists and
 thinness, is compared with the name-keyed category it replaces, built by
-the old builders of enumerated, cover, validated and random tables, and
-canonical keys with the integer form they were read from."""
+the old builders of enumerated, cover and validated tables, and canonical
+keys with the integer form they were read from.  The random tables of the
+property tests are drawn here too."""
 from __future__ import annotations
 
 import functools
@@ -59,8 +60,8 @@ from starkit import (ERROR, FAIL, INAPPLICABLE, PASS, STRICT, WEAK,
                      pointed_ideal, product_cones,
                      pullback_cones, regular_completion, regular_epis, restrict_ideal,
                      terminal_cones, verify_galois_and_iso, verify_lemma_a)
-from starkit.corpus import (CategoryBlock, _fill_tables, _random_category,
-                            _table_category, enumerate_categories, parse)
+from starkit.corpus import (CategoryBlock, _fill_tables, _table_category,
+                            enumerate_categories, parse)
 from starkit.ideals import (_cover_epis, _first_without_kernel,
                             _ideal_masks, _kernel_gates, _sample_masks)
 from starkit.core import (FinCategory, Morphism, RawCategory, ReflexiveGraph, Violation,
@@ -1571,8 +1572,8 @@ def test_sampled_galois_matches_its_evaluator():
 # The category is numbered once: morphisms are ints and composition is one
 # row per morphism.  The name-keyed category it replaces, which rebuilt its
 # composition map, hom-sets and bits by name, is the oracle below, with the
-# name-keyed builders of enumerated tables, cover tables and random tables
-# and the integer form that canonical keys were read from.
+# name-keyed builders of enumerated tables and cover tables and the integer
+# form that canonical keys were read from.
 
 class OracleCategory:
     """The name-keyed category that the integer-native FinCategory replaces:
@@ -1673,7 +1674,8 @@ def oracle_int_form(C: OracleCategory):
 
 def oracle_random_category(rng: random.Random, lo: int, hi: int, name: str):
     """A random table, built unvalidated by name, then validated from its
-    raw form, as the counterexample search drew them."""
+    raw form; None when it is not a category.  The property tests draw
+    their categories past the exhaustive sweeps with it."""
     n = rng.randint(lo + 1, hi)
     k = rng.randint(1, n)
     types = tuple(sorted((rng.randrange(k), rng.randrange(k)) for _ in range(n - k)))
@@ -1723,7 +1725,7 @@ def _tables(max_morphisms: int):
 
 
 def test_the_integer_core_matches_the_name_keyed_oracle():
-    from tests.test_truncations import pointed_set_table  # imports this module
+    from tests.test_truncations import pointed_sets  # imports this module
     pairs = []
     for i, (k, types, table) in enumerate(_tables(SMALL), 1):
         C = _table_category(f"C{i}", k, types, table)
@@ -1731,7 +1733,7 @@ def test_the_integer_core_matches_the_name_keyed_oracle():
         pairs.append((C, O))
         pairs += [(cover.category, oracle_full_subcategory(O, cover.objects))
                   for cover in _covers(C)]
-    raws = [parse(KERNEL_PAIR_SQUARE)._named(CategoryBlock, "KP").raw, pointed_set_table(4),
+    raws = [parse(KERNEL_PAIR_SQUARE)._named(CategoryBlock, "KP").raw, pointed_sets(4).to_raw(),
             *(load(f"{name.lower()}.fincat")._named(CategoryBlock, name).raw
               for name in ("One", "Chain3", "PtSet2", "Arrow"))]
     pairs += [(validate_category(raw), oracle_validate_category(raw)) for raw in raws]
@@ -1744,22 +1746,6 @@ def test_the_integer_core_matches_the_name_keyed_oracle():
         compare_with_the_oracle(C, O, key=C.name not in ("PtSet4", "Chain3_reg_reg"))
     # the sweep, its covers, KP, PtSet<=4, the fixtures and the completions
     assert (len(pairs), sum(C.thin for C, _ in pairs)) == (399 + 823 + 6 + 4, 267)
-
-
-def test_random_categories_are_the_draws_of_the_name_keyed_builder():
-    # one generator per seed, as the property tests draw, and one generator
-    # for many draws in a row, as the search draws past the enumeration cap
-    streams = [(random.Random(seed), random.Random(seed), 5, 8, 1) for seed in range(300)]
-    streams.append((random.Random(0), random.Random(0), 6, 8, 300))
-    valid = 0
-    for new, old, lo, hi, draws in streams:
-        for i in range(draws):
-            C = _random_category(new, lo, hi, f"R{i}")
-            O = oracle_random_category(old, lo, hi, f"R{i}")
-            assert new.getstate() == old.getstate(), (lo, hi, i)
-            assert (C and _built(C)) == (O and _built(O)), (lo, hi, i)
-            valid += C is not None
-    assert valid == 291  # of 600 draws
 
 
 # Validation numbers the morphisms once and checks associativity one

@@ -1,6 +1,6 @@
 """Properties of random valid categories with 6 to 8 morphisms, past the
-exhaustive sweeps of at most 5, drawn by the seeded generator that the
-counterexample search uses past the enumeration cap:
+exhaustive sweeps of at most 5, each drawn from its own seed by
+``oracle_random_category`` of ``test_differential``:
 the corpus format round-trips, the canonical form ignores names and order,
 the pullback, equalizer and coequalizer searches, ideal kernels, regular
 epis, the pointed ideal and regular completions agree with the oracles of
@@ -25,15 +25,15 @@ from starkit import (STRICT, WEAK, InvalidCategory, MultiPointedCategory,  # noq
                      kernels, pullback_cones)
 from starkit.core import RawCategory, identity_name, validate_category  # noqa: E402
 from starkit.corpus import (_COMP, _MOR, _NAME, _REF, CorpusFile,  # noqa: E402
-                            CorpusSyntaxError, _random_category,
-                            category_block, parse, serialize)
+                            CorpusSyntaxError, category_block, parse, serialize)
 from tests.helpers import canonical_key, equalizer_cones  # noqa: E402
 from tests.test_differential import (_all_mono, _has_weak_kernel_pairs,  # noqa: E402
                                      _has_weak_products, _inline_kernels,
                                      _single_row_changes, _thin,
                                      compare_coequalizers_and_pointed_ideal,
                                      compare_validation,
-                                     oracle_equalizer, oracle_pullback)
+                                     oracle_equalizer, oracle_pullback,
+                                     oracle_random_category)
 
 SWEPT, MAX_MORPHISMS = 5, 8
 
@@ -42,7 +42,7 @@ examples = settings(derandomize=True, database=None, max_examples=30, deadline=N
 
 
 def _draw(seed: int):
-    C = _random_category(random.Random(seed), SWEPT, MAX_MORPHISMS, name="R")
+    C = oracle_random_category(random.Random(seed), SWEPT, MAX_MORPHISMS, name="R")
     assume(C is not None)  # about 54% of draws are valid categories
     return C
 

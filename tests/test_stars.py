@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from starkit import (Ideal, MultiPointedCategory, ParallelPair,
-                     STRICT, WEAK, check_corollary_d, check_theorem_a,
+                     STRICT, WEAK, StarWitness, check_corollary_d, check_theorem_a,
                      coequalizer, coequalizers, is_normal_category, is_star_regular,
                      kernel_pairs, pointed_ideal, satisfies_star_pi0,
                      star_of)
@@ -48,6 +48,21 @@ def test_star_pi0_failure_witness(ptset2):
     rep = satisfies_star_pi0(M, ParallelPair("1_S", "u"))
     assert rep.verdict == "FAIL"
     assert "violating morphism g=1_S" in rep.witnesses
+
+
+@pytest.mark.parametrize("p, given, k, star", [
+    # a kernel that f01 cannot follow: was a bare IndexError
+    (("f01", "f01"), ("f01", "f01"), "1_c2", ("1_c2", "f12")),
+    # a star with unequal legs, and the star of another pair: both were PASS
+    (("f12", "f12"), ("f12", "f12"), "1_c1", ("f02", "f12")),
+    (("f12", "f12"), ("f01", "f01"), "1_c0", ("f01", "f01")),
+])
+def test_a_witness_that_is_not_a_weak_star_is_refused(chain3, p, given, k, star):
+    M = total_mpc(chain3)
+    witness = StarWitness(ParallelPair(*given), k, ParallelPair(*star))
+    assert witness not in star_of(M, ParallelPair(*p), WEAK)
+    with pytest.raises(ValueError, match=rf"is not a weak star of \({p[0]}, {p[1]}\) in Chain3$"):
+        satisfies_star_pi0(M, ParallelPair(*p), witness)
 
 
 def test_star_pi0_total_context_always_passes(chain3, ptset2):

@@ -1,13 +1,15 @@
 """Finite truncations of the paper's examples as test inputs.
 
 PtSet<=n is the full subcategory of pointed sets on {0, ..., a-1}, basepoint
-0, for 1 <= a <= n, with every basepoint-preserving map.  The builder
-tabulates the maps and their composites and passes the table through
-validate_category, so it needs no table search.  Unlike every category with
-at most 6 morphisms, PtSet<=4 has kernel pairs with distinct legs, so the
-kernel-pair and coequalizer oracles get real inputs here.  The groups
-C1-C6, V4 and S3 with every homomorphism, built from Cayley tables, are a
-truncation of the normal category of groups."""
+0, for 1 <= a <= n, with every basepoint-preserving map.  It is built by
+``concrete_category`` of tests/helpers.py, which composes the maps' value
+tuples, so it needs neither a table search nor validate_category (which
+builds the same category from its table, as a test here checks).  Unlike
+every category with at most 6 morphisms, PtSet<=4 has kernel pairs with
+distinct legs, so the kernel-pair and coequalizer oracles get real inputs
+here.  The groups C1-C6, V4 and S3 with every homomorphism, listed from
+Cayley tables and built the same way, are a truncation of the normal
+category of groups."""
 from __future__ import annotations
 
 import hashlib
@@ -17,57 +19,30 @@ from collections import Counter
 import pytest
 
 from starkit import (FAIL, INAPPLICABLE, STRICT, WEAK, Ideal, MultiPointedCategory,
-                     ParallelPair, RawCategory, check_corollary_d, check_theorem_a,
+                     ParallelPair, check_corollary_d, check_theorem_a,
                      coequalizers, enumerate_reflexive_graphs, is_mono, kernel_pairs,
                      pointed_ideal, satisfies_star_pi0, star_of, validate_category)
 from starkit.corpus import CorpusFile, category_block, serialize
 from tests.conftest import FIXTURES
+from tests.helpers import concrete_category
 from tests.test_differential import (oracle_coequalizers, oracle_pullback,
                                      oracle_reflexive_graphs)
 
 
-class Rows:
-    """Composition rows made afresh on every pass, so a large table is never
-    held as a list; validate_category reads them once, and an oracle can
-    read them again."""
-
-    def __init__(self, make):
-        self.make = make
-
-    def __iter__(self):
-        return self.make()
-
-
-def pointed_set_table(n: int) -> RawCategory:
-    """The table of PtSet<=n, objects P1, ..., Pn for the sets of 1, ..., n
-    elements, a map named p<a><b>_<values> for the values of {0, ..., a-1}
-    in Pb.  Its rows are made on demand: PtSet<=5 has 845,916."""
-    maps = {}
-    names = {}
-    for a, b in itertools.product(range(1, n + 1), repeat=2):
-        for tail in itertools.product(range(b), repeat=a - 1):
-            values = (0, *tail)
-            if a == b and values == tuple(range(a)):
-                names[a, b, values] = f"1_P{a}"
-            else:
-                name = f"p{a}{b}_{''.join(map(str, values))}"
-                maps[name] = (a, b, values)
-                names[a, b, values] = name
-    out = {a: [(g, gb, gv) for g, (ga, gb, gv) in maps.items() if ga == a]
-           for a in range(1, n + 1)}
-
-    def rows():
-        for f, (fa, fb, fv) in maps.items():
-            for g, gb, gv in out[fb]:
-                yield g, f, names[fa, gb, tuple(gv[i] for i in fv)]
-
-    return RawCategory(f"PtSet{n}", [f"P{a}" for a in range(1, n + 1)],
-                       [(m, f"P{a}", f"P{b}") for m, (a, b, _) in maps.items()], Rows(rows))
+def pointed_maps(a: str, b: str):
+    """The basepoint-preserving maps from Pa to Pb, {0, ..., a-1} to
+    {0, ..., b-1} with basepoint 0, each named p<a><b>_<values>."""
+    m, n = int(a[1:]), int(b[1:])
+    for tail in itertools.product(range(n), repeat=m - 1):
+        values = (0, *tail)
+        yield f"p{m}{n}_{''.join(map(str, values))}", values
 
 
 def pointed_sets(n: int):
-    """PtSet<=n, its table validated."""
-    return validate_category(pointed_set_table(n))
+    """PtSet<=n, objects P1, ..., Pn for the sets of 1, ..., n elements.
+    PtSet<=5 has 1,279 morphisms and 845,916 composable pairs of
+    non-identities."""
+    return concrete_category(f"PtSet{n}", {f"P{a}": a for a in range(1, n + 1)}, pointed_maps)
 
 
 @pytest.fixture(scope="module")
@@ -80,12 +55,28 @@ def ptset5():
     return pointed_sets(5)
 
 
+def test_built_truncations_are_their_validated_tables(ptset4, groups):
+    # cell for cell, names and numbering included
+    for C in (ptset4, groups):
+        V = validate_category(C.to_raw())
+        assert (C.name, C.objects, C.morphism_names, C._dom, C._cod, C._rows) == \
+            (V.name, V.objects, V.morphism_names, V._dom, V._cod, V._rows)
+
+
+def test_a_composite_that_is_not_listed_is_named():
+    # k = (1, 2, 2) on {0, 1, 2} is listed, but not k∘k = (2, 2, 2)
+    with pytest.raises(ValueError, match="^a composite of k is not listed"):
+        concrete_category("Bad", {"S": 3}, lambda a, b: [("k", (1, 2, 2))])
+
+
 def test_pointed_sets_have_every_basepoint_preserving_map(ptset4):
     # b^(a-1) maps from a to b elements, summed over 1 <= a, b <= 4
     assert len(ptset4.morphisms) == 144
     assert [len(ptset4.hom("P3", y)) for y in ptset4.objects] == [1, 4, 9, 16]
 
 
+# The header names the string-row builder of PtSet<=n that the fixture was
+# first written with; it is kept so that the fixture stays byte-for-byte.
 PTSET3_HEADER = ["# Pointed sets with at most three elements and every basepoint-preserving",
                  "# map: pointed_set_table(3) of tests/test_truncations.py, validated and",
                  "# serialized; test_ptset3_fixture_is_the_serialized_table rebuilds it."]
@@ -162,11 +153,11 @@ def test_star_pi0_on_the_reflexive_graphs_of_pointed_sets(ptset4):
     assert all(w.star.f1 == w.star.f2 for w in stars)
 
 
-@pytest.mark.slow
 def test_reflexive_graphs_of_pointed_sets_of_five(ptset5):
     """PtSet<=5 has 1,279 morphisms and 1,760 reflexive graphs, pinned in
-    order by the SHA-256 of their (d, c, e) triples.  Its validation, which
-    walks the composable triples of every pair whose rows differ, is most
+    order by the SHA-256 of their (d, c, e) triples.  Built from its maps,
+    it skips validate_category's associativity pass, which walks the
+    composable triples of every pair whose rows differ and would be most
     of the time this module takes."""
     assert len(ptset5.morphism_names) == 1279
     graphs = tuple((g.d, g.c, g.e) for g in enumerate_reflexive_graphs(ptset5))
@@ -174,7 +165,6 @@ def test_reflexive_graphs_of_pointed_sets_of_five(ptset5):
         1760, "817c5efec025a144467e672fbe06b31fabb13fa1ccc1dc7e1eb1e1acec91f22a")
 
 
-@pytest.mark.slow
 def test_star_pi0_on_the_reflexive_graphs_of_pointed_sets_of_five(ptset5):
     # 1,452 of the graphs have d != c; pointed sets do not form a normal
     # category, and star-pi0 at the pointed ideal fails on 957 of them
@@ -221,31 +211,25 @@ def _homomorphisms(G, H):
             yield tuple(f)
 
 
-def group_table() -> RawCategory:
-    """The category of the groups in GROUPS and every homomorphism between
-    them, a map named <G>to<H>_<values>; the identity of G is 1_G."""
-    identity = {G: tuple(range(len(table))) for G, (table, _) in GROUPS.items()}
-    maps = {}
-    for G, H in itertools.product(GROUPS, repeat=2):
-        for values in _homomorphisms(GROUPS[G], GROUPS[H]):
-            if G != H or values != identity[G]:
-                maps[f"{G}to{H}_{''.join(map(str, values))}"] = (G, H, values)
-    names = {(G, H, values): m for m, (G, H, values) in maps.items()}
-    names.update(((G, G, values), f"1_{G}") for G, values in identity.items())
-    rows = [(g, f, names[fG, gH, tuple(gv[x] for x in fv)])
-            for f, (fG, fH, fv) in maps.items()
-            for g, (gG, gH, gv) in maps.items() if gG == fH]
-    return RawCategory("Groups", list(GROUPS), [(m, G, H) for m, (G, H, _) in maps.items()], rows)
+def group_maps(G: str, H: str):
+    """Every homomorphism G -> H of GROUPS, named <G>to<H>_<values>."""
+    for values in _homomorphisms(GROUPS[G], GROUPS[H]):
+        yield f"{G}to{H}_{''.join(map(str, values))}", values
 
 
-def test_finite_groups_have_every_homomorphism():
-    C = validate_category(group_table())
+@pytest.fixture(scope="module")
+def groups():
+    """The groups of GROUPS with every homomorphism between them."""
+    return concrete_category("Groups", {G: len(t) for G, (t, _) in GROUPS.items()}, group_maps)
+
+
+def test_finite_groups_have_every_homomorphism(groups):
     # counted independently, over every map of underlying sets
-    assert len(C.morphism_names) == 159
-    assert enumerate_reflexive_graphs(C) == oracle_reflexive_graphs(C)
+    assert len(groups.morphism_names) == 159
+    assert enumerate_reflexive_graphs(groups) == oracle_reflexive_graphs(groups)
 
 
-def test_star_pi0_on_the_reflexive_graphs_of_finite_groups():
+def test_star_pi0_on_the_reflexive_graphs_of_finite_groups(groups):
     """Groups form a normal category, so every reflexive graph satisfies
     star-pi0 at the ideal of trivial homomorphisms, and all six with d != c
     pass.  Those six are the ordered pairs of distinct surjections
@@ -255,7 +239,7 @@ def test_star_pi0_on_the_reflexive_graphs_of_finite_groups():
     S3 each normal subgroup is the only normal one of its order, while V4
     has three of order 2, and two of them leave one non-identity element
     outside both for e(1)."""
-    C = validate_category(group_table())
+    C = groups
     M = MultiPointedCategory(C, pointed_ideal(C))
     graphs = [(g.d, g.c, g.e) for g in enumerate_reflexive_graphs(C) if g.d != g.c]
     assert graphs == [
@@ -266,7 +250,7 @@ def test_star_pi0_on_the_reflexive_graphs_of_finite_groups():
     assert verdicts == {"PASS": 6}
 
 
-def test_kernel_pair_gates_ask_for_coequalizers(ptset4):
+def test_kernel_pair_gates_ask_for_coequalizers(ptset4, groups):
     """The second gates of Theorem A and Corollary D walk the morphisms that
     are not mono up to the first without a weak kernel pair; Corollary D's
     asks each one on the way for a coequalizer of its first weak kernel
@@ -274,7 +258,7 @@ def test_kernel_pair_gates_ask_for_coequalizers(ptset4):
     way; PtSet<=4 and the groups do, from p21_00 and C2toC1_00 on, and each
     has its coequalizer, so both gates stop at the same morphism."""
     asked = {}
-    for C, stop in ((ptset4, "p31_000"), (validate_category(group_table()), "C3toC1_000")):
+    for C, stop in ((ptset4, "p31_000"), (groups, "C3toC1_000")):
         M = MultiPointedCategory(C, Ideal(C, frozenset(C.morphism_names)))
         for report in (check_theorem_a(M), check_corollary_d(M)):
             assert (report.verdict, report.witnesses) == \
